@@ -6,11 +6,14 @@
 //      the load-balance quality (max/min thread load under the cost
 //      model) and wall time. On 1-core machines only the balance metric
 //      is meaningful.
-//   C. The subset count s of the exact dependent fallback: Equation (2)'s
-//      solution vs forced under/over-partitioning.
+//   C. The peaks' exact dependent search: one query on the rho kd-tree
+//      (what Approx-DPC runs) vs the paper's density-ordered subset scheme
+//      at Equation (2)'s s and under/over-partitioned s.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/string_util.h"
@@ -73,20 +76,39 @@ int main() {
     std::printf("   (1.0 = perfect balance; LPT should sit at ~1.00, hash above it)\n");
   }
 
-  // --- C: subset count s. ---
-  std::printf("\nC. Exact-fallback subset count s (delta phase time [s], Household-like)\n");
+  // --- C: the peaks' exact dependent search. ---
+  std::printf("\nC. Peaks' exact dependent search (time [s], Household-like; "
+              "results identical)\n");
   {
     const auto& w = workloads[1];
-    DpcParams params = w.params;
-    params.num_threads = cfg.max_threads;
-    const int solved = ApproxDpc::SolveNumSubsets(w.points.size(), w.points.dim());
-    eval::Table table({"s", "delta time [s]", "note"});
+    const PointId n = w.points.size();
+    const ExecutionContext ctx(cfg.max_threads);
+    const DpcSolution sol = ApproxDpc().Solve(w.points, w.params.compute(), ctx);
+    const UniformGrid grid(
+        w.points, w.params.d_cut / std::sqrt(static_cast<double>(w.points.dim())));
+    std::vector<double> delta(static_cast<size_t>(n),
+                              std::numeric_limits<double>::infinity());
+    std::vector<PointId> dependency(static_cast<size_t>(n), -1);
+    const std::vector<PointId> peaks =
+        ElectCellPeaks(w.points, grid, sol.rho, ctx, &delta, &dependency);
+    const KdTree tree(w.points);
+    auto same = [&] {
+      return delta == sol.delta && dependency == sol.dependency ? "" : " MISMATCH";
+    };
+    eval::Table table({"search", "time [s]", "note"});
+    internal::WallTimer timer;
+    ExDpc::ComputeExactDeltas(w.points, tree, sol.rho, ctx, &delta, &dependency,
+                              &peaks);
+    table.AddRow({"rho kd-tree (Approx-DPC)", StrFormat("%.3f", timer.Lap()), same()});
+    const int solved = ApproxDpc::SolveNumSubsets(n, w.points.dim());
     for (const int s : {2, solved / 2 > 2 ? solved / 2 : 3, solved, solved * 4}) {
-      ApproxDpcOptions opt;
-      opt.force_num_subsets = s;
-      const DpcResult r = ApproxDpc(opt).Run(w.points, params);
-      table.AddRow({std::to_string(s), StrFormat("%.3f", r.stats.delta_seconds),
-                    s == solved ? "Equation (2) solution" : ""});
+      timer.Lap();
+      ApproxDpc::ComputePeakDeltasBySubsets(w.points, sol.rho, peaks, s, ctx, &delta,
+                                            &dependency);
+      const double seconds = timer.Lap();
+      table.AddRow({StrFormat("subsets s=%d", s), StrFormat("%.3f", seconds),
+                    StrFormat("%s%s", s == solved ? "Equation (2) solution" : "",
+                              same())});
     }
     table.Print();
   }

@@ -19,12 +19,15 @@
 // (ablation A of bench_ablation). Both phases iterate cells partitioned
 // by the §4.5 LPT scheduler under the default cost-guided strategy.
 //
-// The peaks' exact dependent search uses the paper's density-ordered
-// subset scheme: points are split into s subsets by density rank, one
-// kd-tree per subset, and a peak only queries the subsets that can hold
-// denser points — denser peaks stop after fewer subsets. s comes from
-// SolveNumSubsets (the Equation (2) cost model) unless forced
-// (ablation C).
+// The peaks' exact dependent search runs on the kd-tree already built
+// for rho: one predicate nearest-denser query per peak, the same query
+// Ex-DPC runs for every point (ExDpc::ComputeExactDeltas). The paper's
+// density-ordered subset scheme — s subsets by density rank, one kd-tree
+// each, s from the Equation (2) cost model — stays as
+// ComputePeakDeltasBySubsets, the reference that tests and ablation C
+// check this search against. It costs a second density sort, s tree
+// builds and up to s descents per peak, where the rho tree answers each
+// peak in one.
 #ifndef DPC_CORE_APPROX_DPC_H_
 #define DPC_CORE_APPROX_DPC_H_
 
@@ -53,11 +56,7 @@ struct ApproxDpcOptions {
   /// Loop scheduling override; unset inherits the ExecutionContext's
   /// strategy (default cost-guided, §4.5).
   std::optional<ScheduleStrategy> scheduler;
-  /// Subset count s of the peaks' density-ordered exact dependent
-  /// search; 0 solves the Equation (2) cost model (SolveNumSubsets),
-  /// 1 collapses to a single global search.
-  int force_num_subsets = 0;
-  /// `sharding=region` solves grid-region shards concurrently
+  /// `sharding=region` computes rho on grid-region shards concurrently
   /// (core/sharded_dpc.h) — bit-identical labels, so the solution cache
   /// treats it as the same configuration.
   ShardingOptions sharding;
@@ -67,15 +66,69 @@ struct ApproxDpcOptions {
     OptionsReader reader(map);
     reader.Bool("joint_range_search", &options.joint_range_search);
     reader.Strategy("scheduler", &options.scheduler);
-    reader.Int("force_num_subsets", &options.force_num_subsets);
     if (Status s = options.sharding.Consume(reader); !s.ok()) return s;
     if (Status s = reader.status(); !s.ok()) return s;
-    if (options.force_num_subsets < 0) {
-      return Status::InvalidArgument("force_num_subsets must be >= 0");
-    }
     return options;
   }
 };
+
+/// The per-cell pass of Approx-DPC and S-Approx-DPC: elects each grid
+/// cell's densest member (under DenserThan) as its peak and snaps every
+/// other member to it — dependency = peak, delta = distance to the peak.
+/// Cells run on the pool (LPT-partitioned by population under the default
+/// strategy); a cell writes only its own members' slots and its own
+/// peaks[c], so the result is schedule- and thread-count independent.
+/// Returns the peaks indexed by CellId (first-touch order). A stopped
+/// context can leave unvisited slots at -1: check it before using them.
+inline std::vector<PointId> ElectCellPeaks(const PointSet& points,
+                                           const UniformGrid& grid,
+                                           const std::vector<double>& rho,
+                                           const ExecutionContext& exec,
+                                           std::vector<double>* delta,
+                                           std::vector<PointId>* dependency) {
+  const PointId n = points.size();
+  const int dim = points.dim();
+  std::vector<PointId> peaks(static_cast<size_t>(grid.num_cells()), PointId{-1});
+  // With cell reordering on (the default), the snap distances stream from
+  // a cell-ordered SoA view — each cell's members are one contiguous
+  // SquaredDistanceBatch; sqrt of a bit-identical square is bit-identical
+  // to the scalar Distance.
+  PointSetSoA cell_soa;
+  UniformGrid::Ordering ordering;
+  const bool reordered = kernels::SoaCellReorderEnabled() && n > 0;
+  if (reordered) {
+    ordering = grid.CellOrdering();
+    cell_soa.Assign(points, ordering.order.data(), n, /*store_ids=*/false);
+  }
+  ParallelForWithCosts(exec, grid.CellCosts(), [&](int64_t c) {
+    const std::vector<PointId>& members = grid.members(c);
+    PointId peak = members.front();
+    for (const PointId i : members) {
+      if (DenserThan(rho[static_cast<size_t>(i)], i,
+                     rho[static_cast<size_t>(peak)], peak)) {
+        peak = i;
+      }
+    }
+    peaks[static_cast<size_t>(c)] = peak;
+    if (members.size() == 1) return;
+    // Per-thread scratch (pool workers persist), resized per cell.
+    static thread_local std::vector<double> snap_sq;
+    if (reordered) {
+      snap_sq.resize(members.size());
+      kernels::SquaredDistanceBatch(
+          cell_soa, ordering.cell_begin[static_cast<size_t>(c)],
+          static_cast<PointId>(members.size()), points[peak], snap_sq.data());
+    }
+    for (size_t k = 0; k < members.size(); ++k) {
+      const PointId i = members[k];
+      if (i == peak) continue;
+      (*dependency)[static_cast<size_t>(i)] = peak;
+      (*delta)[static_cast<size_t>(i)] =
+          reordered ? std::sqrt(snap_sq[k]) : Distance(points[i], points[peak], dim);
+    }
+  });
+  return peaks;
+}
 
 class ApproxDpc : public DpcAlgorithm {
  public:
@@ -103,7 +156,6 @@ class ApproxDpc : public DpcAlgorithm {
                         const ExecutionContext& ctx) override {
     ExecutionContext exec =
         options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-    if (options_.sharding.enabled()) return SolveSharded(points, compute, exec);
 
     DpcSolution result;
     const PointId n = points.size();
@@ -123,12 +175,28 @@ class ApproxDpc : public DpcAlgorithm {
     // population doubles as the §4.5 scheduling cost model.
     const UniformGrid grid(points,
                            compute.d_cut / std::sqrt(static_cast<double>(dim)));
-    const std::vector<double> cell_costs = grid.CellCosts();
-    result.stats.build_seconds = phase.Lap();
     result.stats.index_memory_bytes = tree.MemoryBytes() + grid.MemoryBytes();
 
+    // `sharding=region` counts rho on region shards (core/sharded_dpc.h):
+    // exact integer counts over halo-complete balls, bit-identical to the
+    // unsharded counts, so everything after rho is shared.
+    RegionShardPlan plan;
+    std::vector<internal::ShardIndex> indexes;
+    if (options_.sharding.enabled()) {
+      plan = BuildRegionShardPlan(grid, compute.d_cut,
+                                  options_.sharding.Resolve(exec));
+      indexes = BuildShardIndexes(points, plan, exec);
+      for (const auto& idx : indexes) {
+        result.stats.index_memory_bytes += idx.tree.MemoryBytes();
+      }
+    }
+    const std::vector<double> cell_costs = grid.CellCosts();
+    result.stats.build_seconds = phase.Lap();
+
     // rho: exact range counts, cell by cell.
-    if (options_.joint_range_search) {
+    if (options_.sharding.enabled()) {
+      ShardedRho(points, compute.d_cut, exec, plan, indexes, &result.rho);
+    } else if (options_.joint_range_search) {
       ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
         const std::vector<PointId>& members = grid.members(cell);
         // Per-thread scratch (pool workers persist): the members' tight
@@ -169,57 +237,14 @@ class ApproxDpc : public DpcAlgorithm {
       return result;
     }
 
-    // delta: cell peaks get the exact search, everyone else snaps to its
-    // cell peak. With cell reordering on (the default), the snap
-    // distances stream from a cell-ordered SoA view — each cell's
-    // members are one contiguous SquaredDistanceBatch; sqrt of a
-    // bit-identical square is bit-identical to the scalar Distance.
-    PointSetSoA cell_soa;
-    UniformGrid::Ordering ordering;
-    const bool reordered = kernels::SoaCellReorderEnabled() && n > 0;
-    if (reordered) {
-      ordering = grid.CellOrdering();
-      cell_soa.Assign(points, ordering.order.data(), n, /*store_ids=*/false);
+    // delta: everyone snaps to its cell peak, then the peaks alone take
+    // the exact nearest-denser search on the rho tree.
+    const std::vector<PointId> peaks = ElectCellPeaks(
+        points, grid, result.rho, exec, &result.delta, &result.dependency);
+    if (!internal::Interrupted(exec, &result)) {
+      ExDpc::ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
+                                &result.dependency, &peaks);
     }
-    std::vector<double> snap_buf;
-    std::vector<PointId> peaks;
-    peaks.reserve(static_cast<size_t>(grid.num_cells()));
-    for (CellId c = 0; c < grid.num_cells(); ++c) {
-      const std::vector<PointId>& members = grid.members(c);
-      PointId peak = members.front();
-      for (const PointId i : members) {
-        if (DenserThan(result.rho[static_cast<size_t>(i)], i,
-                       result.rho[static_cast<size_t>(peak)], peak)) {
-          peak = i;
-        }
-      }
-      peaks.push_back(peak);
-      if (reordered) {
-        snap_buf.resize(members.size());
-        kernels::SquaredDistanceBatch(
-            cell_soa, ordering.cell_begin[static_cast<size_t>(c)],
-            static_cast<PointId>(members.size()), points[peak],
-            snap_buf.data());
-        for (size_t k = 0; k < members.size(); ++k) {
-          const PointId i = members[k];
-          if (i == peak) continue;
-          result.dependency[static_cast<size_t>(i)] = peak;
-          result.delta[static_cast<size_t>(i)] = std::sqrt(snap_buf[k]);
-        }
-      } else {
-        for (const PointId i : members) {
-          if (i == peak) continue;
-          result.dependency[static_cast<size_t>(i)] = peak;
-          result.delta[static_cast<size_t>(i)] =
-              Distance(points[i], points[peak], dim);
-        }
-      }
-    }
-    const int num_subsets = options_.force_num_subsets > 0
-                                ? options_.force_num_subsets
-                                : SolveNumSubsets(n, dim);
-    ComputePeakDeltasBySubsets(points, result.rho, peaks, num_subsets, exec,
-                               &result.delta, &result.dependency);
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
     result.stats.total_seconds = total.Seconds();
@@ -227,16 +252,19 @@ class ApproxDpc : public DpcAlgorithm {
   }
 
  public:
-  /// The paper's dependent-point strategy for cell peaks: points are
-  /// sorted into `num_subsets` density-ordered subsets, a kd-tree is
-  /// bulk-loaded per subset, and each peak queries subsets densest-first.
-  /// Every subset that wholly precedes the peak's own outranks it, so
-  /// the query degenerates to a plain nearest-neighbor there; only the
-  /// peak's own subset needs the denser-than predicate. The result is
-  /// exactly the nearest denser neighbor (same candidate set as a global
-  /// predicate search). Under cost-guided scheduling, peaks are
-  /// LPT-partitioned by density rank — denser peaks visit fewer subsets,
-  /// which rank models directly.
+  /// The paper's dependent-point strategy for cell peaks, kept as the
+  /// reference for the rho-tree search SolveImpl runs (tests and ablation
+  /// C compare the two): points are sorted into `num_subsets`
+  /// density-ordered subsets, a kd-tree is bulk-loaded per subset, and
+  /// each peak queries subsets densest-first. Every subset that wholly
+  /// precedes the peak's own outranks it, so the query degenerates to a
+  /// plain nearest-neighbor there; only the peak's own subset needs the
+  /// denser-than predicate. The result is exactly the nearest denser
+  /// neighbor (same candidate set as a global predicate search); only a
+  /// tie between equidistant candidates may resolve differently — here
+  /// to the denser one, on the rho tree to the smaller id. Under
+  /// cost-guided scheduling, peaks are LPT-partitioned by density rank —
+  /// denser peaks visit fewer subsets, which rank models directly.
   static void ComputePeakDeltasBySubsets(
       const PointSet& points, const std::vector<double>& rho,
       const std::vector<PointId>& peaks, int num_subsets,
@@ -315,61 +343,6 @@ class ApproxDpc : public DpcAlgorithm {
   }
 
  private:
-  /// Region-sharded solve: rho, peak election, and the non-peak snap run
-  /// shard by shard (core/sharded_dpc.h); the peaks then enter the same
-  /// density-ordered subset search with bit-identical inputs — rho is
-  /// exact either way and cells never split across shards — so the whole
-  /// solution matches the unsharded path bit for bit.
-  DpcSolution SolveSharded(const PointSet& points, const ComputeParams& compute,
-                           const ExecutionContext& exec) {
-    DpcSolution result;
-    const PointId n = points.size();
-    const int dim = points.dim();
-    result.rho.assign(static_cast<size_t>(n), 0.0);
-    result.delta.assign(static_cast<size_t>(n),
-                        std::numeric_limits<double>::infinity());
-    result.dependency.assign(static_cast<size_t>(n), PointId{-1});
-    if (n == 0) return result;
-
-    internal::WallTimer total;
-    internal::WallTimer phase;
-    const UniformGrid grid(points,
-                           compute.d_cut / std::sqrt(static_cast<double>(dim)));
-    const RegionShardPlan plan = BuildRegionShardPlan(
-        grid, compute.d_cut, options_.sharding.Resolve(exec));
-    const std::vector<internal::ShardIndex> indexes =
-        BuildShardIndexes(points, plan, exec);
-    result.stats.build_seconds = phase.Lap();
-    size_t shard_tree_bytes = 0;
-    for (const auto& idx : indexes) shard_tree_bytes += idx.tree.MemoryBytes();
-    result.stats.index_memory_bytes = shard_tree_bytes + grid.MemoryBytes();
-
-    ShardedRho(points, compute.d_cut, exec, plan, indexes, &result.rho);
-    result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
-      result.stats.total_seconds = total.Seconds();
-      return result;
-    }
-
-    std::vector<PointId> peaks;
-    ShardedPeaksAndSnap(points, grid, exec, plan, result.rho, &result.delta,
-                        &result.dependency, &peaks);
-    if (internal::Interrupted(exec, &result)) {
-      result.stats.delta_seconds = phase.Lap();
-      result.stats.total_seconds = total.Seconds();
-      return result;
-    }
-    const int num_subsets = options_.force_num_subsets > 0
-                                ? options_.force_num_subsets
-                                : SolveNumSubsets(n, dim);
-    ComputePeakDeltasBySubsets(points, result.rho, peaks, num_subsets, exec,
-                               &result.delta, &result.dependency);
-    result.stats.delta_seconds = phase.Lap();
-    internal::Interrupted(exec, &result);
-    result.stats.total_seconds = total.Seconds();
-    return result;
-  }
-
   ApproxDpcOptions options_;
 };
 

@@ -240,13 +240,39 @@ inline bool DenserThan(double rho_q, PointId q, double rho_p, PointId p) {
   return rho_q > rho_p || (rho_q == rho_p && q < p);
 }
 
-/// Ids sorted densest-first under DenserThan.
+/// Ids sorted densest-first under DenserThan. When every rho is a
+/// non-negative integer below rho.size() — true of any exact range count,
+/// which sees at most n - 1 neighbors — this is an O(n) counting sort:
+/// buckets run in descending rho and fill with ids in ascending order,
+/// which is exactly DenserThan's tie-break. Any other density (sampled,
+/// scaled, or beyond the cap) falls back to the comparison sort.
 inline std::vector<PointId> DensityOrder(const std::vector<double>& rho) {
-  std::vector<PointId> order(rho.size());
-  std::iota(order.begin(), order.end(), PointId{0});
-  std::sort(order.begin(), order.end(), [&rho](PointId a, PointId b) {
-    return DenserThan(rho[static_cast<size_t>(a)], a, rho[static_cast<size_t>(b)], b);
-  });
+  const size_t n = rho.size();
+  std::vector<PointId> order(n);
+  size_t max_rho = 0;
+  bool countable = true;
+  for (const double r : rho) {
+    if (!(r >= 0.0 && r < static_cast<double>(n) && r == std::floor(r))) {
+      countable = false;
+      break;
+    }
+    max_rho = std::max(max_rho, static_cast<size_t>(r));
+  }
+  if (!countable) {
+    std::iota(order.begin(), order.end(), PointId{0});
+    std::sort(order.begin(), order.end(), [&rho](PointId a, PointId b) {
+      return DenserThan(rho[static_cast<size_t>(a)], a, rho[static_cast<size_t>(b)], b);
+    });
+    return order;
+  }
+  // Bucket b holds rho == max_rho - b; next[b] is its next free slot.
+  std::vector<PointId> next(max_rho + 2, 0);
+  for (const double r : rho) ++next[max_rho - static_cast<size_t>(r) + 1];
+  for (size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+  for (size_t i = 0; i < n; ++i) {
+    order[static_cast<size_t>(next[max_rho - static_cast<size_t>(rho[i])]++)] =
+        static_cast<PointId>(i);
+  }
   return order;
 }
 

@@ -30,11 +30,10 @@
 #include <limits>
 #include <vector>
 
+#include "core/approx_dpc.h"
 #include "core/dpc.h"
-#include "core/kernels.h"
 #include "core/options.h"
 #include "core/rng.h"
-#include "core/soa.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
 #include "parallel/parallel_for.h"
@@ -102,53 +101,16 @@ class SApproxDpc : public DpcAlgorithm {
       return result;
     }
 
-    // Cell peaks + snapping, exactly as Approx-DPC (including the
-    // cell-ordered SoA fast path for the snap distances — see
-    // core/approx_dpc.h; sqrt of a bit-identical square is bit-identical
-    // to the scalar Distance).
-    PointSetSoA cell_soa;
-    UniformGrid::Ordering ordering;
-    const bool reordered = kernels::SoaCellReorderEnabled() && n > 0;
-    if (reordered) {
-      ordering = grid.CellOrdering();
-      cell_soa.Assign(points, ordering.order.data(), n, /*store_ids=*/false);
+    // Cell peaks + snapping, exactly as Approx-DPC.
+    const std::vector<PointId> peaks = ElectCellPeaks(
+        points, grid, result.rho, exec, &result.delta, &result.dependency);
+    if (internal::Interrupted(exec, &result)) {
+      result.stats.delta_seconds = phase.Lap();
+      result.stats.total_seconds = total.Seconds();
+      return result;
     }
-    std::vector<double> snap_buf;
     std::vector<uint8_t> is_peak(static_cast<size_t>(n), 0);
-    std::vector<PointId> peaks;
-    peaks.reserve(static_cast<size_t>(grid.num_cells()));
-    for (CellId c = 0; c < grid.num_cells(); ++c) {
-      const std::vector<PointId>& members = grid.members(c);
-      PointId peak = members.front();
-      for (const PointId i : members) {
-        if (DenserThan(result.rho[static_cast<size_t>(i)], i,
-                       result.rho[static_cast<size_t>(peak)], peak)) {
-          peak = i;
-        }
-      }
-      is_peak[static_cast<size_t>(peak)] = 1;
-      peaks.push_back(peak);
-      if (reordered) {
-        snap_buf.resize(members.size());
-        kernels::SquaredDistanceBatch(
-            cell_soa, ordering.cell_begin[static_cast<size_t>(c)],
-            static_cast<PointId>(members.size()), points[peak],
-            snap_buf.data());
-        for (size_t k = 0; k < members.size(); ++k) {
-          const PointId i = members[k];
-          if (i == peak) continue;
-          result.dependency[static_cast<size_t>(i)] = peak;
-          result.delta[static_cast<size_t>(i)] = std::sqrt(snap_buf[k]);
-        }
-      } else {
-        for (const PointId i : members) {
-          if (i == peak) continue;
-          result.dependency[static_cast<size_t>(i)] = peak;
-          result.delta[static_cast<size_t>(i)] =
-              Distance(points[i], points[peak], dim);
-        }
-      }
-    }
+    for (const PointId p : peaks) is_peak[static_cast<size_t>(p)] = 1;
 
     // Epsilon-driven cell subsampling: peaks always survive; non-peak
     // members survive at keep_rate via the nested per-point hash.

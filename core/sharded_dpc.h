@@ -24,10 +24,9 @@
 //     root-pruned probe. Everything stays in the squared domain
 //     (KdTree::NearestAcceptedSq) because a sqrt round-trip could drop
 //     the bound back below the candidate and break the strict update.
-//   * Approx-DPC never splits a cell across shards, so peak election and
-//     the non-peak snap are shard-local by construction; the peaks then
-//     flow into the usual density-ordered subset search with bit-equal
-//     inputs (approx_dpc.h owns that merge).
+//   * Approx-DPC shards only rho: with bit-equal rho, its cell pass and
+//     the peaks' search on the global tree run exactly as unsharded
+//     (approx_dpc.h).
 //
 // Shard costs reuse the §4.5 population model (cost = sum |P(c)|), so
 // ParallelForWithCosts LPT-balances shards exactly like it balances
@@ -278,39 +277,6 @@ inline void ShardedRho(const PointSet& points, double d_cut,
     for (const PointId i : shard.owned) {
       (*rho)[static_cast<size_t>(i)] =
           static_cast<double>(idx.tree.RangeCount(points[i], d_cut) - 1);
-    }
-  });
-}
-
-/// Approx-DPC's peak election + non-peak snap, shard by shard. Cells are
-/// never split across shards, so both are shard-local; `peaks` comes
-/// back indexed by CellId — the exact vector the unsharded loop builds.
-inline void ShardedPeaksAndSnap(const PointSet& points, const UniformGrid& grid,
-                                const ExecutionContext& exec,
-                                const RegionShardPlan& plan,
-                                const std::vector<double>& rho,
-                                std::vector<double>* delta,
-                                std::vector<PointId>* dependency,
-                                std::vector<PointId>* peaks) {
-  const int dim = points.dim();
-  peaks->assign(static_cast<size_t>(grid.num_cells()), PointId{-1});
-  ParallelForWithCosts(exec, plan.costs, [&](int64_t si) {
-    obs::ScopedSpan span = exec.Span("shard/peaks-snap");
-    for (const CellId c : plan.shards[static_cast<size_t>(si)].cells) {
-      const std::vector<PointId>& members = grid.members(c);
-      PointId peak = members.front();
-      for (const PointId i : members) {
-        if (DenserThan(rho[static_cast<size_t>(i)], i,
-                       rho[static_cast<size_t>(peak)], peak)) {
-          peak = i;
-        }
-      }
-      (*peaks)[static_cast<size_t>(c)] = peak;
-      for (const PointId i : members) {
-        if (i == peak) continue;
-        (*dependency)[static_cast<size_t>(i)] = peak;
-        (*delta)[static_cast<size_t>(i)] = Distance(points[i], points[peak], dim);
-      }
     }
   });
 }

@@ -1,10 +1,13 @@
 // Approx-DPC vs Ex-DPC: identical centers (the paper's exactness claim),
 // label agreement >= 0.95 Rand index, and valid structural invariants.
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "core/approx_dpc.h"
 #include "core/ex_dpc.h"
+#include "core/registry.h"
 #include "eval/cluster_stats.h"
 #include "eval/rand_index.h"
 #include "data/generators.h"
@@ -54,15 +57,36 @@ int main() {
     CHECK(ap_off.label == ap.label);
   }
 
-  // Forced subset counts (Equation (2), ablation C): the density-ordered
-  // subset search is exact for any s, so labels and deltas never move.
-  for (const int s : {1, 3, 17}) {
-    dpc::ApproxDpcOptions forced;
-    forced.force_num_subsets = s;
-    const dpc::DpcResult r = dpc::ApproxDpc(forced).Run(points, params);
-    CHECK(r.delta == ap.delta);
-    CHECK(r.centers == ap.centers);
-    CHECK(r.label == ap.label);
+  // The paper's density-ordered subset search (Equation (2), ablation C)
+  // is the reference for the peaks' search on the rho tree: for any s it
+  // reproduces Approx-DPC's delta and dependency exactly, unsharded and
+  // region-sharded alike.
+  {
+    const dpc::ExecutionContext ctx(2);
+    const dpc::ComputeParams compute = params.compute();
+    const dpc::DpcSolution solved = dpc::ApproxDpc().Solve(points, compute, ctx);
+    auto sharded_algo = dpc::MakeAlgorithmByName(
+        "approx-dpc", {{"sharding", "region"}, {"shards", "3"}});
+    CHECK(sharded_algo.ok());
+    const dpc::DpcSolution sharded =
+        sharded_algo.value()->Solve(points, compute, ctx);
+    const dpc::UniformGrid grid(
+        points, params.d_cut / std::sqrt(static_cast<double>(points.dim())));
+    const int solved_s =
+        dpc::ApproxDpc::SolveNumSubsets(points.size(), points.dim());
+    for (const int s : {1, 3, 17, solved_s}) {
+      std::vector<double> delta(solved.rho.size(),
+                                std::numeric_limits<double>::infinity());
+      std::vector<dpc::PointId> dependency(solved.rho.size(), -1);
+      const std::vector<dpc::PointId> peaks = dpc::ElectCellPeaks(
+          points, grid, solved.rho, ctx, &delta, &dependency);
+      dpc::ApproxDpc::ComputePeakDeltasBySubsets(points, solved.rho, peaks, s,
+                                                 ctx, &delta, &dependency);
+      CHECK(delta == solved.delta);
+      CHECK(dependency == solved.dependency);
+      CHECK(delta == sharded.delta);
+      CHECK(dependency == sharded.dependency);
+    }
   }
   CHECK(dpc::ApproxDpc::SolveNumSubsets(0, 2) == 1);
   CHECK(dpc::ApproxDpc::SolveNumSubsets(points.size(), 2) >= 1);

@@ -3,6 +3,7 @@
 // algorithm produces, and the invariant the serving layer's two-tier
 // cache rests on — solution-then-finalize is bit-identical to the legacy
 // one-shot Run across a whole (rho_min, delta_min) grid.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -23,6 +24,19 @@ dpc::PointSet TestPoints(dpc::PointId n = 1500) {
   gen.noise_rate = 0.02;
   gen.seed = 77;
   return dpc::data::GaussianBenchmark(gen);
+}
+
+/// The comparison-sort reference DensityOrder must reproduce.
+std::vector<dpc::PointId> SortedDensityOrder(const std::vector<double>& rho) {
+  std::vector<dpc::PointId> order(rho.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<dpc::PointId>(i);
+  }
+  std::sort(order.begin(), order.end(), [&rho](dpc::PointId a, dpc::PointId b) {
+    return dpc::DenserThan(rho[static_cast<size_t>(a)], a,
+                           rho[static_cast<size_t>(b)], b);
+  });
+  return order;
 }
 
 void TestParamsFactoring() {
@@ -82,7 +96,7 @@ void TestSolutionThenFinalizeMatchesRunForAllAlgorithms() {
     CHECK_EQ(solution.size(), points.size());
     CHECK(!solution.interrupted());
     CHECK(solution.compute_cost_seconds >= 0.0);
-    CHECK(solution.density_order == dpc::DensityOrder(solution.rho));
+    CHECK(solution.density_order == SortedDensityOrder(solution.rho));
 
     // The acceptance invariant: across a (rho_min, delta_min) grid,
     // finalizing the ONE solution is bit-identical to a fresh legacy Run
@@ -140,6 +154,20 @@ void TestInterruptedSolve() {
   CHECK_EQ(result.centers.size(), 0u);
 }
 
+void TestDensityOrderMatchesComparisonSort() {
+  const std::vector<std::vector<double>> cases = {
+      {},                              // empty input
+      {3.0, 1.0, 3.0, 0.0, 1.0, 3.0},  // ties: ids ascend within a rho
+      {2.0, 2.0, 2.0, 2.0},            // all-equal rho
+      {1.5, 0.0, 2.25, 1.5},           // non-integral: comparison fallback
+      {0.0, 9.0, 1.0},                 // rho >= n: comparison fallback
+      {-1.0, 0.0, 1.0},                // negative: comparison fallback
+  };
+  for (const std::vector<double>& rho : cases) {
+    CHECK(dpc::DensityOrder(rho) == SortedDensityOrder(rho));
+  }
+}
+
 void TestTopGammaPoints() {
   // gamma = rho * delta with the +inf peak capped just above the largest
   // finite delta: ranking is deterministic and NaN-free even for a
@@ -165,6 +193,7 @@ int main() {
   TestParamsFactoring();
   TestSolutionThenFinalizeMatchesRunForAllAlgorithms();
   TestInterruptedSolve();
+  TestDensityOrderMatchesComparisonSort();
   TestTopGammaPoints();
   std::printf("solution_test OK\n");
   return 0;
