@@ -39,7 +39,7 @@ struct LshDdpOptions {
   double bucket_width_factor = 4.0;
   /// Loop scheduling override; unset inherits the ExecutionContext.
   /// Exception: the rho loop always runs static — its O(n) per-chunk
-  /// scratch would be re-paid under dynamic chunking (see Run).
+  /// scratch would be re-paid under dynamic chunking (see SolveImpl).
   std::optional<ScheduleStrategy> scheduler;
 
   static StatusOr<LshDdpOptions> FromOptions(const OptionsMap& map) {

@@ -32,13 +32,12 @@ int main() {
   {
     eval::Table table({"dataset", "joint (paper)", "per-point (Ex-DPC style)", "speedup"});
     for (const auto& w : workloads) {
-      DpcParams params = w.params;
-      params.num_threads = cfg.max_threads;
+      const ExecutionContext ctx(cfg.max_threads);
       ApproxDpcOptions on;
       ApproxDpcOptions off;
       off.joint_range_search = false;
-      const DpcResult a = ApproxDpc(on).Run(w.points, params);
-      const DpcResult b = ApproxDpc(off).Run(w.points, params);
+      const DpcSolution a = ApproxDpc(on).Solve(w.points, w.params.compute(), ctx);
+      const DpcSolution b = ApproxDpc(off).Solve(w.points, w.params.compute(), ctx);
       table.AddRow({w.name, StrFormat("%.3f", a.stats.rho_seconds),
                     StrFormat("%.3f", b.stats.rho_seconds),
                     StrFormat("%.2fx", b.stats.rho_seconds /

@@ -21,11 +21,11 @@ int main() {
   bench::PrintBanner("Figure 1", "decision graph of S2", cfg);
 
   bench::Workload w = bench::SxWorkload(cfg, 2);
-  w.params.num_threads = cfg.max_threads;
   w.params.delta_min = w.params.d_cut * 1.01;  // permissive; graph first
 
-  ExDpc algo;
-  DpcResult r = algo.Run(w.points, w.params);
+  const DpcSolution solution =
+      ExDpc().Solve(w.points, w.params.compute(), ExecutionContext(cfg.max_threads));
+  DpcResult r = FinalizeSolution(solution, w.params.threshold());
   const auto graph = BuildDecisionGraph(r);
 
   eval::Table table({"rank", "rho", "delta"});
@@ -49,9 +49,9 @@ int main() {
               "(the dataset has 15 Gaussian clusters)\n");
 
   const double suggested = SuggestDeltaMinForK(r, w.params, 15);
-  DpcParams final_params = w.params;
-  final_params.delta_min = suggested;
-  FinalizeClusters(final_params, &r);
+  ThresholdSpec final_spec = w.params.threshold();
+  final_spec.delta_min = suggested;
+  r = FinalizeSolution(solution, final_spec);
   std::printf("clusters at the suggested threshold (%.1f): %lld\n", suggested,
               static_cast<long long>(r.num_clusters()));
 

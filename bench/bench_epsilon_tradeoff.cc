@@ -20,19 +20,19 @@ int main() {
     for (auto& w : bench::RealWorkloads(cfg)) {
       if (w.name == name) target = std::move(w);
     }
-    DpcParams params = target.params;
-    params.num_threads = cfg.max_threads;
+    const DpcParams& params = target.params;
+    const ExecutionContext ctx(cfg.max_threads);
 
-    ExDpc exact;
-    const DpcResult ground = exact.Run(target.points, params);
+    const Labeling ground = LabelSolution(
+        ExDpc().Solve(target.points, params.compute(), ctx), params.threshold());
 
     std::printf("%s (n=%lld)\n", name, static_cast<long long>(target.points.size()));
     eval::Table table({"eps", "time [s]", "Rand index", "clusters"});
     for (const double eps : {0.2, 0.4, 0.6, 0.8, 1.0}) {
       DpcParams p = params;
       p.epsilon = eps;
-      SApproxDpc algo;
-      const DpcResult r = algo.Run(target.points, p);
+      const DpcResult r = FinalizeSolution(
+          SApproxDpc().Solve(target.points, p.compute(), ctx), p.threshold());
       table.AddRow({StrFormat("%.1f", eps), StrFormat("%.3f", r.stats.total_seconds),
                     StrFormat("%.3f", eval::RandIndex(r.label, ground.label)),
                     std::to_string(r.num_clusters())});

@@ -4,7 +4,9 @@
 // Approx-DPC and S-Approx-DPC (eps = 1.0) scored against Ex-DPC on the
 // same noisy dataset. Expected shape: all indices stay high (>= ~0.95)
 // at every rate, with Approx-DPC the winner at most rates.
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/string_util.h"
@@ -21,18 +23,18 @@ int main() {
   for (const double rate : {0.01, 0.02, 0.04, 0.08, 0.16}) {
     bench::Workload w = bench::SynWorkload(cfg, /*noise_rate=*/rate);
     DpcParams params = w.params;
-    params.num_threads = cfg.max_threads;
     params.epsilon = 1.0;
+    const ExecutionContext ctx(cfg.max_threads);
+    auto labels = [&](DpcAlgorithm&& algo) {
+      return LabelSolution(algo.Solve(w.points, params.compute(), ctx),
+                           params.threshold())
+          .label;
+    };
 
-    ExDpc exact;
-    const DpcResult ground = exact.Run(w.points, params);
-
-    LshDdp lsh;
-    ApproxDpc approx;
-    SApproxDpc s_approx;
-    const double ri_lsh = eval::RandIndex(lsh.Run(w.points, params).label, ground.label);
-    const double ri_approx = eval::RandIndex(approx.Run(w.points, params).label, ground.label);
-    const double ri_s = eval::RandIndex(s_approx.Run(w.points, params).label, ground.label);
+    const std::vector<int64_t> ground = labels(ExDpc());
+    const double ri_lsh = eval::RandIndex(labels(LshDdp()), ground);
+    const double ri_approx = eval::RandIndex(labels(ApproxDpc()), ground);
+    const double ri_s = eval::RandIndex(labels(SApproxDpc()), ground);
     table.AddRow({StrFormat("%.2f", rate), StrFormat("%.3f", ri_lsh),
                   StrFormat("%.3f", ri_approx), StrFormat("%.3f", ri_s)});
   }

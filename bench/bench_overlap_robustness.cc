@@ -18,22 +18,19 @@ int main() {
   for (int x = 1; x <= 4; ++x) {
     bench::Workload w = bench::SxWorkload(cfg, x);
     DpcParams params = w.params;
-    params.num_threads = cfg.max_threads;
     params.epsilon = 1.0;
+    const ExecutionContext ctx(cfg.max_threads);
+    auto label = [&](DpcAlgorithm&& algo) {
+      return LabelSolution(algo.Solve(w.points, params.compute(), ctx),
+                           params.threshold());
+    };
 
-    ExDpc exact;
-    const DpcResult ground = exact.Run(w.points, params);
-    LshDdp lsh;
-    ApproxDpc approx;
-    SApproxDpc s_approx;
-    table.AddRow({w.name,
-                  StrFormat("%.3f", eval::RandIndex(lsh.Run(w.points, params).label,
-                                                    ground.label)),
-                  StrFormat("%.3f", eval::RandIndex(approx.Run(w.points, params).label,
-                                                    ground.label)),
-                  StrFormat("%.3f", eval::RandIndex(s_approx.Run(w.points, params).label,
-                                                    ground.label)),
-                  std::to_string(ground.num_clusters())});
+    const Labeling ground = label(ExDpc());
+    const double ri_lsh = eval::RandIndex(label(LshDdp()).label, ground.label);
+    const double ri_approx = eval::RandIndex(label(ApproxDpc()).label, ground.label);
+    const double ri_s = eval::RandIndex(label(SApproxDpc()).label, ground.label);
+    table.AddRow({w.name, StrFormat("%.3f", ri_lsh), StrFormat("%.3f", ri_approx),
+                  StrFormat("%.3f", ri_s), std::to_string(ground.centers.size())});
   }
   table.Print();
   std::printf("\nexpected shape (Table 3): near-1.0 everywhere; slight decay "

@@ -3,7 +3,9 @@
 //
 // Expected shape: Approx-DPC beats LSH-DDP on every dataset and stays
 // >= ~0.96 everywhere (the paper reports 0.999/0.996/0.996/0.960).
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/string_util.h"
@@ -17,17 +19,16 @@ int main() {
 
   eval::Table table({"dataset", "n", "LSH-DDP", "Approx-DPC"});
   for (auto& w : bench::RealWorkloads(cfg)) {
-    DpcParams params = w.params;
-    params.num_threads = cfg.max_threads;
-    ExDpc exact;
-    const DpcResult ground = exact.Run(w.points, params);
-    LshDdp lsh;
-    ApproxDpc approx;
+    const ExecutionContext ctx(cfg.max_threads);
+    auto labels = [&](DpcAlgorithm&& algo) {
+      return LabelSolution(algo.Solve(w.points, w.params.compute(), ctx),
+                           w.params.threshold())
+          .label;
+    };
+    const std::vector<int64_t> ground = labels(ExDpc());
     table.AddRow({w.name, std::to_string(w.points.size()),
-                  StrFormat("%.3f", eval::RandIndex(lsh.Run(w.points, params).label,
-                                                    ground.label)),
-                  StrFormat("%.3f", eval::RandIndex(approx.Run(w.points, params).label,
-                                                    ground.label))});
+                  StrFormat("%.3f", eval::RandIndex(labels(LshDdp()), ground)),
+                  StrFormat("%.3f", eval::RandIndex(labels(ApproxDpc()), ground))});
   }
   table.Print();
   std::printf("\nexpected shape (Table 4): Approx-DPC > LSH-DDP on every row.\n");

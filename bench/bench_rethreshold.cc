@@ -8,8 +8,8 @@
 // Two CI-enforced gates:
 //   1. the cached-solution sweep is >= 20x faster than per-threshold
 //      recompute, and
-//   2. every finalized labeling is bit-identical to a fresh Run at the
-//      same thresholds (the shim and the split can never diverge).
+//   2. every finalized labeling is bit-identical to a fresh solve
+//      labeled at the same thresholds.
 //
 // The dataset size is floored at 20k points regardless of
 // DPC_BENCH_SCALE: the gate measures a ratio, and at toy sizes the
@@ -85,8 +85,8 @@ int main() {
     // bit-identical along the way.
     const auto recompute_begin = std::chrono::steady_clock::now();
     for (size_t k = 0; k < sweep.size(); ++k) {
-      const DpcResult fresh = algo.value()->Run(
-          w.points, ComposeParams(w.params.compute(), sweep[k]), ctx);
+      const Labeling fresh = LabelSolution(
+          algo.value()->Solve(w.points, w.params.compute(), ctx), sweep[k]);
       if (fresh.label != cached[k].label ||
           fresh.centers != cached[k].centers) {
         std::printf("FAIL: %s labels diverge at delta_min=%g rho_min=%g\n",

@@ -9,11 +9,11 @@
 //      recompute.
 //   2. A mixed-deadline batch: one request with a microscopic budget
 //      expires (kDeadlineExceeded) while its batch-mates complete with
-//      labels bit-identical to a direct DpcAlgorithm::Run.
+//      labels bit-identical to a direct DpcAlgorithm::Solve.
 //   3. Shard-parallel dispatch: a 4-request mixed batch served by
 //      concurrent executor lanes vs classic serial dispatch. The bar:
 //      >= 1.8x aggregate throughput when at least two lanes can overlap,
-//      with every response bit-identical to an unsharded direct Run.
+//      with every response bit-identical to an unsharded direct solve.
 //   4. Tracing overhead: the cache-hit workload rerun with a live
 //      obs::Trace attached vs detached — the span machinery must be
 //      cheap enough that detached tracing is indistinguishable.
@@ -260,7 +260,7 @@ int main(int argc, char** argv) {
   // --- mixed-deadline batch -------------------------------------------
   // Three requests admitted together: the 1us budget expires (the batch
   // window alone exceeds it), the others complete; completed labels must
-  // be bit-identical to a direct Run with the same configuration.
+  // be bit-identical to a direct solve with the same configuration.
   std::printf("\n=== mixed-deadline batch\n");
   {
     serve::ServerOptions options;
@@ -306,14 +306,15 @@ int main(int argc, char** argv) {
         ok = false;
         continue;
       }
-      const DpcResult direct = algo.value()->Run(points, *params);
+      const Labeling direct = LabelSolution(
+          algo.value()->Solve(points, params->compute(), ExecutionContext()),
+          params->threshold());
       if (response->result->label == direct.label) {
         std::printf("PASS: d_cut=%g batch-mate labels bit-identical to "
-                    "direct Run (%lld clusters)\n",
-                    params->d_cut,
-                    static_cast<long long>(direct.num_clusters()));
+                    "direct solve (%zu clusters)\n",
+                    params->d_cut, direct.centers.size());
       } else {
-        std::printf("FAIL: d_cut=%g labels diverge from direct Run\n",
+        std::printf("FAIL: d_cut=%g labels diverge from direct solve\n",
                     params->d_cut);
         ok = false;
       }
@@ -399,16 +400,19 @@ int main(int argc, char** argv) {
     }
 
     // Every concurrent-mode response (region-sharded, overlapped) must
-    // be bit-identical to a plain unsharded direct Run.
+    // be bit-identical to a plain unsharded direct solve.
     auto exact = MakeAlgorithmByName("ex-dpc");
     for (int i = 0; i < 4; ++i) {
-      const DpcResult direct = exact.value()->Run(
-          sets[static_cast<size_t>(i)], small_cfgs[static_cast<size_t>(i)]);
+      const DpcParams& cfg_i = small_cfgs[static_cast<size_t>(i)];
+      const Labeling direct = LabelSolution(
+          exact.value()->Solve(sets[static_cast<size_t>(i)], cfg_i.compute(),
+                               ExecutionContext()),
+          cfg_i.threshold());
       const auto& response = last[static_cast<size_t>(i)];
       if (response.result == nullptr ||
           response.result->label != direct.label) {
         std::printf("FAIL: sharded concurrent response %d diverges from "
-                    "unsharded direct Run\n", i);
+                    "unsharded direct solve\n", i);
         ok = false;
       }
     }

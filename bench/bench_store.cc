@@ -164,10 +164,8 @@ int main(int argc, char** argv) {
   const ExecutionContext ctx(cfg.max_threads);
   const auto recompute_begin = std::chrono::steady_clock::now();
   for (const ThresholdSpec& spec : sweep) {
-    DpcParams params = w.params;
-    params.rho_min = spec.rho_min;
-    params.delta_min = spec.delta_min;
-    (void)algo.value()->Run(w.points, params, ctx);
+    (void)LabelSolution(algo.value()->Solve(w.points, w.params.compute(), ctx),
+                        spec);
   }
   const double recompute_seconds = Seconds(recompute_begin);
 

@@ -213,13 +213,15 @@ inline TimedRun RunTimed(AlgoId id, const Workload& w, const eval::BenchConfig& 
     const PointId cap = cfg.QuadraticCap();
     const PointSet sub = w.points.Sample(static_cast<double>(cap) / static_cast<double>(n),
                                          /*seed=*/97);
-    out.result = algo->Run(sub, params, ctx);
+    out.result = FinalizeSolution(algo->Solve(sub, params.compute(), ctx),
+                                  params.threshold());
     const double ratio = static_cast<double>(n) / static_cast<double>(sub.size());
     out.seconds = out.result.stats.total_seconds * ratio * ratio;
     out.extrapolated = true;
     out.n_used = sub.size();
   } else {
-    out.result = algo->Run(w.points, params, ctx);
+    out.result = FinalizeSolution(algo->Solve(w.points, params.compute(), ctx),
+                                  params.threshold());
     out.seconds = out.result.stats.total_seconds;
     out.n_used = n;
   }

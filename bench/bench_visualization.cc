@@ -26,10 +26,12 @@ int main() {
                      cfg);
 
   bench::Workload w = bench::SynWorkload(cfg);
-  ExDpc exact;
-  DpcParams params = w.params;
-  params.num_threads = cfg.max_threads;
-  const DpcResult ground = exact.Run(w.points, params);
+  const ExecutionContext ctx(cfg.max_threads);
+  auto cluster = [&](DpcAlgorithm&& algo, const DpcParams& params) {
+    return FinalizeSolution(algo.Solve(w.points, params.compute(), ctx),
+                            params.threshold());
+  };
+  const DpcResult ground = cluster(ExDpc(), w.params);
   std::printf("Syn: n=%lld, Ex-DPC finds %lld clusters (ground truth for this figure)\n\n",
               static_cast<long long>(w.points.size()),
               static_cast<long long>(ground.num_clusters()));
@@ -57,19 +59,12 @@ int main() {
                   StrFormat("%.4f", eval::RandIndex(r.label, ground.label)), csv});
   };
 
-  {
-    LshDdp algo;
-    report("LSH-DDP", algo.Run(w.points, params), "fig6_lsh_ddp.csv");
-  }
-  {
-    ApproxDpc algo;
-    report("Approx-DPC", algo.Run(w.points, params), "fig6_approx_dpc.csv");
-  }
+  report("LSH-DDP", cluster(LshDdp(), w.params), "fig6_lsh_ddp.csv");
+  report("Approx-DPC", cluster(ApproxDpc(), w.params), "fig6_approx_dpc.csv");
   for (const double eps : {0.2, 1.0}) {
-    DpcParams p = params;
+    DpcParams p = w.params;
     p.epsilon = eps;
-    SApproxDpc algo;
-    report(StrFormat("S-Approx-DPC(eps=%.1f)", eps).c_str(), algo.Run(w.points, p),
+    report(StrFormat("S-Approx-DPC(eps=%.1f)", eps).c_str(), cluster(SApproxDpc(), p),
            StrFormat("fig6_s_approx_%.1f.csv", eps));
   }
   table.Print();

@@ -86,20 +86,14 @@ inline std::vector<PointId> ElectCellPeaks(const PointSet& points,
                                            const ExecutionContext& exec,
                                            std::vector<double>* delta,
                                            std::vector<PointId>* dependency) {
-  const PointId n = points.size();
-  const int dim = points.dim();
   std::vector<PointId> peaks(static_cast<size_t>(grid.num_cells()), PointId{-1});
-  // With cell reordering on (the default), the snap distances stream from
-  // a cell-ordered SoA view — each cell's members are one contiguous
-  // SquaredDistanceBatch; sqrt of a bit-identical square is bit-identical
-  // to the scalar Distance.
+  // The snap distances stream from a cell-ordered SoA view — each cell's
+  // members are one contiguous SquaredDistanceBatch; sqrt of a
+  // bit-identical square is bit-identical to the scalar Distance.
+  const UniformGrid::Ordering ordering = grid.CellOrdering();
   PointSetSoA cell_soa;
-  UniformGrid::Ordering ordering;
-  const bool reordered = kernels::SoaCellReorderEnabled() && n > 0;
-  if (reordered) {
-    ordering = grid.CellOrdering();
-    cell_soa.Assign(points, ordering.order.data(), n, /*store_ids=*/false);
-  }
+  cell_soa.Assign(points, ordering.order.data(), points.size(),
+                  /*store_ids=*/false);
   ParallelForWithCosts(exec, grid.CellCosts(), [&](int64_t c) {
     const std::vector<PointId>& members = grid.members(c);
     PointId peak = members.front();
@@ -113,18 +107,15 @@ inline std::vector<PointId> ElectCellPeaks(const PointSet& points,
     if (members.size() == 1) return;
     // Per-thread scratch (pool workers persist), resized per cell.
     static thread_local std::vector<double> snap_sq;
-    if (reordered) {
-      snap_sq.resize(members.size());
-      kernels::SquaredDistanceBatch(
-          cell_soa, ordering.cell_begin[static_cast<size_t>(c)],
-          static_cast<PointId>(members.size()), points[peak], snap_sq.data());
-    }
+    snap_sq.resize(members.size());
+    kernels::SquaredDistanceBatch(
+        cell_soa, ordering.cell_begin[static_cast<size_t>(c)],
+        static_cast<PointId>(members.size()), points[peak], snap_sq.data());
     for (size_t k = 0; k < members.size(); ++k) {
       const PointId i = members[k];
       if (i == peak) continue;
       (*dependency)[static_cast<size_t>(i)] = peak;
-      (*delta)[static_cast<size_t>(i)] =
-          reordered ? std::sqrt(snap_sq[k]) : Distance(points[i], points[peak], dim);
+      (*delta)[static_cast<size_t>(i)] = std::sqrt(snap_sq[k]);
     }
   });
   return peaks;

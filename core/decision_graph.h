@@ -1,8 +1,8 @@
 // Decision-graph utilities (paper Figure 1): the (rho, delta) scatter on
 // which users pick centers visually, plus headless threshold helpers so
-// pipelines can reproduce the visual selection. Re-thresholding reuses
-// DpcResult's stored rho/delta/dependency via FinalizeClusters — no
-// re-clustering needed.
+// pipelines can reproduce the visual selection. Re-thresholding finalizes
+// the same DpcSolution again (FinalizeSolution) — no re-clustering
+// needed.
 #ifndef DPC_CORE_DECISION_GRAPH_H_
 #define DPC_CORE_DECISION_GRAPH_H_
 

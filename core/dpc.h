@@ -23,8 +23,10 @@
 //               decision-graph exploration — many thresholds against one
 //               compute — never re-runs the expensive phase.
 //
-// The legacy Run(points, DpcParams) -> DpcResult entry point remains as
-// a shim composing the two.
+// Clustering is always the two calls in sequence: Solve(points,
+// params.compute(), ctx), then FinalizeSolution / LabelSolution with
+// params.threshold(). Re-thresholding keeps the solution and repeats
+// only the second call.
 //
 // Ties in rho are broken by point id (smaller id counts as denser), which
 // makes every phase — and therefore every label — deterministic for a
@@ -177,20 +179,14 @@ struct ThresholdSpec {
   }
 };
 
-/// User-facing knobs, shared by every algorithm: the legacy flat bundle,
-/// now a composition of ComputeParams and ThresholdSpec (see compute() /
-/// threshold()). Kept flat for source compatibility with callers that
-/// assign params.d_cut etc. directly.
+/// User-facing knobs, shared by every algorithm: the flat request bundle
+/// (CLI flags, serving requests) that projects onto the two phases — see
+/// compute() / threshold(). Execution policy lives in ExecutionContext.
 struct DpcParams {
   double d_cut = 0.0;      ///< density ball radius (> 0)
   double rho_min = 0.0;    ///< points below this density are noise
   double delta_min = 0.0;  ///< center threshold on the decision graph (> d_cut)
   double epsilon = 1.0;    ///< S-Approx-DPC approximation knob (ignored elsewhere)
-  /// DEPRECATED: execution policy moved to ExecutionContext (API v2).
-  /// Still honored when the context leaves its thread count unspecified —
-  /// see EffectiveThreads for the precedence rule. 0 = all hardware
-  /// threads.
-  int num_threads = 0;
 
   /// The compute-phase projection of these params.
   ComputeParams compute() const { return ComputeParams{d_cut, epsilon}; }
@@ -201,26 +197,11 @@ struct DpcParams {
 
   Status Validate() const {
     if (const Status s = compute().Validate(); !s.ok()) return s;
-    if (const Status s = threshold().Validate(d_cut); !s.ok()) return s;
-    if (num_threads < 0) {
-      return Status::InvalidArgument("num_threads must be >= 0");
-    }
-    return Status::Ok();
+    return threshold().Validate(d_cut);
   }
 };
 
-/// The flat bundle reassembled from its two phases.
-inline DpcParams ComposeParams(const ComputeParams& compute,
-                               const ThresholdSpec& threshold) {
-  DpcParams params;
-  params.d_cut = compute.d_cut;
-  params.epsilon = compute.epsilon;
-  params.rho_min = threshold.rho_min;
-  params.delta_min = threshold.delta_min;
-  return params;
-}
-
-/// Per-phase wall times plus index footprint, filled by every Run().
+/// Per-phase wall times plus index footprint, filled by every solve.
 struct DpcStats {
   double build_seconds = 0.0;  ///< index (kd-tree / grid) construction
   double rho_seconds = 0.0;    ///< local-density phase
@@ -302,9 +283,10 @@ struct DpcSolution {
   bool interrupted() const { return stats.interrupted; }
 };
 
-/// Full clustering output. rho/delta/dependency are retained so callers
-/// can re-threshold (FinalizeClusters) without re-running the expensive
-/// phases — the decision-graph workflow of the paper's Figure 1.
+/// Full clustering output: a solution's rho/delta/dependency plus the
+/// labels and centers of one threshold (FinalizeSolution). To re-threshold,
+/// keep the DpcSolution and finalize it again — the decision-graph
+/// workflow of the paper's Figure 1.
 struct DpcResult {
   std::vector<int64_t> label;      ///< cluster id, kNoise, or kUnassigned
   std::vector<double> rho;         ///< local density per point
@@ -431,9 +413,8 @@ inline Labeling LabelSolution(const DpcSolution& solution,
   return out;
 }
 
-/// A full DpcResult assembled from a solution and a threshold — the
-/// bridge from the two-phase API back to the legacy result shape. Label
-/// time is measured into stats.label_seconds / total_seconds.
+/// A full DpcResult assembled from a solution and a threshold. Label time
+/// is measured into stats.label_seconds / total_seconds.
 inline DpcResult FinalizeSolution(const DpcSolution& solution,
                                   const ThresholdSpec& spec) {
   DpcResult result;
@@ -452,40 +433,6 @@ inline DpcResult FinalizeSolution(const DpcSolution& solution,
   return result;
 }
 
-/// (Re)derives centers and labels from rho/delta/dependency — the cheap
-/// final phase, shared by all algorithms and by decision-graph
-/// re-thresholding. Requires rho/delta/dependency to be filled.
-inline void FinalizeClusters(const DpcParams& params, DpcResult* result) {
-  internal::LabelWithOrder(result->rho, result->delta, result->dependency,
-                           DensityOrder(result->rho), params.threshold(),
-                           &result->label, &result->centers);
-}
-
-/// Thread-count precedence (API v2): an ExecutionContext with an explicit
-/// count wins; a context that leaves it unspecified (0) defers to the
-/// deprecated DpcParams::num_threads; 0 everywhere means all hardware
-/// threads.
-inline int EffectiveThreads(const DpcParams& params,
-                            const ExecutionContext& ctx) {
-  if (ctx.num_threads() > 0) return ctx.num_threads();
-  if (params.num_threads > 0) return params.num_threads;
-  return HardwareThreads();
-}
-
-/// The context with the precedence rule applied — what algorithms
-/// actually loop with (shares the caller's pool and cancel flag).
-inline ExecutionContext ResolveContext(const DpcParams& params,
-                                       const ExecutionContext& ctx) {
-  return ctx.WithThreads(EffectiveThreads(params, ctx));
-}
-
-/// Params-free resolution for the Solve entry point: an unspecified
-/// thread count means all hardware threads. Idempotent on contexts the
-/// DpcParams overload already resolved.
-inline ExecutionContext ResolveContext(const ExecutionContext& ctx) {
-  return ctx.num_threads() > 0 ? ctx : ctx.WithThreads(HardwareThreads());
-}
-
 class DpcAlgorithm {
  public:
   virtual ~DpcAlgorithm() = default;
@@ -502,7 +449,7 @@ class DpcAlgorithm {
                     uint64_t points_fingerprint = 0) {
     obs::Trace* const trace = ctx.trace();
     const uint64_t solve_start_ns = trace != nullptr ? obs::Trace::NowNs() : 0;
-    DpcSolution solution = SolveImpl(points, compute, ResolveContext(ctx));
+    DpcSolution solution = SolveImpl(points, compute, ctx);
     const uint64_t impl_end_ns = trace != nullptr ? obs::Trace::NowNs() : 0;
     solution.algorithm = std::string(name());
     solution.compute = compute;
@@ -527,29 +474,9 @@ class DpcAlgorithm {
     return solution;
   }
 
-  /// Legacy one-shot entry point (API v2 signature): the compute phase
-  /// under params.compute() followed by the threshold phase under
-  /// params.threshold(). Goes straight to SolveImpl: the solution is
-  /// finalized and discarded here, so the artifact metadata Solve stamps
-  /// (the O(n·dim) fingerprint hash, the density-order precompute) would
-  /// be pure overhead — FinalizeSolution's fallback sorts inside its own
-  /// timer, exactly like the pre-split label phase did.
-  DpcResult Run(const PointSet& points, const DpcParams& params,
-                const ExecutionContext& ctx) {
-    const DpcSolution solution =
-        SolveImpl(points, params.compute(), ResolveContext(params, ctx));
-    return FinalizeSolution(solution, params.threshold());
-  }
-  /// Deprecated two-arg form: a default-context shim. The deprecated
-  /// DpcParams::num_threads is honored through EffectiveThreads; the
-  /// shared process-wide ThreadPool is reused across calls.
-  DpcResult Run(const PointSet& points, const DpcParams& params) {
-    return Run(points, params, ExecutionContext());
-  }
-
  protected:
-  /// Algorithm body: fill rho/delta/dependency and the phase stats. The
-  /// context arrives resolved (threads >= 1); Solve stamps the metadata
+  /// Algorithm body: fill rho/delta/dependency and the phase stats
+  /// (ctx.threads() is the resolved degree); Solve stamps the metadata
   /// (name, fingerprint, compute params, cost, density order) afterward.
   virtual DpcSolution SolveImpl(const PointSet& points,
                                 const ComputeParams& compute,

@@ -7,7 +7,7 @@
 //
 // Labeling is NOT part of the algorithm: SolveImpl produces the
 // DpcSolution and any ThresholdSpec is applied downstream
-// (FinalizeSolution / the Run shim).
+// (FinalizeSolution / LabelSolution).
 //
 // Both per-point phases are embarrassingly parallel over the immutable
 // tree. Under the default cost-guided strategy they iterate grid cells

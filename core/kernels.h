@@ -31,17 +31,10 @@
 //     order; the fallback for compilers/targets where the column form
 //     pessimizes, and the oracle the CI matrix keeps compiled and
 //     bit-compared.
-//
-// Cell-local reordering: the grid algorithms optionally build their SoA
-// views in UniformGrid cell order so one cell's members are contiguous
-// (UniformGrid::CellOrdering). SetSoaCellReorder(false) disables that
-// layout choice process-wide — values never change (the determinism
-// suite asserts labels are bit-identical either way); only locality does.
 #ifndef DPC_CORE_KERNELS_H_
 #define DPC_CORE_KERNELS_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -121,25 +114,6 @@ inline std::string DescribeKernels() {
     }
   }
   return out;
-}
-
-namespace internal {
-
-inline std::atomic<bool>& CellReorderFlag() {
-  static std::atomic<bool> flag{true};
-  return flag;
-}
-
-}  // namespace internal
-
-/// Whether grid algorithms lay their SoA views out in cell order
-/// (contiguous cell members). Purely a memory-layout choice: labels are
-/// bit-identical on or off. Default on.
-inline bool SoaCellReorderEnabled() {
-  return internal::CellReorderFlag().load(std::memory_order_relaxed);
-}
-inline void SetSoaCellReorder(bool enabled) {
-  internal::CellReorderFlag().store(enabled, std::memory_order_relaxed);
 }
 
 #if defined(DPC_KERNELS_VECTORIZED_INLINE)

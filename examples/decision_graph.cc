@@ -1,10 +1,11 @@
 // Decision-graph walkthrough (the Figure 1 workflow of the paper).
 //
 // DPC's selling point: users pick cluster centers *visually*. This
-// example builds an S2-like dataset (15 Gaussian clusters), runs Ex-DPC
-// with a permissive threshold, prints the top of the decision graph —
-// where exactly 15 points tower above everything else — and shows how
-// the automatic threshold helpers recover the same selection headlessly.
+// example builds an S2-like dataset (15 Gaussian clusters), solves it
+// once with Ex-DPC, labels it at a permissive threshold, prints the top
+// of the decision graph — where exactly 15 points tower above everything
+// else — and shows how the automatic threshold helpers recover the same
+// selection headlessly, re-labeling the one solution without re-solving.
 //
 // Build & run:  ./build/examples/decision_graph [output.csv]
 #include <cmath>
@@ -33,10 +34,10 @@ int main(int argc, char** argv) {
   params.d_cut = 1200.0;
   params.rho_min = 4.0;
   params.delta_min = params.d_cut * 1.01;  // permissive: graph first, centers later
-  params.num_threads = 0;
 
-  dpc::ExDpc algo;
-  dpc::DpcResult result = algo.Run(points, params);
+  const dpc::DpcSolution solution =
+      dpc::ExDpc().Solve(points, params.compute(), dpc::ExecutionContext());
+  dpc::DpcResult result = dpc::FinalizeSolution(solution, params.threshold());
 
   const auto graph = dpc::BuildDecisionGraph(result);
   std::printf("Decision graph (top 20 of %zu points by dependent distance):\n",
@@ -55,9 +56,9 @@ int main(int argc, char** argv) {
   std::printf("suggested delta_min for k=15 : %.1f\n", for_k);
   std::printf("suggested delta_min by gap   : %.1f\n", by_gap);
 
-  dpc::DpcParams final_params = params;
-  final_params.delta_min = for_k;
-  dpc::FinalizeClusters(final_params, &result);
+  dpc::ThresholdSpec final_spec = params.threshold();
+  final_spec.delta_min = for_k;
+  result = dpc::FinalizeSolution(solution, final_spec);
   std::printf("clusters at suggested threshold: %lld\n",
               static_cast<long long>(result.num_clusters()));
   std::printf("Rand index vs generating mixture: %.4f\n",

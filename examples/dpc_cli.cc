@@ -303,17 +303,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Execution policy (API v2): thread count and the shared persistent
-  // pool live on the context, not in DpcParams.
+  // Execution policy: thread count and the shared persistent pool live
+  // on the context, not in DpcParams.
   const dpc::ExecutionContext ctx(args.threads);
-  dpc::DpcResult result = algo.value()->Run(points, params, ctx);
+  const dpc::DpcSolution solution =
+      algo.value()->Solve(points, params.compute(), ctx);
+  dpc::DpcResult result = dpc::FinalizeSolution(solution, params.threshold());
 
   if (auto_threshold) {
     const double suggested = args.k > 0
                                  ? dpc::SuggestDeltaMinForK(result, params, args.k)
                                  : dpc::SuggestDeltaMinByGap(result, params);
     params.delta_min = suggested;
-    dpc::FinalizeClusters(params, &result);
+    result = dpc::FinalizeSolution(solution, params.threshold());
     std::printf("auto delta_min = %.6g (%s)\n", suggested,
                 args.k > 0 ? "for requested k" : "largest decision-graph gap");
   }

@@ -214,21 +214,18 @@ std::string StoreJson(const dpc::store::SolutionStore& store) {
       buf, sizeof(buf),
       "{\"path\":\"%s\",\"log_bytes\":%llu,\"live_solutions\":%llu,"
       "\"live_payload_bytes\":%llu,\"puts\":%llu,\"fetches\":%llu,"
-      "\"pool_hits\":%llu,\"log_reads\":%llu,\"decode_failures\":%llu,"
-      "\"compactions\":%llu,\"budget_evictions\":%llu,"
-      "\"pool_bytes_in_use\":%llu}",
+      "\"log_reads\":%llu,\"decode_failures\":%llu,"
+      "\"compactions\":%llu,\"budget_evictions\":%llu}",
       dpc::eval::JsonEscape(store.path()).c_str(),
       static_cast<unsigned long long>(t.log_bytes),
       static_cast<unsigned long long>(t.live_solutions),
       static_cast<unsigned long long>(t.live_payload_bytes),
       static_cast<unsigned long long>(t.puts),
       static_cast<unsigned long long>(t.fetches),
-      static_cast<unsigned long long>(t.pool_hits),
       static_cast<unsigned long long>(t.log_reads),
       static_cast<unsigned long long>(t.decode_failures),
       static_cast<unsigned long long>(t.compactions),
-      static_cast<unsigned long long>(t.budget_evictions),
-      static_cast<unsigned long long>(t.pool_bytes_in_use));
+      static_cast<unsigned long long>(t.budget_evictions));
   return buf;
 }
 

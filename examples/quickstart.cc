@@ -2,8 +2,9 @@
 //
 //   1. generate (or load) a point set
 //   2. pick DPC parameters
-//   3. run an algorithm (Approx-DPC is the recommended default: exact
-//      centers, parameter-free approximation, parallel-friendly)
+//   3. solve with an algorithm (Approx-DPC is the recommended default:
+//      exact centers, parameter-free approximation, parallel-friendly),
+//      then label the solution at the chosen thresholds
 //   4. inspect clusters, noise, and per-phase statistics
 //
 // Build & run:  ./build/examples/quickstart
@@ -33,13 +34,18 @@ int main() {
   params.rho_min = 5.0;
   params.delta_min = 8000.0;
 
-  // 3. Run. The ExecutionContext carries the execution policy: which
-  // thread pool to run on (default: one persistent process-wide pool,
-  // reused across runs), how many threads (0 = all), and the loop
-  // scheduling strategy (default: the paper's §4.5 cost-guided LPT).
-  dpc::ExecutionContext ctx;
+  // 3. Solve, then finalize. Solve runs the expensive rho/delta phases
+  // under params.compute(); FinalizeSolution derives centers and labels
+  // from params.threshold() in O(n), so a different threshold only needs
+  // another FinalizeSolution on the same solution. The ExecutionContext
+  // carries the execution policy: which thread pool to run on (default:
+  // one persistent process-wide pool, reused across runs), how many
+  // threads (0 = all), and the loop scheduling strategy (default: the
+  // paper's §4.5 cost-guided LPT).
+  const dpc::ExecutionContext ctx;
   dpc::ApproxDpc algo;
-  const dpc::DpcResult result = algo.Run(points, params, ctx);
+  const dpc::DpcSolution solution = algo.Solve(points, params.compute(), ctx);
+  const dpc::DpcResult result = dpc::FinalizeSolution(solution, params.threshold());
 
   // 4. Report.
   const dpc::eval::ClusterSummary summary = dpc::eval::Summarize(result);

@@ -30,11 +30,11 @@ int main() {
   params.d_cut = spec.default_d_cut;  // 5000, the paper's Sensor default
   params.rho_min = 8.0;
   params.delta_min = 3.0 * params.d_cut;
-  params.num_threads = 0;
+  const dpc::ExecutionContext ctx;  // all hardware threads
 
   // Exact reference for quality scoring.
-  dpc::ExDpc exact;
-  const dpc::DpcResult ground = exact.Run(feed, params);
+  const dpc::DpcResult ground = dpc::FinalizeSolution(
+      dpc::ExDpc().Solve(feed, params.compute(), ctx), params.threshold());
   std::printf("exact reference (Ex-DPC): %lld clusters, %.2f s\n\n",
               static_cast<long long>(ground.num_clusters()), ground.stats.total_seconds);
 
@@ -43,8 +43,8 @@ int main() {
   for (const double eps : {0.2, 0.4, 0.6, 0.8, 1.0}) {
     dpc::DpcParams p = params;
     p.epsilon = eps;
-    dpc::SApproxDpc algo;
-    const dpc::DpcResult r = algo.Run(feed, p);
+    const dpc::DpcResult r = dpc::FinalizeSolution(
+        dpc::SApproxDpc().Solve(feed, p.compute(), ctx), p.threshold());
     const auto s = dpc::eval::Summarize(r);
     std::printf("%-6.1f %-10lld %-10lld %-10.3f %-10.4f\n", eps,
                 static_cast<long long>(s.num_clusters),

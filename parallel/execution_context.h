@@ -1,4 +1,4 @@
-// ExecutionContext — the execution policy of DpcAlgorithm::Run (API v2):
+// ExecutionContext — the execution policy of DpcAlgorithm::Solve:
 // which ThreadPool to run on, how many threads to use, how loops map
 // iterations to threads (ScheduleStrategy, paper §4.5), and a per-run
 // deadline / cancellation flag checked at phase boundaries.
@@ -50,23 +50,19 @@ class ExecutionContext {
   /// scheduling (the paper's default), no deadline.
   ExecutionContext() : ExecutionContext(0) {}
 
-  /// num_threads 0 leaves the degree unspecified (all hardware threads,
-  /// unless the deprecated DpcParams::num_threads overrides — see
-  /// EffectiveThreads in core/dpc.h). A null pool selects the shared
-  /// process-wide pool.
+  /// num_threads <= 0 selects all hardware threads. A null pool selects
+  /// the shared process-wide pool.
   explicit ExecutionContext(
       int num_threads,
       ScheduleStrategy strategy = ScheduleStrategy::kCostGuided,
       std::shared_ptr<ThreadPool> pool = nullptr)
-      : num_threads_(num_threads > 0 ? num_threads : 0),
+      : threads_(ResolveThreads(num_threads)),
         strategy_(strategy),
         pool_(pool != nullptr ? std::move(pool) : SharedDefaultPool()),
         stop_(std::make_shared<StopState>()) {}
 
-  /// Raw request; 0 = unspecified.
-  int num_threads() const { return num_threads_; }
-  /// Resolved parallelism degree (>= 1).
-  int threads() const { return ResolveThreads(num_threads_); }
+  /// Parallelism degree (>= 1).
+  int threads() const { return threads_; }
   ScheduleStrategy strategy() const { return strategy_; }
   ThreadPool& pool() const { return *pool_; }
   const std::shared_ptr<ThreadPool>& shared_pool() const { return pool_; }
@@ -74,7 +70,7 @@ class ExecutionContext {
   /// Copies sharing the pool and cancel flag, with one knob changed.
   ExecutionContext WithThreads(int num_threads) const {
     ExecutionContext copy = *this;
-    copy.num_threads_ = num_threads > 0 ? num_threads : 0;
+    copy.threads_ = ResolveThreads(num_threads);
     return copy;
   }
   ExecutionContext WithStrategy(ScheduleStrategy strategy) const {
@@ -144,8 +140,8 @@ class ExecutionContext {
   // Algorithms poll ShouldStop() at phase boundaries; an interrupted run
   // returns with DpcStats::interrupted set and all labels kUnassigned.
   // Both the cancel flag and the deadline live in shared state, so
-  // setting either on ANY copy (including after Run has cloned the
-  // context via ResolveContext) reaches every other copy, thread-safely.
+  // setting either on ANY copy (including one a running solve already
+  // holds) reaches every other copy, thread-safely.
 
   void set_deadline(std::chrono::steady_clock::time_point deadline) const {
     stop_->deadline_ns.store(deadline.time_since_epoch().count(),
@@ -172,9 +168,9 @@ class ExecutionContext {
                deadline_ns;
   }
 
-  /// The process-wide pool shared by default-constructed contexts (and
-  /// therefore by the deprecated two-arg Run shim): created once, sized
-  /// to the hardware, reused across runs and algorithms.
+  /// The process-wide pool shared by default-constructed contexts:
+  /// created once, sized to the hardware, reused across runs and
+  /// algorithms.
   static const std::shared_ptr<ThreadPool>& SharedDefaultPool() {
     static const std::shared_ptr<ThreadPool> pool =
         std::make_shared<ThreadPool>(0);
@@ -195,7 +191,7 @@ class ExecutionContext {
     std::atomic<int64_t> budget_ticks{kNoBudget};
   };
 
-  int num_threads_ = 0;
+  int threads_ = 1;
   ScheduleStrategy strategy_ = ScheduleStrategy::kCostGuided;
   std::shared_ptr<ThreadPool> pool_;
   std::shared_ptr<StopState> stop_;

@@ -1,6 +1,6 @@
 // Request/response vocabulary of the serving layer. A ClusterRequest is
 // the serve/ subsystem's unit of work — where core/'s unit is one
-// Solve/Run invocation, a request names a *registered* dataset by handle
+// Solve invocation, a request names a *registered* dataset by handle
 // (serve/dataset_registry.h), an algorithm from the core registry,
 // per-algorithm key=value options, and per-request service policy: a
 // deadline budget and an admission priority.
@@ -73,8 +73,8 @@ struct ClusterRequest {
   OptionsMap options;
   /// Clustering knobs (d_cut, rho_min, delta_min, epsilon). Split by the
   /// server into params.compute() — the solution-cache key — and
-  /// params.threshold() — the label phase. The deprecated num_threads
-  /// field is ignored: execution policy belongs to the server.
+  /// params.threshold() — the label phase. Execution policy belongs to
+  /// the server (ServerOptions), never to the request.
   DpcParams params;
   /// kGraph only: how many gamma-ranked points to return.
   int graph_top_k = 10;

@@ -243,8 +243,6 @@ class ClusterServer {
             S::FromCounter("dpc_store_puts_total", static_cast<double>(t.puts)));
         out->push_back(S::FromCounter("dpc_store_fetches_total",
                                       static_cast<double>(t.fetches)));
-        out->push_back(S::FromCounter("dpc_store_pool_hits_total",
-                                      static_cast<double>(t.pool_hits)));
         out->push_back(S::FromCounter("dpc_store_log_reads_total",
                                       static_cast<double>(t.log_reads)));
         out->push_back(S::FromCounter("dpc_store_decode_failures_total",
@@ -259,8 +257,6 @@ class ClusterServer {
                                     static_cast<double>(t.live_solutions)));
         out->push_back(S::FromGauge("dpc_store_live_payload_bytes",
                                     static_cast<double>(t.live_payload_bytes)));
-        out->push_back(S::FromGauge("dpc_store_pool_bytes_in_use",
-                                    static_cast<double>(t.pool_bytes_in_use)));
       });
     }
     executors_.reserve(static_cast<size_t>(lanes_));
@@ -693,9 +689,8 @@ class ClusterServer {
     lease_width_total_->Inc(static_cast<uint64_t>(lease->width()));
 
     // Per-request context on the leased pool: deadline and cancellation
-    // are this request's alone. The deprecated per-request
-    // DpcParams::num_threads never reaches the compute phase — Solve
-    // takes its whole execution policy from this context.
+    // are this request's alone. Solve takes its whole execution policy
+    // from this context.
     ExecutionContext ctx(lease->width(), options_.strategy, lease->pool());
     if (s.deadline_at != std::chrono::steady_clock::time_point::max()) {
       ctx.set_deadline(s.deadline_at);

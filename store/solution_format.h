@@ -1,5 +1,5 @@
 // Versioned binary encoding of DpcSolution — the unit the solution log
-// stores and the buffer pool caches.
+// stores.
 //
 // Layout (little-endian, raw doubles, same idiom as data/io.h SaveBinary):
 //

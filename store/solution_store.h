@@ -3,10 +3,9 @@
 //   Put(key, solution)  encode → append to the log → directory points at
 //                       the new record (old one is superseded in place,
 //                       reclaimed at the next compaction)
-//   Fetch(key)          buffer pool hit, else log read + decode (admitted
-//                       to the pool); null on absent or damaged records —
-//                       a damaged key goes cold, it never throws
-//   Erase(key)          tombstone append + directory/pool removal
+//   Fetch(key)          log read + decode; null on absent or damaged
+//                       records — a damaged key goes cold, it never throws
+//   Erase(key)          tombstone append + directory removal
 //   Compact()           rewrite live records to <path>.compact, atomic
 //                       rename over the log, rebuild offsets
 //
@@ -15,7 +14,10 @@
 // reclaim. Put never fails for budget reasons — the budget bounds the
 // file between enforcement points, not mid-append.
 //
-// Thread safety: one mutex over directory + pool + compaction (the log
+// Decoded solutions are kept in memory by exactly one tier, the serve
+// layer's SolutionCache; the store holds only bytes on disk.
+//
+// Thread safety: one mutex over directory + compaction (the log
 // has its own for raw appends/reads). Fetch holds it across the disk
 // read — promotion convoys serialize on the store, never on the serve
 // cache's lock (serve/solution_cache.h calls the store OUTSIDE its own
@@ -34,7 +36,6 @@
 
 #include "core/dpc.h"
 #include "core/status.h"
-#include "store/buffer_pool.h"
 #include "store/directory.h"
 #include "store/solution_format.h"
 #include "store/solution_log.h"
@@ -45,8 +46,6 @@ struct SolutionStoreOptions {
   /// Log-size ceiling; 0 = unbounded. Enforced by oldest-first eviction
   /// plus compaction whenever an append pushes the file past it.
   uint64_t disk_budget_bytes = 0;
-  /// Budget for the pool of deserialized solutions (decode-once reads).
-  size_t buffer_pool_bytes = 8u << 20;
   /// Appends per group commit; 1 (default) flushes every append.
   size_t group_commit_appends = 1;
 };
@@ -57,7 +56,6 @@ class SolutionStore {
     uint64_t puts = 0;
     uint64_t erases = 0;
     uint64_t fetches = 0;
-    uint64_t pool_hits = 0;         ///< fetches served without touching disk
     uint64_t log_reads = 0;         ///< fetches that read + decoded the log
     uint64_t decode_failures = 0;   ///< damaged records dropped at fetch
     uint64_t compactions = 0;
@@ -65,7 +63,6 @@ class SolutionStore {
     uint64_t log_bytes = 0;         ///< current on-disk file size
     uint64_t live_solutions = 0;    ///< directory size
     uint64_t live_payload_bytes = 0;
-    uint64_t pool_bytes_in_use = 0;
   };
 
   /// Opens (creating if absent) the store whose log lives at `path`,
@@ -100,7 +97,6 @@ class SolutionStore {
     dir_.Put(key, DirectoryEntry{offset.value(),
                                  static_cast<uint64_t>(payload.size()),
                                  next_seq_++});
-    pool_.Erase(key);  // a superseded pooled copy must not be served
     ++puts_;
     return EnforceDiskBudgetLocked();
   }
@@ -110,10 +106,6 @@ class SolutionStore {
   std::shared_ptr<const DpcSolution> Fetch(const std::string& key) {
     std::lock_guard<std::mutex> lock(mu_);
     ++fetches_;
-    if (auto pooled = pool_.Get(key)) {
-      ++pool_hits_;
-      return pooled;
-    }
     const DirectoryEntry* entry = dir_.Find(key);
     if (entry == nullptr) return nullptr;
     std::string payload;
@@ -128,9 +120,7 @@ class SolutionStore {
       dir_.Erase(key);
       return nullptr;
     }
-    auto sp = std::make_shared<const DpcSolution>(std::move(decoded).value());
-    pool_.Put(key, sp, payload.size());
-    return sp;
+    return std::make_shared<const DpcSolution>(std::move(decoded).value());
   }
 
   bool Contains(const std::string& key) const {
@@ -145,7 +135,6 @@ class SolutionStore {
     auto offset = log_->Append(kRecordErase, key, std::string());
     if (!offset.ok()) return offset.status();
     dir_.Erase(key);
-    pool_.Erase(key);
     ++erases_;
     return Status::Ok();
   }
@@ -167,7 +156,6 @@ class SolutionStore {
     out.puts = puts_;
     out.erases = erases_;
     out.fetches = fetches_;
-    out.pool_hits = pool_hits_;
     out.log_reads = log_reads_;
     out.decode_failures = decode_failures_;
     out.compactions = compactions_;
@@ -175,7 +163,6 @@ class SolutionStore {
     out.log_bytes = log_->size_bytes();
     out.live_solutions = dir_.size();
     out.live_payload_bytes = dir_.live_payload_bytes();
-    out.pool_bytes_in_use = pool_.bytes_in_use();
     return out;
   }
 
@@ -186,8 +173,7 @@ class SolutionStore {
                 std::unique_ptr<SolutionLog> log)
       : path_(std::move(path)),
         options_(options),
-        log_(std::move(log)),
-        pool_(options.buffer_pool_bytes) {}
+        log_(std::move(log)) {}
 
   /// On-disk bytes the live set would occupy in a fresh log.
   uint64_t LiveFileBytesLocked() const {
@@ -271,12 +257,10 @@ class SolutionStore {
   mutable std::mutex mu_;
   std::unique_ptr<SolutionLog> log_;
   Directory dir_;
-  BufferPool pool_;
   uint64_t next_seq_ = 0;
   uint64_t puts_ = 0;
   uint64_t erases_ = 0;
   uint64_t fetches_ = 0;
-  uint64_t pool_hits_ = 0;
   uint64_t log_reads_ = 0;
   uint64_t decode_failures_ = 0;
   uint64_t compactions_ = 0;

@@ -27,12 +27,14 @@ int main() {
   params.d_cut = 1500.0;
   params.rho_min = 5.0;
   params.delta_min = 8000.0;
-  params.num_threads = 0;
+  auto cluster = [&](dpc::DpcAlgorithm&& algo) {
+    return dpc::FinalizeSolution(
+        algo.Solve(points, params.compute(), dpc::ExecutionContext()),
+        params.threshold());
+  };
 
-  dpc::ExDpc exact;
-  dpc::ApproxDpc approx;
-  const dpc::DpcResult ex = exact.Run(points, params);
-  const dpc::DpcResult ap = approx.Run(points, params);
+  const dpc::DpcResult ex = cluster(dpc::ExDpc());
+  const dpc::DpcResult ap = cluster(dpc::ApproxDpc());
 
   // rho is exact in both algorithms, so it must agree bitwise.
   CHECK(ex.rho == ap.rho);
@@ -51,7 +53,7 @@ int main() {
   {
     dpc::ApproxDpcOptions off;
     off.joint_range_search = false;
-    const dpc::DpcResult ap_off = dpc::ApproxDpc(off).Run(points, params);
+    const dpc::DpcResult ap_off = cluster(dpc::ApproxDpc(off));
     CHECK(ap_off.rho == ap.rho);
     CHECK(ap_off.centers == ap.centers);
     CHECK(ap_off.label == ap.label);

@@ -30,15 +30,17 @@ int main() {
   params.d_cut = 1500.0;
   params.rho_min = 5.0;
   params.delta_min = 10000.0;
-  params.num_threads = 2;
+  auto cluster = [&](dpc::DpcAlgorithm&& algo) {
+    return dpc::FinalizeSolution(
+        algo.Solve(points, params.compute(), dpc::ExecutionContext(2)),
+        params.threshold());
+  };
 
-  dpc::ExDpc exact;
-  const dpc::DpcResult ground = exact.Run(points, params);
+  const dpc::DpcResult ground = cluster(dpc::ExDpc());
   CHECK(ground.num_clusters() >= 2);
 
   // Scan: ground truth by construction — must agree with Ex-DPC exactly.
-  dpc::ScanDpc scan;
-  const dpc::DpcResult scan_result = scan.Run(points, params);
+  const dpc::DpcResult scan_result = cluster(dpc::ScanDpc());
   CHECK(scan_result.rho == ground.rho);
   CHECK(scan_result.label == ground.label);
   CHECK(scan_result.centers == ground.centers);
@@ -51,22 +53,19 @@ int main() {
   }
 
   // R-tree + Scan: identical counting, identical dependent pass.
-  dpc::RtreeScanDpc rtree_scan;
-  const dpc::DpcResult rtree_result = rtree_scan.Run(points, params);
+  const dpc::DpcResult rtree_result = cluster(dpc::RtreeScanDpc());
   CHECK(rtree_result.rho == scan_result.rho);
   CHECK(rtree_result.label == scan_result.label);
   CHECK(rtree_result.centers == scan_result.centers);
 
   // Approximate-density baselines: close, not exact.
-  dpc::CfsfdpA cfsfdp_a;
   const double ri_cfsfdp =
-      dpc::eval::RandIndex(cfsfdp_a.Run(points, params).label, ground.label);
+      dpc::eval::RandIndex(cluster(dpc::CfsfdpA()).label, ground.label);
   std::printf("CFSFDP-A Rand index vs Ex-DPC: %.4f\n", ri_cfsfdp);
   CHECK(ri_cfsfdp >= 0.90);
 
-  dpc::LshDdp lsh_ddp;
   const double ri_lsh =
-      dpc::eval::RandIndex(lsh_ddp.Run(points, params).label, ground.label);
+      dpc::eval::RandIndex(cluster(dpc::LshDdp()).label, ground.label);
   std::printf("LSH-DDP Rand index vs Ex-DPC: %.4f\n", ri_lsh);
   CHECK(ri_lsh >= 0.90);
 

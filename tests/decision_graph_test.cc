@@ -1,7 +1,7 @@
 // Decision-graph helpers: the graph is delta-sorted, SuggestDeltaMinForK
-// re-thresholds to exactly k clusters via FinalizeClusters, the gap
-// heuristic finds the planted k on separated data, and the CSV writer
-// produces a parseable file.
+// re-thresholds one solution to exactly k clusters via FinalizeSolution,
+// the gap heuristic finds the planted k on separated data, and the CSV
+// writer produces a parseable file.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -26,10 +26,10 @@ int main() {
   params.d_cut = 1200.0;
   params.rho_min = 4.0;
   params.delta_min = params.d_cut * 1.0001;  // permissive: threshold later
-  params.num_threads = 0;
 
-  dpc::ExDpc algo;
-  dpc::DpcResult result = algo.Run(points, params);
+  const dpc::DpcSolution solution =
+      dpc::ExDpc().Solve(points, params.compute(), dpc::ExecutionContext());
+  dpc::DpcResult result = dpc::FinalizeSolution(solution, params.threshold());
 
   const auto graph = dpc::BuildDecisionGraph(result);
   CHECK_EQ(static_cast<dpc::PointId>(graph.size()), points.size());
@@ -39,10 +39,10 @@ int main() {
 
   // Exactly-k selection while k honest centers exist.
   for (const int k : {3, 6, 9}) {
-    dpc::DpcParams p = params;
-    p.delta_min = dpc::SuggestDeltaMinForK(result, params, k);
-    CHECK(p.delta_min > params.d_cut);
-    dpc::FinalizeClusters(p, &result);
+    dpc::ThresholdSpec spec = params.threshold();
+    spec.delta_min = dpc::SuggestDeltaMinForK(result, params, k);
+    CHECK(spec.delta_min > params.d_cut);
+    result = dpc::FinalizeSolution(solution, spec);
     CHECK_EQ(result.num_clusters(), k);
   }
 
@@ -50,18 +50,18 @@ int main() {
   // threshold to or below d_cut (which would admit grid-approximated
   // deltas as centers) — it yields the honest count instead.
   {
-    dpc::DpcParams p = params;
-    p.delta_min = dpc::SuggestDeltaMinForK(result, params, 500);
-    CHECK(p.delta_min > params.d_cut);
-    dpc::FinalizeClusters(p, &result);
+    dpc::ThresholdSpec spec = params.threshold();
+    spec.delta_min = dpc::SuggestDeltaMinForK(result, params, 500);
+    CHECK(spec.delta_min > params.d_cut);
+    result = dpc::FinalizeSolution(solution, spec);
     CHECK(result.num_clusters() <= 500);
     CHECK(result.num_clusters() >= 9);
   }
 
   // The gap heuristic lands on the planted cluster count.
-  dpc::DpcParams gap_params = params;
-  gap_params.delta_min = dpc::SuggestDeltaMinByGap(result, params);
-  dpc::FinalizeClusters(gap_params, &result);
+  dpc::ThresholdSpec gap_spec = params.threshold();
+  gap_spec.delta_min = dpc::SuggestDeltaMinByGap(result, params);
+  result = dpc::FinalizeSolution(solution, gap_spec);
   CHECK_EQ(result.num_clusters(), 9);
 
   // Halo: sizes bounded by cluster membership, noise never in a halo.

@@ -12,12 +12,23 @@
 #include "baselines/lsh_ddp.h"
 #include "core/approx_dpc.h"
 #include "core/ex_dpc.h"
-#include "core/kernels.h"
 #include "core/registry.h"
 #include "core/s_approx_dpc.h"
 #include "data/generators.h"
 #include "parallel/thread_pool.h"
 #include "tests/test_util.h"
+
+namespace {
+
+/// One clustering: the compute phase under `ctx`, then the threshold.
+dpc::DpcResult Cluster(dpc::DpcAlgorithm& algo, const dpc::PointSet& points,
+                       const dpc::DpcParams& params,
+                       const dpc::ExecutionContext& ctx) {
+  return dpc::FinalizeSolution(algo.Solve(points, params.compute(), ctx),
+                               params.threshold());
+}
+
+}  // namespace
 
 int main() {
   dpc::data::GaussianBenchmarkParams gen;
@@ -43,13 +54,13 @@ int main() {
         approx ? static_cast<dpc::DpcAlgorithm&>(approx_algo)
                : static_cast<dpc::DpcAlgorithm&>(exact_algo);
 
-    params.num_threads = 1;
-    const dpc::DpcResult serial = algo.Run(points, params);
-    const dpc::DpcResult serial2 = algo.Run(points, params);
+    const dpc::ExecutionContext one(1);
+    const dpc::DpcResult serial = Cluster(algo, points, params, one);
+    const dpc::DpcResult serial2 = Cluster(algo, points, params, one);
     dpc::test::AssertSolutionsEqual(serial, serial2);
 
-    params.num_threads = 4;
-    const dpc::DpcResult parallel = algo.Run(points, params);
+    const dpc::DpcResult parallel =
+        Cluster(algo, points, params, dpc::ExecutionContext(4));
     dpc::test::AssertSolutionsEqual(serial, parallel);
 
     CHECK(serial.num_clusters() > 0);
@@ -69,17 +80,17 @@ int main() {
          {static_cast<dpc::DpcAlgorithm*>(&lsh_ddp),
           static_cast<dpc::DpcAlgorithm*>(&s_approx),
           static_cast<dpc::DpcAlgorithm*>(&cfsfdp_a)}) {
-      p.num_threads = 1;
-      const dpc::DpcResult serial = algo->Run(points, p);
+      const dpc::DpcResult serial =
+          Cluster(*algo, points, p, dpc::ExecutionContext(1));
       for (const int threads : {2, 8}) {
-        p.num_threads = threads;
-        dpc::test::AssertSolutionsEqual(serial, algo->Run(points, p));
+        dpc::test::AssertSolutionsEqual(
+            serial, Cluster(*algo, points, p, dpc::ExecutionContext(threads)));
       }
       CHECK(serial.num_clusters() > 0);
     }
   }
 
-  // API v2 sweep: every registered algorithm under
+  // Schedule sweep: every registered algorithm under
   // {static, dynamic, LPT} x {1, 2, 8} threads, all through ONE shared
   // ThreadPool — labels must be bit-identical to the 1-thread static
   // baseline. (A smaller input keeps the quadratic baselines affordable
@@ -90,7 +101,6 @@ int main() {
     small.seed = 123;
     const dpc::PointSet pts = dpc::data::GaussianBenchmark(small);
     dpc::DpcParams p = params;
-    p.num_threads = 0;
     p.epsilon = 0.5;
 
     auto pool = std::make_shared<dpc::ThreadPool>(8);
@@ -98,43 +108,18 @@ int main() {
       auto algo = dpc::MakeAlgorithmByName(name);
       CHECK(algo.ok());
       const dpc::ExecutionContext base(1, dpc::ScheduleStrategy::kStatic, pool);
-      const dpc::DpcResult baseline = algo.value()->Run(pts, p, base);
+      const dpc::DpcResult baseline = Cluster(*algo.value(), pts, p, base);
       CHECK(baseline.num_clusters() > 0);
       for (const auto strategy :
            {dpc::ScheduleStrategy::kStatic, dpc::ScheduleStrategy::kDynamic,
             dpc::ScheduleStrategy::kCostGuided}) {
         for (const int threads : {1, 2, 8}) {
           const dpc::ExecutionContext ctx(threads, strategy, pool);
-          dpc::test::AssertSolutionsEqual(baseline, algo.value()->Run(pts, p, ctx));
+          dpc::test::AssertSolutionsEqual(baseline,
+                                          Cluster(*algo.value(), pts, p, ctx));
         }
       }
       std::printf("%-12s identical across strategies x threads\n", name.c_str());
-    }
-  }
-
-  // SoA cell reordering is a memory-layout choice, never a semantic one:
-  // every registered algorithm must produce bit-identical labels with the
-  // cell-ordered hot-path views disabled (core/kernels.h).
-  {
-    dpc::data::GaussianBenchmarkParams small = gen;
-    small.num_points = 3000;
-    small.seed = 123;
-    const dpc::PointSet pts = dpc::data::GaussianBenchmark(small);
-    dpc::DpcParams p = params;
-    p.num_threads = 2;
-    p.epsilon = 0.5;
-
-    CHECK(dpc::kernels::SoaCellReorderEnabled());  // default on
-    for (const std::string& name : dpc::RegisteredAlgorithmNames()) {
-      auto algo = dpc::MakeAlgorithmByName(name);
-      CHECK(algo.ok());
-      dpc::kernels::SetSoaCellReorder(true);
-      const dpc::DpcResult reordered = algo.value()->Run(pts, p);
-      dpc::kernels::SetSoaCellReorder(false);
-      const dpc::DpcResult flat = algo.value()->Run(pts, p);
-      dpc::kernels::SetSoaCellReorder(true);
-      dpc::test::AssertSolutionsEqual(reordered, flat);
-      std::printf("%-12s identical with cell reordering on/off\n", name.c_str());
     }
   }
 

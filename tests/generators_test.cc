@@ -85,8 +85,9 @@ int main() {
     params.d_cut = sensor.default_d_cut;
     params.rho_min = 4.0;
     params.delta_min = 5.0 * sensor.default_d_cut;
-    dpc::ApproxDpc algo;
-    const dpc::DpcResult result = algo.Run(feed, params);
+    const dpc::DpcResult result = dpc::FinalizeSolution(
+        dpc::ApproxDpc().Solve(feed, params.compute(), dpc::ExecutionContext()),
+        params.threshold());
     CHECK(result.num_clusters() >= 4);
     CHECK(result.num_clusters() <= 40);
     int64_t noise = 0;

@@ -33,6 +33,10 @@
 // ---- counting allocator: every global new/delete in this binary ------
 namespace {
 std::atomic<uint64_t> g_allocations{0};
+
+// Out of line so gcc cannot inline std::free into a delete call site and
+// pair it with the visible operator new (-Wmismatched-new-delete).
+[[gnu::noinline]] void FreeAllocation(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -42,10 +46,10 @@ void* operator new(std::size_t size) {
   return p;
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { FreeAllocation(p); }
+void operator delete[](void* p) noexcept { FreeAllocation(p); }
+void operator delete(void* p, std::size_t) noexcept { FreeAllocation(p); }
+void operator delete[](void* p, std::size_t) noexcept { FreeAllocation(p); }
 
 namespace {
 

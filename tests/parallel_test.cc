@@ -82,12 +82,12 @@ int main() {
     CHECK_EQ(a.WithThreads(2).threads(), 2);
     CHECK(a.WithStrategy(dpc::ScheduleStrategy::kDynamic).strategy() ==
           dpc::ScheduleStrategy::kDynamic);
-    // Default policy: unspecified thread count, cost-guided scheduling.
-    CHECK_EQ(a.num_threads(), 0);
+    // Default policy: all hardware threads, cost-guided scheduling.
+    CHECK_EQ(a.threads(), dpc::HardwareThreads());
     CHECK(a.strategy() == dpc::ScheduleStrategy::kCostGuided);
   }
 
-  // Cancellation propagates to every copy (algorithms run on a resolved
+  // Cancellation propagates to every copy (a solve may run on a derived
   // copy, so RequestCancel on the caller's context must reach it).
   {
     const dpc::ExecutionContext ctx(2);
@@ -211,14 +211,17 @@ int main() {
     dpc::ExecutionContext cancelled(2);
     cancelled.RequestCancel();
     dpc::ExDpc algo;
-    const dpc::DpcResult result = algo.Run(points, params, cancelled);
+    const dpc::DpcResult result = dpc::FinalizeSolution(
+        algo.Solve(points, params.compute(), cancelled), params.threshold());
     CHECK(result.stats.interrupted);
     CHECK_EQ(result.label.size(), static_cast<size_t>(points.size()));
     for (const int64_t label : result.label) CHECK_EQ(label, dpc::kUnassigned);
     CHECK_EQ(result.centers.size(), 0u);
 
     // The same run without cancellation completes normally.
-    const dpc::DpcResult ok = algo.Run(points, params, dpc::ExecutionContext(2));
+    const dpc::DpcResult ok = dpc::FinalizeSolution(
+        algo.Solve(points, params.compute(), dpc::ExecutionContext(2)),
+        params.threshold());
     CHECK(!ok.stats.interrupted);
     CHECK(ok.num_clusters() > 0);
   }
@@ -263,8 +266,10 @@ int main() {
     const dpc::ExecutionContext ctx(1);  // serial: one thread, 1024-slices
     dpc::ScanDpc algo;
     dpc::DpcResult result;
-    std::thread worker(
-        [&] { result = algo.Run(points, params, ctx); });
+    std::thread worker([&] {
+      result = dpc::FinalizeSolution(algo.Solve(points, params.compute(), ctx),
+                                     params.threshold());
+    });
     // Cancel early in the first slice; the run must come back within a
     // fraction of a slice, not after finishing it.
     std::this_thread::sleep_for(

@@ -29,31 +29,6 @@ int main() {
   bad.epsilon = 0.0;
   CHECK(!bad.Validate().ok());
 
-  bad = params;
-  bad.num_threads = -2;
-  CHECK(!bad.Validate().ok());
-
-  // Thread-count precedence (API v2): an ExecutionContext with an
-  // explicit count always wins; a context that leaves it unspecified
-  // defers to the deprecated DpcParams::num_threads shim; 0 everywhere
-  // resolves to all hardware threads.
-  {
-    dpc::DpcParams p = params;
-    p.num_threads = 3;
-    const dpc::ExecutionContext unspecified;  // num_threads() == 0
-    const dpc::ExecutionContext explicit_ctx(5);
-    CHECK_EQ(dpc::EffectiveThreads(p, unspecified), 3);   // deprecated shim
-    CHECK_EQ(dpc::EffectiveThreads(p, explicit_ctx), 5);  // context wins
-    p.num_threads = 0;
-    CHECK_EQ(dpc::EffectiveThreads(p, unspecified), dpc::HardwareThreads());
-    // ResolveContext applies the rule while sharing pool and cancel flag.
-    p.num_threads = 3;
-    const dpc::ExecutionContext resolved = dpc::ResolveContext(p, unspecified);
-    CHECK_EQ(resolved.threads(), 3);
-    CHECK(resolved.shared_pool().get() == unspecified.shared_pool().get());
-    CHECK_EQ(dpc::ResolveContext(p, explicit_ctx).threads(), 5);
-  }
-
   const dpc::Status err = dpc::Status::IoError("disk on fire");
   CHECK(!err.ok());
   CHECK(err.ToString() == "IO_ERROR: disk on fire");

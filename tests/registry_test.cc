@@ -21,7 +21,11 @@ int main() {
   params.d_cut = 4000.0;
   params.rho_min = 2.0;
   params.delta_min = 15000.0;
-  params.num_threads = 2;
+  auto cluster = [&](dpc::DpcAlgorithm& algo) {
+    return dpc::FinalizeSolution(
+        algo.Solve(points, params.compute(), dpc::ExecutionContext(2)),
+        params.threshold());
+  };
 
   // The paper's full menu; new algorithms join the loop below
   // automatically.
@@ -35,7 +39,7 @@ int main() {
                    algo.status().ToString().c_str());
       return 1;
     }
-    const dpc::DpcResult result = algo.value()->Run(points, params);
+    const dpc::DpcResult result = cluster(*algo.value());
     CHECK_EQ(result.label.size(), static_cast<size_t>(points.size()));
     CHECK_EQ(result.rho.size(), static_cast<size_t>(points.size()));
     CHECK_EQ(result.delta.size(), static_cast<size_t>(points.size()));
@@ -49,20 +53,20 @@ int main() {
                 static_cast<long long>(result.num_clusters()));
   }
 
-  // Options-map construction (API v2): typed keys wire through; unknown
+  // Options-map construction: typed keys wire through; unknown
   // keys and malformed values fail with InvalidArgument naming the key.
   {
     auto tuned = dpc::MakeAlgorithmByName(
         "approx-dpc", {{"joint_range_search", "false"}, {"scheduler", "static"}});
     CHECK(tuned.ok());
-    const dpc::DpcResult r = tuned.value()->Run(points, params);
+    const dpc::DpcResult r = cluster(*tuned.value());
     CHECK_EQ(r.label.size(), static_cast<size_t>(points.size()));
     CHECK(r.num_clusters() >= 1);
 
     auto lsh = dpc::MakeAlgorithmByName(
         "lsh-ddp", {{"num_tables", "6"}, {"num_bits", "5"}});
     CHECK(lsh.ok());
-    CHECK(lsh.value()->Run(points, params).num_clusters() >= 1);
+    CHECK(cluster(*lsh.value()).num_clusters() >= 1);
 
     auto bad_key = dpc::MakeAlgorithmByName("ex-dpc", {{"nope", "1"}});
     CHECK(!bad_key.ok());

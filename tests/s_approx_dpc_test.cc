@@ -36,18 +36,20 @@ int main() {
   params.d_cut = 5000.0;
   params.rho_min = 5.0;
   params.delta_min = 20000.0;
-  params.num_threads = 2;
+  const dpc::ExecutionContext ctx(2);
+  auto cluster = [&](dpc::DpcAlgorithm&& algo, const dpc::DpcParams& p) {
+    return dpc::FinalizeSolution(algo.Solve(points, p.compute(), ctx),
+                                 p.threshold());
+  };
 
-  dpc::ExDpc exact;
-  const dpc::DpcResult ground = exact.Run(points, params);
+  const dpc::DpcResult ground = cluster(dpc::ExDpc(), params);
   CHECK(ground.num_clusters() >= 2);
 
   std::vector<double> rand_index;
   for (const double eps : {0.01, 0.2, 1.0}) {
     dpc::DpcParams p = params;
     p.epsilon = eps;
-    dpc::SApproxDpc algo;
-    const dpc::DpcResult r = algo.Run(points, p);
+    const dpc::DpcResult r = cluster(dpc::SApproxDpc(), p);
     CHECK(r.centers == ground.centers);  // exact centers at every epsilon
     const double ri = dpc::eval::RandIndex(r.label, ground.label);
     std::printf("eps=%.2f: Rand index vs Ex-DPC = %.6f\n", eps, ri);
@@ -62,10 +64,8 @@ int main() {
   {
     dpc::DpcParams p = params;
     p.epsilon = 1e-12;
-    dpc::SApproxDpc s_approx;
-    dpc::ApproxDpc approx;
-    const dpc::DpcResult a = s_approx.Run(points, p);
-    const dpc::DpcResult b = approx.Run(points, p);
+    const dpc::DpcResult a = cluster(dpc::SApproxDpc(), p);
+    const dpc::DpcResult b = cluster(dpc::ApproxDpc(), p);
     CHECK(a.label == b.label);
     CHECK(a.dependency == b.dependency);
     CHECK(a.centers == b.centers);

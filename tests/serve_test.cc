@@ -3,7 +3,7 @@
 // byte-budget accounting, label memoization, demotion/promotion against
 // a backing store), LPT-profile-aware shard width planning,
 // admission-queue priority order, end-to-end serving (responses
-// bit-identical to direct Run), the re-threshold / decision-graph fast
+// bit-identical to direct solve), the re-threshold / decision-graph fast
 // path (zero recompute, asserted via server stats), mixed-deadline
 // batches, error paths, and concurrent submissions (the TSan CI job
 // runs this binary).
@@ -52,6 +52,15 @@ dpc::DpcParams TestParams(double d_cut = 2000.0) {
   params.rho_min = 2.0;
   params.delta_min = 4.0 * d_cut;
   return params;
+}
+
+/// The serverless reference every served response must match: a direct
+/// solve on a default context, finalized at the request's thresholds.
+dpc::DpcResult DirectSolve(dpc::DpcAlgorithm& algo, const dpc::PointSet& points,
+                           const dpc::DpcParams& params) {
+  return dpc::FinalizeSolution(
+      algo.Solve(points, params.compute(), dpc::ExecutionContext()),
+      params.threshold());
 }
 
 void TestFingerprintAndRegistry() {
@@ -421,7 +430,7 @@ void TestServerEndToEnd() {
   request.params = params;
 
   // Miss -> computed; identical resubmission -> cache hit aliasing the
-  // same immutable result; both bit-identical to a direct Run.
+  // same immutable result; both bit-identical to a direct solve.
   const auto first = server.Submit(request).get();
   CHECK(first.status.ok());
   CHECK(!first.cache_hit);
@@ -433,14 +442,14 @@ void TestServerEndToEnd() {
 
   auto algo = dpc::MakeAlgorithmByName("ex-dpc");
   CHECK(algo.ok());
-  const dpc::DpcResult direct = algo.value()->Run(points, params);
+  const dpc::DpcResult direct = DirectSolve(*algo.value(), points, params);
   CHECK(dpc::test::BitIdenticalLabels(first.result->label, direct.label));
   CHECK(first.result->centers == direct.centers);
   CHECK(first.result->dependency == direct.dependency);
 
   // THE TWO-TIER PAYOFF: same compute configuration, new thresholds ->
   // still a cache hit (finalize-only, zero algorithm work), labels
-  // bit-identical to a fresh Run at those thresholds.
+  // bit-identical to a fresh solve at those thresholds.
   const uint64_t recomputes_before = server.stats().recomputes;
   dpc::serve::ClusterRequest rethresholded = request;
   rethresholded.params.rho_min = 5.0;
@@ -450,7 +459,7 @@ void TestServerEndToEnd() {
   CHECK(r.cache_hit);
   CHECK_EQ(server.stats().recomputes, recomputes_before);
   CHECK(dpc::test::BitIdenticalLabels(
-      r.result->label, algo.value()->Run(points, rethresholded.params).label));
+      r.result->label, DirectSolve(*algo.value(), points, rethresholded.params).label));
 
   // A different COMPUTE configuration evicts the capacity-1 cache; the
   // original then recomputes (deterministically the same labels).
@@ -463,16 +472,10 @@ void TestServerEndToEnd() {
   CHECK(!recomputed.cache_hit);
   CHECK(dpc::test::BitIdenticalLabels(recomputed.result->label, direct.label));
 
-  // The deprecated per-request thread knob must not change the outcome
-  // (the server owns execution policy) — and must hit the same cache key.
-  dpc::serve::ClusterRequest threaded = request;
-  threaded.params.num_threads = 1;
-  CHECK(server.Submit(threaded).get().cache_hit);
-
   const auto stats = server.stats();
-  CHECK_EQ(stats.submitted, 6u);
-  CHECK_EQ(stats.completed, 6u);
-  CHECK_EQ(stats.cache_hits, 3u);
+  CHECK_EQ(stats.submitted, 5u);
+  CHECK_EQ(stats.completed, 5u);
+  CHECK_EQ(stats.cache_hits, 2u);
   CHECK_EQ(stats.recomputes, 3u);
   CHECK_EQ(stats.errors, 0u);
 }
@@ -504,7 +507,7 @@ void TestRethresholdAndGraphRequests() {
   CHECK_EQ(recomputes, 1u);
 
   // Re-threshold: answered synchronously from the cached solution — the
-  // recompute counter NEVER moves, and labels match a fresh direct Run.
+  // recompute counter NEVER moves, and labels match a fresh direct solve.
   auto algo = dpc::MakeAlgorithmByName("ex-dpc");
   for (const double delta_min : {3000.0, 5000.0, 12000.0}) {
     dpc::serve::ClusterRequest re = warmup;
@@ -515,8 +518,8 @@ void TestRethresholdAndGraphRequests() {
     CHECK(response.status.ok());
     CHECK(response.cache_hit);
     CHECK_EQ(response.run_seconds, 0.0);
-    CHECK(dpc::test::BitIdenticalLabels(response.result->label,
-                                        algo.value()->Run(points, re.params).label));
+    CHECK(dpc::test::BitIdenticalLabels(
+        response.result->label, DirectSolve(*algo.value(), points, re.params).label));
   }
   CHECK_EQ(server.stats().recomputes, recomputes);
   CHECK_EQ(server.stats().rethreshold_served, 3u);
@@ -530,7 +533,7 @@ void TestRethresholdAndGraphRequests() {
   CHECK(g.status.ok());
   CHECK(g.cache_hit);
   CHECK_EQ(g.graph.size(), 5u);
-  const dpc::DpcResult direct = algo.value()->Run(points, params);
+  const dpc::DpcResult direct = DirectSolve(*algo.value(), points, params);
   const auto expected = dpc::TopGammaPoints(direct.rho, direct.delta, 5);
   for (size_t i = 0; i < expected.size(); ++i) {
     CHECK_EQ(g.graph[i].id, expected[i].id);
@@ -588,11 +591,11 @@ void TestMixedDeadlineBatch() {
   const auto r1 = f1.get();
   CHECK(r1.status.ok());
   CHECK(dpc::test::BitIdenticalLabels(
-      r1.result->label, algo.value()->Run(points, healthy1.params).label));
+      r1.result->label, DirectSolve(*algo.value(), points, healthy1.params).label));
   const auto r2 = f2.get();
   CHECK(r2.status.ok());
   CHECK(dpc::test::BitIdenticalLabels(
-      r2.result->label, algo.value()->Run(points, healthy2.params).label));
+      r2.result->label, DirectSolve(*algo.value(), points, healthy2.params).label));
 
   CHECK_EQ(server.stats().deadline_exceeded, 1u);
 }
@@ -683,7 +686,7 @@ void TestConcurrentSubmissions() {
   auto algo = dpc::MakeAlgorithmByName("ex-dpc");
   std::vector<std::vector<int64_t>> expected;
   for (const auto& params : configs) {
-    expected.push_back(algo.value()->Run(points, params).label);
+    expected.push_back(DirectSolve(*algo.value(), points, params).label);
   }
 
   constexpr int kClients = 4;
@@ -720,7 +723,7 @@ void TestConcurrentSubmissions() {
 
 // The tentpole's serving leg: with several executor lanes, DISTINCT
 // requests genuinely overlap (peak_concurrency proves it), every
-// response stays bit-identical to a direct Run, a low-priority
+// response stays bit-identical to a direct solve, a low-priority
 // no-deadline request is never starved, and the mixed synchronous kinds
 // keep working against the same server. The TSan CI job runs this.
 void TestConcurrentExecutionOverlap() {
@@ -745,7 +748,7 @@ void TestConcurrentExecutionOverlap() {
   auto algo = dpc::MakeAlgorithmByName("ex-dpc");
   std::vector<std::vector<int64_t>> expected;
   for (const auto& params : configs) {
-    expected.push_back(algo.value()->Run(points, params).label);
+    expected.push_back(DirectSolve(*algo.value(), points, params).label);
   }
 
   std::vector<std::future<dpc::serve::ClusterResponse>> futures;
@@ -778,8 +781,8 @@ void TestConcurrentExecutionOverlap() {
   const auto r = server.Submit(re).get();
   CHECK(r.status.ok());
   CHECK(r.cache_hit);
-  CHECK(dpc::test::BitIdenticalLabels(r.result->label,
-                                      algo.value()->Run(points, re.params).label));
+  CHECK(dpc::test::BitIdenticalLabels(
+      r.result->label, DirectSolve(*algo.value(), points, re.params).label));
   dpc::serve::ClusterRequest graph = re;
   graph.kind = dpc::serve::RequestKind::kGraph;
   graph.params = configs[3];
@@ -836,7 +839,7 @@ void TestServerStoreStats() {
 
   // A restarted server over the same log answers a re-threshold WARM:
   // the solution promotes from the store (no recompute, ever) and the
-  // labels are bit-identical to a fresh direct Run.
+  // labels are bit-identical to a fresh direct solve.
   dpc::serve::ServerOptions options;
   options.pool_threads = 2;
   options.store_path = store_path;
@@ -855,14 +858,14 @@ void TestServerStoreStats() {
   CHECK(stats.store_bytes > 0u);
   auto algo = dpc::MakeAlgorithmByName("ex-dpc");
   CHECK(dpc::test::BitIdenticalLabels(
-      r.result->label, algo.value()->Run(points, re.params).label));
+      r.result->label, DirectSolve(*algo.value(), points, re.params).label));
   std::remove(store_path.c_str());
 }
 
 /// Sharded execution through the server: `sharding=region` requests hit
 /// the SAME cache key as unsharded ones (execution options are stripped
 /// from the solution key), and a sharded compute's labels are
-/// bit-identical to the unsharded direct Run.
+/// bit-identical to the unsharded direct solve.
 void TestShardedRequestsShareCacheKey() {
   const dpc::PointSet points = TestPoints(31, 1200);
   dpc::serve::ServerOptions options;
@@ -881,7 +884,7 @@ void TestShardedRequestsShareCacheKey() {
 
   auto algo = dpc::MakeAlgorithmByName("ex-dpc");
   CHECK(dpc::test::BitIdenticalLabels(
-      first.result->label, algo.value()->Run(points, sharded.params).label));
+      first.result->label, DirectSolve(*algo.value(), points, sharded.params).label));
 
   // The unsharded spelling of the same compute config is a cache hit —
   // sharding is an execution detail, not an identity.

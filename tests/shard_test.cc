@@ -42,6 +42,14 @@ dpc::OptionsMap Sharded(int shards) {
   return {{"sharding", "region"}, {"shards", std::to_string(shards)}};
 }
 
+/// One clustering: the compute phase under `ctx`, then the threshold.
+dpc::DpcResult Cluster(dpc::DpcAlgorithm& algo, const dpc::PointSet& points,
+                       const dpc::DpcParams& params,
+                       const dpc::ExecutionContext& ctx) {
+  return dpc::FinalizeSolution(algo.Solve(points, params.compute(), ctx),
+                               params.threshold());
+}
+
 /// A hand-built tight 2-D blob at (1000, 1000): with d_cut = 1e6 the
 /// grid side is ~7.07e5, so every point lands in cell (0, 0) —
 /// a GUARANTEED single-cell grid (generator output could straddle a
@@ -121,7 +129,7 @@ void TestShardedBitIdentity() {
     const dpc::ExecutionContext serial(1, dpc::ScheduleStrategy::kStatic,
                                        pool);
     const dpc::DpcResult baseline =
-        baseline_algo.value()->Run(points, params, serial);
+        Cluster(*baseline_algo.value(), points, params, serial);
     CHECK(baseline.num_clusters() > 0);
 
     for (const int shards : {1, 2, 4, 7}) {
@@ -130,7 +138,7 @@ void TestShardedBitIdentity() {
       for (const int threads : {1, 2, 8}) {
         const dpc::ExecutionContext ctx(
             threads, dpc::ScheduleStrategy::kCostGuided, pool);
-        const dpc::DpcResult sharded = algo.value()->Run(points, params, ctx);
+        const dpc::DpcResult sharded = Cluster(*algo.value(), points, params, ctx);
         dpc::test::AssertSolutionsEqual(baseline, sharded);
       }
       std::printf("%-12s shards=%d identical across threads\n", name.c_str(),
@@ -156,12 +164,12 @@ void TestBoundaryStraddlingClusters() {
                                   std::string("approx-dpc")}) {
     auto baseline_algo = dpc::MakeAlgorithmByName(name);
     const dpc::DpcResult baseline =
-        baseline_algo.value()->Run(points, params, dpc::ExecutionContext(1));
+        Cluster(*baseline_algo.value(), points, params, dpc::ExecutionContext(1));
     for (const int shards : {4, 7}) {
       auto algo = dpc::MakeAlgorithmByName(name, Sharded(shards));
       CHECK(algo.ok());
       const dpc::DpcResult sharded =
-          algo.value()->Run(points, params, dpc::ExecutionContext(4));
+          Cluster(*algo.value(), points, params, dpc::ExecutionContext(4));
       dpc::test::AssertSolutionsEqual(baseline, sharded);
     }
   }
@@ -182,11 +190,11 @@ void TestDegenerateShapes() {
                                   std::string("approx-dpc")}) {
     auto baseline_algo = dpc::MakeAlgorithmByName(name);
     const dpc::DpcResult baseline =
-        baseline_algo.value()->Run(blob, params, dpc::ExecutionContext(1));
+        Cluster(*baseline_algo.value(), blob, params, dpc::ExecutionContext(1));
     for (const int shards : {1, 4}) {
       auto algo = dpc::MakeAlgorithmByName(name, Sharded(shards));
       const dpc::DpcResult sharded =
-          algo.value()->Run(blob, params, dpc::ExecutionContext(2));
+          Cluster(*algo.value(), blob, params, dpc::ExecutionContext(2));
       dpc::test::AssertSolutionsEqual(baseline, sharded);
     }
   }
@@ -195,7 +203,7 @@ void TestDegenerateShapes() {
   auto algo = dpc::MakeAlgorithmByName("ex-dpc", Sharded(4));
   const dpc::PointSet empty(2);
   const dpc::DpcResult none =
-      algo.value()->Run(empty, TestParams(), dpc::ExecutionContext(2));
+      Cluster(*algo.value(), empty, TestParams(), dpc::ExecutionContext(2));
   CHECK_EQ(none.label.size(), 0u);
 }
 
@@ -209,7 +217,7 @@ void TestShardedInterruption() {
     dpc::ExecutionContext cancelled(2);
     cancelled.RequestCancel();
     const dpc::DpcResult result =
-        algo.value()->Run(points, TestParams(), cancelled);
+        Cluster(*algo.value(), points, TestParams(), cancelled);
     CHECK(result.stats.interrupted);
     for (const int64_t label : result.label) {
       CHECK_EQ(label, dpc::kUnassigned);

@@ -1,8 +1,8 @@
 // The compute/threshold split (core/dpc.h): DpcParams factoring into
 // ComputeParams + ThresholdSpec, the DpcSolution artifact every registry
 // algorithm produces, and the invariant the serving layer's two-tier
-// cache rests on — solution-then-finalize is bit-identical to the legacy
-// one-shot Run across a whole (rho_min, delta_min) grid.
+// cache rests on — finalizing one solution is bit-identical to a fresh
+// solve at each point of a whole (rho_min, delta_min) grid.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -53,14 +53,7 @@ void TestParamsFactoring() {
   CHECK_EQ(threshold.rho_min, 5.0);
   CHECK_EQ(threshold.delta_min, 4000.0);
 
-  // Compose is the inverse of the two projections.
-  const dpc::DpcParams roundtrip = dpc::ComposeParams(compute, threshold);
-  CHECK_EQ(roundtrip.d_cut, params.d_cut);
-  CHECK_EQ(roundtrip.rho_min, params.rho_min);
-  CHECK_EQ(roundtrip.delta_min, params.delta_min);
-  CHECK_EQ(roundtrip.epsilon, params.epsilon);
-
-  // The split validators carve up exactly the legacy checks.
+  // The split validators carve up exactly the flat bundle's checks.
   CHECK(params.Validate().ok());
   CHECK(compute.Validate().ok());
   CHECK(threshold.Validate(params.d_cut).ok());
@@ -75,7 +68,7 @@ void TestParamsFactoring() {
   CHECK(!bad_threshold.Validate(params.d_cut).ok());
 }
 
-void TestSolutionThenFinalizeMatchesRunForAllAlgorithms() {
+void TestOneSolutionMatchesFreshSolvesForAllAlgorithms() {
   const dpc::PointSet points = TestPoints();
   const double d_cut = 2500.0;
 
@@ -99,8 +92,8 @@ void TestSolutionThenFinalizeMatchesRunForAllAlgorithms() {
     CHECK(solution.density_order == SortedDensityOrder(solution.rho));
 
     // The acceptance invariant: across a (rho_min, delta_min) grid,
-    // finalizing the ONE solution is bit-identical to a fresh legacy Run
-    // with the flat params — labels, centers, rho, delta, dependency.
+    // finalizing the ONE solution is bit-identical to finalizing a fresh
+    // solve — labels, centers, rho, delta, dependency.
     for (const double rho_min : {0.0, 2.0, 8.0}) {
       for (const double delta_mult : {1.5, 3.0, 6.0}) {
         dpc::ThresholdSpec spec;
@@ -110,11 +103,12 @@ void TestSolutionThenFinalizeMatchesRunForAllAlgorithms() {
             dpc::FinalizeSolution(solution, spec);
 
         auto fresh_algo = dpc::MakeAlgorithmByName(name);
-        const dpc::DpcResult from_run = fresh_algo.value()->Run(
-            points, dpc::ComposeParams(compute, spec),
-            dpc::ExecutionContext(2));
+        const dpc::DpcResult fresh = dpc::FinalizeSolution(
+            fresh_algo.value()->Solve(points, compute,
+                                      dpc::ExecutionContext(2)),
+            spec);
 
-        dpc::test::AssertSolutionsEqual(from_solution, from_run);
+        dpc::test::AssertSolutionsEqual(from_solution, fresh);
       }
     }
 
@@ -142,8 +136,8 @@ void TestInterruptedSolve() {
   CHECK(solution.interrupted());
   CHECK(solution.density_order.empty());  // never built for a dead solve
 
-  // Finalizing an interrupted solution yields the legacy interrupted
-  // result shape: every label kUnassigned, no centers.
+  // Finalizing an interrupted solution yields the interrupted result
+  // shape: every label kUnassigned, no centers.
   dpc::ThresholdSpec spec;
   spec.rho_min = 2.0;
   spec.delta_min = 9000.0;
@@ -191,7 +185,7 @@ void TestTopGammaPoints() {
 
 int main() {
   TestParamsFactoring();
-  TestSolutionThenFinalizeMatchesRunForAllAlgorithms();
+  TestOneSolutionMatchesFreshSolvesForAllAlgorithms();
   TestInterruptedSolve();
   TestDensityOrderMatchesComparisonSort();
   TestTopGammaPoints();

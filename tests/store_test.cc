@@ -1,9 +1,9 @@
 // The store/ subsystem: versioned solution serialization (bit-exact
 // roundtrip, size formula, checksum-first rejection of damage), the
 // append-only log (replay, torn-tail truncation, mid-log corruption,
-// header mismatch), the directory and buffer pool byte accounting,
-// SolutionStore end-to-end (put/fetch/erase/reopen, damaged records
-// going cold, compaction, disk-budget eviction), and the tentpole's
+// header mismatch), the directory's byte accounting, SolutionStore
+// end-to-end (put/fetch/erase/reopen, damaged records going cold,
+// compaction, disk-budget eviction), and the tentpole's
 // acceptance test: a server restarted over the same log answers a
 // re-threshold WARM — zero recomputes, bit-identical labels.
 #include <unistd.h>
@@ -21,7 +21,6 @@
 #include "serve/request.h"
 #include "serve/server.h"
 #include "serve/solution_cache.h"
-#include "store/buffer_pool.h"
 #include "store/directory.h"
 #include "store/solution_format.h"
 #include "store/solution_log.h"
@@ -265,34 +264,6 @@ void TestLogBadHeader() {
   std::remove(path.c_str());
 }
 
-void TestBufferPool() {
-  dpc::store::BufferPool pool(100);
-  auto solution = std::make_shared<const dpc::DpcSolution>(MakeSolution(4));
-  CHECK(pool.Get("a") == nullptr);
-  pool.Put("a", solution, 40);
-  pool.Put("b", solution, 40);
-  CHECK_EQ(pool.bytes_in_use(), 80u);
-  CHECK(pool.Get("a") != nullptr);  // refreshes "a": "b" is now LRU
-  pool.Put("c", solution, 40);      // evicts "b"
-  CHECK_EQ(pool.bytes_in_use(), 80u);
-  CHECK(pool.Get("b") == nullptr);
-  CHECK(pool.Get("a") != nullptr);
-  // Re-putting a key replaces its charge instead of double-counting.
-  pool.Put("a", solution, 60);
-  CHECK_EQ(pool.bytes_in_use(), 100u);
-  CHECK_EQ(pool.entries(), 2u);
-  // Over-budget entries are refused; the pool is unchanged.
-  pool.Put("huge", solution, 101);
-  CHECK(pool.Get("huge") == nullptr);
-  CHECK_EQ(pool.bytes_in_use(), 100u);
-  pool.Erase("a");
-  CHECK_EQ(pool.bytes_in_use(), 40u);
-  const auto stats = pool.stats();
-  CHECK_EQ(stats.evictions, 1u);
-  CHECK_EQ(stats.hits, 2u);    // the two Get("a") hits above
-  CHECK_EQ(stats.misses, 3u);  // initial "a", evicted "b", refused "huge"
-}
-
 void TestDirectory() {
   dpc::store::Directory dir;
   CHECK(dir.empty());
@@ -327,12 +298,13 @@ void TestStoreRoundtripAndReopen() {
     const auto fetched = store.value()->Fetch("k1");
     CHECK(fetched != nullptr);
     CheckSolutionsBitIdentical(s1, *fetched);
-    // The second fetch is a pool hit — no disk read, same pointer.
+    // Every fetch reads + decodes the log: the store keeps no decoded
+    // copy (the serve cache is the one memory tier).
     const auto again = store.value()->Fetch("k1");
-    CHECK(again.get() == fetched.get());
+    CHECK(again != nullptr);
+    CheckSolutionsBitIdentical(s1, *again);
     const auto stats = store.value()->stats();
-    CHECK_EQ(stats.log_reads, 1u);
-    CHECK_EQ(stats.pool_hits, 1u);
+    CHECK_EQ(stats.log_reads, 2u);
     CHECK_EQ(stats.live_solutions, 2u);
 
     CHECK(store.value()->Erase("k2").ok());
@@ -532,7 +504,6 @@ int main() {
   TestLogTornTail();
   TestLogCorruptMiddle();
   TestLogBadHeader();
-  TestBufferPool();
   TestDirectory();
   TestStoreRoundtripAndReopen();
   TestStoreDamagedPayloadGoesCold();
