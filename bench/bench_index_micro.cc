@@ -191,8 +191,8 @@ int main(int argc, char** argv) {
   // n = 4096 matches the baselines' poll-block batch size; dim 2 is the
   // Syn/S1-S4 shape, dim 7 the Household shape.
   //
-  // Under runtime dispatch the whole comparison repeats once per
-  // host-supported tier (SetActiveTier). The generic tier keeps the
+  // The whole comparison repeats once per host-supported tier
+  // (SetActiveTier). The generic tier keeps the
   // historical row names, so the committed trajectory and its 15%
   // regression gate stay comparable across hosts; wide tiers get a
   // _avx2 / _avx512 name suffix, and the `kernel_tiers` config key
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
       if (!tier_list.empty()) tier_list += ',';
       tier_list += kernels::TierName(tier);
     }
-    json.AddConfig("kernel_tiers", tier_list);  // empty = no runtime dispatch
+    json.AddConfig("kernel_tiers", tier_list);
   }
   const struct {
     const char* name;

@@ -7,10 +7,11 @@
 //      few distinct configurations), with the result cache off vs on.
 //      The acceptance bar: the cache-hit path is >= 10x faster than
 //      recompute.
-//   2. A mixed-deadline batch: one request with a microscopic budget
-//      expires (kDeadlineExceeded) while its batch-mates complete with
-//      labels bit-identical to a direct DpcAlgorithm::Solve.
-//   3. Shard-parallel dispatch: a 4-request mixed batch served by
+//   2. Mixed deadlines: of three requests submitted together, the one
+//      with a microscopic budget expires (kDeadlineExceeded) while the
+//      others complete with labels bit-identical to a direct
+//      DpcAlgorithm::Solve.
+//   3. Shard-parallel dispatch: 4-request waves served by
 //      concurrent executor lanes vs classic serial dispatch. The bar:
 //      >= 1.8x aggregate throughput when at least two lanes can overlap,
 //      with every response bit-identical to an unsharded direct solve.
@@ -26,7 +27,8 @@
 // by scripts/check_bench_regression.py.
 //
 // Scale with DPC_BENCH_SCALE / DPC_BENCH_THREADS as usual. Exits
-// non-zero if any demonstration fails, so CI can smoke-run it.
+// non-zero if any demonstration fails, so CI can smoke-run it; --json
+// is written either way, so a failing run still leaves its numbers.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -83,7 +85,7 @@ double Mean(const std::vector<double>& v) {
 
 /// num_clients closed-loop clients, each firing requests_per_client
 /// requests that cycle through `configs` (phase-shifted per client so
-/// distinct configs overlap within batches).
+/// distinct configs overlap in the queue).
 LoadResult RunClosedLoop(dpc::serve::ClusterServer& server,
                          const std::string& dataset,
                          const std::vector<dpc::DpcParams>& configs,
@@ -148,7 +150,7 @@ int main(int argc, char** argv) {
   const eval::BenchConfig cfg = eval::LoadBenchConfig();
   eval::BenchJsonWriter json("serving");
   bench::AddStandardConfig(cfg, &json);
-  std::printf("=== serving layer: batched admission + result cache "
+  std::printf("=== serving layer: admission queue + result cache "
               "(scale %.4g, %d pool threads)\n\n",
               cfg.scale, cfg.max_threads);
 
@@ -188,10 +190,6 @@ int main(int argc, char** argv) {
     serve::ServerOptions options;
     options.pool_threads = cfg.max_threads;
     options.memory_budget_bytes = cached ? (size_t{64} << 20) : 0;
-    // Zero coalescing window: closed-loop clients batch naturally (the
-    // dispatcher pops whatever accumulated while busy), and reported
-    // latencies are pure service, not door-holding.
-    options.batch_window = std::chrono::milliseconds(0);
     serve::ClusterServer server(options);
     server.datasets().Register("bench", points);  // copy; reused next phase
 
@@ -257,11 +255,12 @@ int main(int argc, char** argv) {
     json.AddMetric("mean_recompute_ms", mean_miss_cached_phase * 1e3);
   }
 
-  // --- mixed-deadline batch -------------------------------------------
-  // Three requests admitted together: the 1us budget expires (the batch
-  // window alone exceeds it), the others complete; completed labels must
-  // be bit-identical to a direct solve with the same configuration.
-  std::printf("\n=== mixed-deadline batch\n");
+  // --- mixed deadlines ------------------------------------------------
+  // Three requests submitted together: the 1us budget expires (in the
+  // queue, or mid-run when a lane picks it up at once), the others
+  // complete; completed labels must be bit-identical to a direct solve
+  // with the same configuration.
+  std::printf("\n=== mixed deadlines\n");
   {
     serve::ServerOptions options;
     options.pool_threads = cfg.max_threads;
@@ -301,7 +300,7 @@ int main(int argc, char** argv) {
         survivors = {{&r1, &configs[1]}, {&r2, &configs[2]}};
     for (const auto& [response, params] : survivors) {
       if (!response->status.ok()) {
-        std::printf("FAIL: batch-mate errored: %s\n",
+        std::printf("FAIL: healthy request errored: %s\n",
                     response->status.ToString().c_str());
         ok = false;
         continue;
@@ -310,7 +309,7 @@ int main(int argc, char** argv) {
           algo.value()->Solve(points, params->compute(), ExecutionContext()),
           params->threshold());
       if (response->result->label == direct.label) {
-        std::printf("PASS: d_cut=%g batch-mate labels bit-identical to "
+        std::printf("PASS: d_cut=%g labels bit-identical to "
                     "direct solve (%zu clusters)\n",
                     params->d_cut, direct.centers.size());
       } else {
@@ -352,7 +351,6 @@ int main(int argc, char** argv) {
       options.pool_threads = cfg.max_threads;
       options.max_concurrent = max_concurrent;
       options.memory_budget_bytes = 0;  // every request really computes
-      options.batch_window = std::chrono::milliseconds(0);
       serve::ClusterServer server(options);
       for (int i = 0; i < 4; ++i) {
         server.datasets().Register("s" + std::to_string(i),
@@ -460,7 +458,6 @@ int main(int argc, char** argv) {
       serve::ServerOptions options;
       options.pool_threads = cfg.max_threads;
       options.memory_budget_bytes = size_t{64} << 20;
-      options.batch_window = std::chrono::milliseconds(0);
       serve::ClusterServer server(options);
       server.datasets().Register("bench", points);
       // Warm the cache so the measured loop is pure hit traffic.
@@ -501,7 +498,7 @@ int main(int argc, char** argv) {
   if (total_errors > 0) ok = false;
 
   std::printf("\n%s\n", ok ? "bench_serving OK" : "bench_serving FAILED");
-  if (ok && args.WantJson()) {
+  if (args.WantJson()) {
     if (!json.WriteFile(args.json_path)) {
       std::fprintf(stderr, "failed to write %s\n", args.json_path.c_str());
       return 1;

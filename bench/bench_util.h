@@ -58,12 +58,10 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
 }
 
 /// Stamps the config block every bench JSON document carries: bench
-/// sizing knobs plus the compiled kernel dispatch. Machine-identifying
-/// fields stay out so committed baselines do not churn (see
-/// eval/bench_json.h).
+/// sizing knobs plus the active kernel tier. Machine-identifying fields
+/// stay out so committed baselines do not churn (see eval/bench_json.h).
 inline void AddStandardConfig(const eval::BenchConfig& cfg,
                               eval::BenchJsonWriter* json) {
-  json->AddConfig("kernel_dispatch", std::string(kernels::DispatchName()));
   json->AddConfig("kernel_tier", std::string(kernels::ActiveTierName()));
   json->AddConfig("scale", cfg.scale);
   json->AddConfig("max_threads", static_cast<int64_t>(cfg.max_threads));

@@ -15,9 +15,5 @@
 #include "core/kernels_dispatch.h"
 
 #define DPC_TIER_NS avx2
-#define DPC_TIER_LINKAGE
-#define DPC_TIER_DEFINE_TABLE 1
 #include "core/kernels_tier_impl.inc"
-#undef DPC_TIER_DEFINE_TABLE
-#undef DPC_TIER_LINKAGE
 #undef DPC_TIER_NS

@@ -1,5 +1,4 @@
-// Runtime CPU dispatch for the batched distance kernels (the
-// DPC_KERNEL_DISPATCH=runtime mode, the default build).
+// Runtime CPU dispatch for the batched distance kernels.
 //
 // One fat, portable binary carries three differently-compiled copies of
 // the column kernels — per-tier translation units with per-file arch

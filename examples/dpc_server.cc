@@ -3,8 +3,8 @@
 // read per-request responses (cache hits, deadline outcomes, timings).
 //
 // Usage:
-//   dpc_server [--batch FILE] [--threads N] [--cache-mb N] [--max-batch N]
-//              [--batch-window-ms N] [--store PATH] [--store-mb N]
+//   dpc_server [--batch FILE] [--threads N] [--cache-mb N] [--store PATH]
+//              [--store-mb N]
 //
 // --store points at a persistent solution log (store/solution_store.h):
 // computed solutions write through to it, cache evictions demote to it
@@ -55,8 +55,8 @@
 //   quit                      drain, shut down, exit
 //
 // Submissions are asynchronous: issuing several `run` lines before `wait`
-// is what exercises batched admission (and within-batch cache
-// coalescing). EOF implies `wait` + `quit`.
+// queues them for the executor lanes (identical ones compute once, via
+// the in-flight map or the cache). EOF implies `wait` + `quit`.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -90,8 +90,7 @@ struct Pending {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--batch FILE] [--threads N] [--cache-mb N] "
-               "[--max-batch N] [--batch-window-ms N] [--store PATH] "
-               "[--store-mb N]\n"
+               "[--store PATH] [--store-mb N]\n"
                "commands: load NAME PATH | gen NAME N [CLUSTERS] [SEED] | "
                "drop NAME |\n"
                "          run NAME ALGO k=v ... | rethreshold NAME ALGO "
@@ -161,7 +160,7 @@ std::string StatsJson(const dpc::serve::ClusterServer& server) {
       "\"cache_hits\":%llu,\"recomputes\":%llu,\"rethreshold_served\":%llu,"
       "\"deadline_exceeded\":%llu,\"errors\":%llu,\"peak_concurrency\":%llu,"
       "\"leases_granted\":%llu,\"lease_width_total\":%llu,"
-      "\"kernel_dispatch\":\"%s\",\"kernel_tier\":\"%s\"},",
+      "\"kernel_tier\":\"%s\"},",
       static_cast<unsigned long long>(s.submitted),
       static_cast<unsigned long long>(s.completed),
       static_cast<unsigned long long>(s.cache_hits),
@@ -172,7 +171,7 @@ std::string StatsJson(const dpc::serve::ClusterServer& server) {
       static_cast<unsigned long long>(s.peak_concurrency),
       static_cast<unsigned long long>(s.leases_granted),
       static_cast<unsigned long long>(s.lease_width_total),
-      dpc::kernels::DispatchName(), dpc::kernels::ActiveTierName());
+      dpc::kernels::ActiveTierName());
   out += buf;
   std::snprintf(
       buf, sizeof(buf),
@@ -248,10 +247,6 @@ int main(int argc, char** argv) {
     } else if (a == "--store-mb" && i + 1 < argc) {
       options.disk_budget_bytes =
           static_cast<uint64_t>(std::atoll(argv[++i])) << 20;
-    } else if (a == "--max-batch" && i + 1 < argc) {
-      options.max_batch = static_cast<size_t>(std::atoll(argv[++i]));
-    } else if (a == "--batch-window-ms" && i + 1 < argc) {
-      options.batch_window = std::chrono::milliseconds(std::atoll(argv[++i]));
     } else {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());
       return Usage(argv[0]);

@@ -1,19 +1,11 @@
-// Batched admission for the serving layer. Submissions accumulate in a
-// queue; the server's dispatcher pops them in *batches*: once at least
-// one request is pending, PopBatch holds the door open for a short
-// coalescing window (unless the batch fills first), then returns up to
-// max_batch submissions ordered by (priority desc, admission seq asc).
+// Admission for the serving layer: the one request queue. Submissions
+// accumulate here and every executor lane pops the next one directly,
+// highest (priority desc, admission seq asc) first, so each pick honours
+// priority against everything admitted so far.
 //
-// Why batch at all: decision-graph exploration fires bursts of near-
-// identical requests (many clients, few distinct configurations).
-// Admitting a burst together means the first execution of a
-// configuration lands in the result cache before its twins are looked
-// up, turning the rest of the burst into cache hits instead of N
-// identical recomputations.
-//
-// The queue owns each submission's response promise until the dispatcher
-// takes it; Shutdown wakes the dispatcher, which drains remaining
-// submissions (already-admitted work still runs — see ClusterServer).
+// The queue owns each submission's response promise until a lane takes
+// it; Shutdown wakes the lanes, which drain the remaining submissions
+// (already-admitted work still runs — see ClusterServer).
 #ifndef DPC_SERVE_SCHEDULER_H_
 #define DPC_SERVE_SCHEDULER_H_
 
@@ -25,8 +17,8 @@
 #include <deque>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <utility>
-#include <vector>
 
 #include "serve/request.h"
 
@@ -50,8 +42,8 @@ class AdmissionQueue {
   /// paired with the submission's promise. After Shutdown the submission
   /// is rejected instead — the future resolves immediately with
   /// kCancelled and *accepted reports false. The shutdown check happens
-  /// under the queue lock, so no submission can slip in behind a
-  /// dispatcher that already drained and exited.
+  /// under the queue lock, so no submission can slip in behind lanes
+  /// that already drained and exited.
   std::future<ClusterResponse> Push(ClusterRequest request,
                                     bool* accepted = nullptr) {
     Submission s;
@@ -74,49 +66,34 @@ class AdmissionQueue {
       s.seq = next_seq_++;
       queue_.push_back(std::move(s));
     }
-    cv_.notify_all();
+    cv_.notify_one();  // one submission, one lane
     return future;
   }
 
-  /// Blocks until a submission is pending (or Shutdown), coalesces
-  /// arrivals for up to `window` (cut short when max_batch fill up), and
-  /// returns at most max_batch submissions in (priority desc, seq asc)
-  /// order. An empty vector means shutdown with nothing left to serve.
-  std::vector<Submission> PopBatch(size_t max_batch,
-                                   std::chrono::steady_clock::duration window) {
+  /// Blocks until a submission is pending (or Shutdown) and returns the
+  /// highest (priority desc, seq asc) one. Empty means shutdown with
+  /// nothing left to serve.
+  std::optional<Submission> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
-    if (queue_.empty()) return {};
-    if (window.count() > 0 && !shutdown_ && queue_.size() < max_batch) {
-      cv_.wait_for(lock, window,
-                   [&] { return shutdown_ || queue_.size() >= max_batch; });
-    }
-    // Highest priority first; FIFO within a priority level. seq is
-    // unique, so (priority desc, seq asc) is a strict total order — the
-    // batch is deterministic for a fixed arrival order, and only the
-    // taken prefix needs ordering (the backlog tail would be re-sorted
-    // on the next pop anyway).
-    const size_t take = std::min(max_batch, queue_.size());
-    std::partial_sort(queue_.begin(),
-                      queue_.begin() + static_cast<ptrdiff_t>(take),
-                      queue_.end(),
-                      [](const Submission& a, const Submission& b) {
-                        if (a.request.priority != b.request.priority) {
-                          return a.request.priority > b.request.priority;
-                        }
-                        return a.seq < b.seq;
-                      });
-    std::vector<Submission> batch;
-    batch.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    return batch;
+    if (queue_.empty()) return std::nullopt;
+    // seq is unique, so (priority desc, seq asc) is a strict total order
+    // and the pick is deterministic for a fixed arrival order.
+    const auto next = std::min_element(
+        queue_.begin(), queue_.end(),
+        [](const Submission& a, const Submission& b) {
+          if (a.request.priority != b.request.priority) {
+            return a.request.priority > b.request.priority;
+          }
+          return a.seq < b.seq;
+        });
+    std::optional<Submission> s(std::move(*next));
+    queue_.erase(next);
+    return s;
   }
 
-  /// Wakes PopBatch callers; subsequent PopBatch calls still drain
-  /// whatever is queued, then return empty.
+  /// Wakes Pop callers; subsequent Pop calls still drain whatever is
+  /// queued, then return empty.
   void Shutdown() {
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -1,30 +1,31 @@
-// ClusterServer — the serving layer's engine, now a truly concurrent
-// scheduler: one dispatcher thread drains the AdmissionQueue in
-// coalesced batches and feeds a fixed set of EXECUTOR LANES; each lane
-// leases a shard of the thread budget (serve/shard_pool.h) sized from
-// the request's population cost and priority, so several independent
-// requests run side by side instead of one-at-a-time at full width.
-// With one lane (max_concurrent = 1) the behavior degenerates to the
-// classic serial dispatch: every request gets the whole budget.
+// ClusterServer — the serving layer's engine, a concurrent scheduler: a
+// fixed set of EXECUTOR LANES pops the AdmissionQueue directly, highest
+// priority first; each lane leases a shard of the thread budget
+// (serve/shard_pool.h) sized from the request's population cost and
+// priority, so several independent requests run side by side instead
+// of one-at-a-time at full width. With one lane (max_concurrent = 1) the
+// behavior degenerates to classic serial dispatch: every request gets
+// the whole budget, and identical requests run one after another, the
+// later ones hitting the cache.
 //
-// Concurrent lanes can race identical requests past the batch-window
-// coalescing, so an in-flight map (keyed by the same canonical solution
-// key as the cache) dedupes them: the first lane computes, twins wait on
-// its completion (deadline-aware) and then serve from the cache as hits
-// — a coalesced burst still computes once.
+// Concurrent lanes can pick up identical requests at once, so an
+// in-flight map (keyed by the same canonical solution key as the cache)
+// dedupes them: the first lane computes, twins wait on its completion
+// (deadline-aware) and then serve from the cache as hits — a burst of
+// twins still computes once.
 //
 // The cache is the two-tier SolutionCache (serve/solution_cache.h),
 // keyed by the COMPUTE configuration only: a kCluster request whose
 // compute key hits answers any (rho_min, delta_min) with an O(n)
 // finalize and zero algorithm work. kRethreshold and kGraph requests go
 // further — they are answered synchronously at Submit, entirely off the
-// dispatcher and every pool, and fail NOT_FOUND when the solution tier
+// lanes and every pool, and fail NOT_FOUND when the solution tier
 // is cold instead of recomputing. ServerStats::recomputes counts actual
 // algorithm executions, so "a re-threshold never recomputes" is an
 // observable invariant, not a hope.
 //
-// Threading note: the dispatcher and the executor lanes are the serve/
-// layer's only std::threads; all clustering parallelism still comes from
+// Threading note: the executor lanes are the serve/ layer's only
+// std::threads; all clustering parallelism still comes from
 // parallel/thread_pool.h instances owned by the ShardPool.
 //
 // Per-request outcomes (ClusterResponse::status):
@@ -42,9 +43,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -98,13 +97,6 @@ struct ServerOptions {
   /// Bound on memoized labelings per cached solution (each memo carries
   /// full DpcResult copies — see serve/solution_cache.h).
   size_t labelings_per_solution = 16;
-  /// Most submissions admitted per batch.
-  size_t max_batch = 8;
-  /// How long an admitted batch holds the door open for more arrivals
-  /// (bursts coalesce so duplicates hit the cache); zero disables
-  /// coalescing.
-  std::chrono::steady_clock::duration batch_window =
-      std::chrono::milliseconds(2);
   /// Loop scheduling for every request (per-request option maps can
   /// still override per algorithm, e.g. scheduler=static).
   ScheduleStrategy strategy = ScheduleStrategy::kCostGuided;
@@ -172,13 +164,6 @@ class ClusterServer {
       out->push_back(obs::MetricSample::FromGauge(
           "dpc_admission_queue_depth",
           static_cast<double>(queue_.pending())));
-      size_t executor_depth = 0;
-      {
-        std::lock_guard<std::mutex> lock(exec_mu_);
-        executor_depth = exec_queue_.size();
-      }
-      out->push_back(obs::MetricSample::FromGauge(
-          "dpc_executor_queue_depth", static_cast<double>(executor_depth)));
       out->push_back(obs::MetricSample::FromGauge(
           "dpc_pool_threads_in_use",
           static_cast<double>(shard_pool_.in_use())));
@@ -198,9 +183,7 @@ class ClusterServer {
     // rides in labels (export renders sample names verbatim, so the
     // label block can live in the name), the value is always 1.
     metrics_.AddCollector([](std::vector<obs::MetricSample>* out) {
-      std::string name = "dpc_kernel_tier_info{dispatch=\"";
-      name += kernels::DispatchName();
-      name += "\",tier=\"";
+      std::string name = "dpc_kernel_tier_info{tier=\"";
       name += kernels::ActiveTierName();
       name += "\"}";
       out->push_back(obs::MetricSample::FromGauge(std::move(name), 1.0));
@@ -261,9 +244,10 @@ class ClusterServer {
     }
     executors_.reserve(static_cast<size_t>(lanes_));
     for (int i = 0; i < lanes_; ++i) {
-      executors_.emplace_back([this] { ExecutorLoop(); });
+      executors_.emplace_back([this] {
+        while (std::optional<Submission> s = queue_.Pop()) Execute(*s);
+      });
     }
-    dispatcher_ = std::thread([this] { ServeLoop(); });
   }
 
   ClusterServer(const ClusterServer&) = delete;
@@ -304,11 +288,10 @@ class ClusterServer {
   /// returned future once an executor lane serves it. Invalid requests
   /// and submissions after Shutdown resolve immediately (the shutdown
   /// check lives inside AdmissionQueue::Push, under the queue lock, so a
-  /// Submit racing Shutdown either lands in the drained-by-dispatcher
-  /// queue or is rejected — never stranded). kRethreshold and kGraph
-  /// requests resolve synchronously here: the threshold phase is O(n)
-  /// against a cached solution, so they bypass the queue, the batch
-  /// window, and every pool entirely.
+  /// Submit racing Shutdown either lands in the queue the lanes drain or
+  /// is rejected — never stranded). kRethreshold and kGraph requests
+  /// resolve synchronously here: the threshold phase is O(n) against a
+  /// cached solution, so they bypass the queue and every pool entirely.
   std::future<ClusterResponse> Submit(ClusterRequest request) {
     submitted_->Inc();
     if (const Status s = request.Validate(); !s.ok()) {
@@ -348,15 +331,14 @@ class ClusterServer {
     return future;
   }
 
-  /// Stops admission, serves everything already queued, and joins the
-  /// dispatcher and every executor lane. Idempotent and safe to race
-  /// (e.g. an explicit Shutdown against the destructor).
+  /// Stops admission, serves everything already queued, and joins every
+  /// executor lane. Idempotent and safe to race (e.g. an explicit
+  /// Shutdown against the destructor).
   void Shutdown() {
     queue_.Shutdown();
     std::lock_guard<std::mutex> lock(join_mu_);
-    // Dispatcher exit implies every admitted submission reached the
-    // executor queue and exec_done_ is set; lanes then drain and exit.
-    if (dispatcher_.joinable()) dispatcher_.join();
+    // A lane exits only once Pop finds the closed queue empty, so every
+    // admitted submission is served before the joins return.
     for (std::thread& t : executors_) {
       if (t.joinable()) t.join();
     }
@@ -484,36 +466,6 @@ class ClusterServer {
     return std::move(*response);
   }
 
-  void ServeLoop() {
-    for (;;) {
-      std::vector<Submission> batch =
-          queue_.PopBatch(options_.max_batch, options_.batch_window);
-      const bool drained = batch.empty();  // shutdown, queue drained
-      {
-        std::lock_guard<std::mutex> lock(exec_mu_);
-        for (Submission& s : batch) exec_queue_.push_back(std::move(s));
-        if (drained) exec_done_ = true;
-      }
-      exec_cv_.notify_all();
-      if (drained) return;
-    }
-  }
-
-  void ExecutorLoop() {
-    for (;;) {
-      Submission s;
-      {
-        std::unique_lock<std::mutex> lock(exec_mu_);
-        exec_cv_.wait(lock,
-                      [this] { return exec_done_ || !exec_queue_.empty(); });
-        if (exec_queue_.empty()) return;  // done and drained
-        s = std::move(exec_queue_.front());
-        exec_queue_.pop_front();
-      }
-      Execute(s);
-    }
-  }
-
   /// Erases the in-flight entry and wakes every waiting twin; runs on
   /// every path out of the compute section once a lane registered as the
   /// key's computer (including failures — twins then recompute).
@@ -608,9 +560,9 @@ class ClusterServer {
     }
 
     // In-flight dedup: with several lanes, identical requests can race
-    // past both the batch coalescing and the cache check above. The
-    // first lane registers as the key's computer; twins wait
-    // (deadline-aware) and then serve from the now-warm cache as hits.
+    // past the cache check above. The first lane registers as the key's
+    // computer; twins wait (deadline-aware) and then serve from the
+    // now-warm cache as hits.
     std::promise<void> inflight_done;
     std::shared_future<void> twin;
     {
@@ -647,25 +599,23 @@ class ClusterServer {
       // The twin failed or the cache is disabled: compute ourselves,
       // without re-registering (a second failure must not cascade waits).
       return Compute(s, std::move(response), *dataset, *algo.value(), key,
-                     threshold, nullptr, trace, request_span.id());
+                     threshold, trace, request_span.id());
     }
+    // Wakes twins on every path out of Compute, after its cache insert.
     InflightSettle settle(this, &key, &inflight_done);
     Compute(s, std::move(response), *dataset, *algo.value(), key, threshold,
-            &settle, trace, request_span.id());
+            trace, request_span.id());
   }
 
   /// The actual solve: lease a shard of the budget sized from the §4.5
   /// population cost and the request priority, run with a per-request
   /// deadline context on the leased pool, insert into the cache, then
-  /// respond. `settle` (may be null) wakes in-flight twins on scope exit
-  /// — after the cache insert, so they find it warm.
+  /// respond.
   void Compute(Submission& s, ClusterResponse response,
                const NamedDataset& dataset, DpcAlgorithm& algo,
                const std::string& key, const ThresholdSpec& threshold,
-               InflightSettle* settle,
                const std::shared_ptr<obs::Trace>& trace,
                uint64_t request_span_id) {
-    (void)settle;  // held by the caller; named here for the contract
     // LPT-profile-aware width when the registry computed one (skewed
     // datasets plan wider shards); flat |P| model otherwise.
     const int width =
@@ -783,15 +733,9 @@ class ClusterServer {
   std::mutex inflight_mu_;
   std::unordered_map<std::string, std::shared_future<void>> inflight_;
 
-  std::mutex exec_mu_;
-  std::condition_variable exec_cv_;
-  std::deque<Submission> exec_queue_;  ///< guarded by exec_mu_
-  bool exec_done_ = false;             ///< guarded by exec_mu_
-
   std::mutex join_mu_;  ///< serializes racing Shutdown calls
-  // Last members: lanes and dispatcher start after everything they use.
+  // Last member: lanes start after everything they use.
   std::vector<std::thread> executors_;
-  std::thread dispatcher_;
 };
 
 }  // namespace dpc::serve

@@ -1,9 +1,7 @@
 // Batched kernels vs the scalar reference: every kernel in
 // core/kernels.h must be BIT-identical (==, not near) to per-point
-// SquaredDistance / dot calls, across dimensions, odd batch lengths,
-// permuted views, and every dispatch mode (the CI matrix compiles this
-// test under runtime, vectorized, AND portable dispatch). Under runtime
-// dispatch the whole sweep repeats once per host-supported tier
+// SquaredDistance / dot calls, across dimensions, odd batch lengths and
+// permuted views. The whole sweep repeats once per host-supported tier
 // (SetActiveTier), so generic/avx2/avx512 codegen all face the same
 // `==` oracle in a single process; the ChooseTier policy (env override,
 // graceful fallback from unsupported/unknown tiers) is unit-tested
@@ -150,15 +148,13 @@ void TestDim(int dim) {
     CHECK_EQ(m2.pos, 4);
   }
 
-  std::printf("kernels dim=%d OK (%s dispatch)\n", dim,
-              dpc::kernels::DispatchName());
+  std::printf("kernels dim=%d OK (tier %s)\n", dim,
+              dpc::kernels::ActiveTierName());
 }
 
 }  // namespace
 
 constexpr int kDims[] = {1, 2, 3, 4, 7, 8, 16};
-
-#if defined(DPC_KERNELS_RUNTIME)
 
 // The ChooseTier policy as a pure function: forced name x synthetic
 // support mask, independent of what this host actually supports.
@@ -227,15 +223,9 @@ void TestTierSweep() {
   CHECK(dpc::kernels::SetActiveTier(tiers.back()));
 }
 
-#endif  // DPC_KERNELS_RUNTIME
-
 int main() {
-#if defined(DPC_KERNELS_RUNTIME)
   TestChooseTier();
   TestTierSweep();
-#else
-  for (const int dim : kDims) TestDim(dim);
-#endif
   std::printf("kernels_test OK\n");
   return 0;
 }
