@@ -1,8 +1,8 @@
 // Micro-benchmarks of the distance kernels and index substrates: the
 // scalar-vs-batched kernel comparison (the SoA fast path's headline
-// numbers), kd-tree build / range count / NN, incremental kd-tree
-// insert+NN, R-tree range count, grid build, LSH partitioning. These are
-// the primitive costs behind every row of Tables 1 and 6.
+// numbers), kd-tree build / range count / NN, R-tree range count, grid
+// build, LSH partitioning. These are the primitive costs behind every
+// row of Tables 1 and 6.
 //
 // Self-contained harness (no external benchmark framework): each case
 // auto-calibrates its iteration count until the timed region exceeds
@@ -27,7 +27,6 @@
 #include "data/real_like.h"
 #include "eval/bench_json.h"
 #include "eval/table.h"
-#include "index/dynamic_kdtree.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
 #include "index/lsh.h"
@@ -273,25 +272,6 @@ int main(int argc, char** argv) {
     });
     json.BeginResult("kdtree_nearest");
     emit("kdtree_nearest", "us_per_query", 1e6 * s, "%.2f");
-  }
-  {
-    const PointSet ps = MakeData(20000);
-    const double s = SecondsPerOp([&] {
-      DynamicKdTree tree(ps);
-      double acc = 0.0;
-      for (PointId i = 0; i < ps.size(); ++i) {
-        if (i > 0) {
-          double d = 0.0;
-          tree.Nearest(ps[i], &d);
-          acc += d;
-        }
-        tree.Insert(i);
-      }
-      Sink(acc);
-    });
-    json.BeginResult("dynamic_kdtree_insert_nearest");
-    emit("dynamic_kdtree_insert_nearest", "ns_per_point",
-         1e9 * s / static_cast<double>(ps.size()));
   }
   {
     const PointSet ps = MakeData(20000);

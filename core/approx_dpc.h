@@ -40,7 +40,6 @@
 #include "core/ex_dpc.h"
 #include "core/kernels.h"
 #include "core/options.h"
-#include "core/sharded_dpc.h"
 #include "core/soa.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
@@ -56,17 +55,12 @@ struct ApproxDpcOptions {
   /// Loop scheduling override; unset inherits the ExecutionContext's
   /// strategy (default cost-guided, §4.5).
   std::optional<ScheduleStrategy> scheduler;
-  /// `sharding=region` computes rho on grid-region shards concurrently
-  /// (core/sharded_dpc.h) — bit-identical labels, so the solution cache
-  /// treats it as the same configuration.
-  ShardingOptions sharding;
 
   static StatusOr<ApproxDpcOptions> FromOptions(const OptionsMap& map) {
     ApproxDpcOptions options;
     OptionsReader reader(map);
     reader.Bool("joint_range_search", &options.joint_range_search);
     reader.Strategy("scheduler", &options.scheduler);
-    if (Status s = options.sharding.Consume(reader); !s.ok()) return s;
     if (Status s = reader.status(); !s.ok()) return s;
     return options;
   }
@@ -168,26 +162,11 @@ class ApproxDpc : public DpcAlgorithm {
                            compute.d_cut / std::sqrt(static_cast<double>(dim)));
     result.stats.index_memory_bytes = tree.MemoryBytes() + grid.MemoryBytes();
 
-    // `sharding=region` counts rho on region shards (core/sharded_dpc.h):
-    // exact integer counts over halo-complete balls, bit-identical to the
-    // unsharded counts, so everything after rho is shared.
-    RegionShardPlan plan;
-    std::vector<internal::ShardIndex> indexes;
-    if (options_.sharding.enabled()) {
-      plan = BuildRegionShardPlan(grid, compute.d_cut,
-                                  options_.sharding.Resolve(exec));
-      indexes = BuildShardIndexes(points, plan, exec);
-      for (const auto& idx : indexes) {
-        result.stats.index_memory_bytes += idx.tree.MemoryBytes();
-      }
-    }
     const std::vector<double> cell_costs = grid.CellCosts();
     result.stats.build_seconds = phase.Lap();
 
     // rho: exact range counts, cell by cell.
-    if (options_.sharding.enabled()) {
-      ShardedRho(points, compute.d_cut, exec, plan, indexes, &result.rho);
-    } else if (options_.joint_range_search) {
+    if (options_.joint_range_search) {
       ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
         const std::vector<PointId>& members = grid.members(cell);
         // Per-thread scratch (pool workers persist): the members' tight

@@ -24,7 +24,6 @@
 
 #include "core/dpc.h"
 #include "core/options.h"
-#include "core/sharded_dpc.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
 #include "parallel/parallel_for.h"
@@ -35,16 +34,11 @@ struct ExDpcOptions {
   /// Loop scheduling override; unset inherits the ExecutionContext's
   /// strategy (default cost-guided, §4.5).
   std::optional<ScheduleStrategy> scheduler;
-  /// `sharding=region` solves grid-region shards concurrently and merges
-  /// across halo boundaries (core/sharded_dpc.h) — bit-identical labels,
-  /// so the solution cache treats it as the same configuration.
-  ShardingOptions sharding;
 
   static StatusOr<ExDpcOptions> FromOptions(const OptionsMap& map) {
     ExDpcOptions options;
     OptionsReader reader(map);
     reader.Strategy("scheduler", &options.scheduler);
-    if (Status s = options.sharding.Consume(reader); !s.ok()) return s;
     if (Status s = reader.status(); !s.ok()) return s;
     return options;
   }
@@ -62,11 +56,6 @@ class ExDpc : public DpcAlgorithm {
                         const ExecutionContext& ctx) override {
     ExecutionContext exec =
         options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-    if (options_.sharding.enabled()) {
-      return SolveExDpcSharded(points, compute, exec,
-                               options_.sharding.Resolve(exec));
-    }
-
     DpcSolution result;
     const PointId n = points.size();
     result.rho.assign(static_cast<size_t>(n), 0.0);

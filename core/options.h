@@ -133,13 +133,6 @@ class OptionsReader {
     return *this;
   }
 
-  /// Verbatim string value; the caller validates the vocabulary (and
-  /// should Fail-style reject with the accepted menu in its message).
-  OptionsReader& String(const std::string& key, std::string* out) {
-    if (const std::string* v = Consume(key)) *out = *v;
-    return *this;
-  }
-
   OptionsReader& Double(const std::string& key, double* out) {
     if (const std::string* v = Consume(key)) {
       char* end = nullptr;

@@ -16,7 +16,7 @@
 //                       runs execute on one persistent shared pool)
 //   --opt KEY=VALUE     per-algorithm option, repeatable. Examples:
 //                         approx-dpc: joint_range_search=false,
-//                                     sharding=region, scheduler=static
+//                                     scheduler=static
 //                         lsh-ddp:    num_tables=6, num_bits=5
 //                         cfsfdp-a:   sample_rate=0.5
 //                       scheduler takes static|dynamic|lpt|inherit.

@@ -22,7 +22,7 @@
 
 namespace dpc {
 
-/// Index into UniformGrid::cells() — the unit the §4.5 LPT scheduler
+/// Index of a UniformGrid cell — the unit the §4.5 LPT scheduler
 /// partitions across threads.
 using CellId = int64_t;
 
@@ -41,7 +41,6 @@ class UniformGrid {
   }
 
   void Build(const PointSet& points, double cell_side) {
-    cell_side_ = cell_side;
     cells_.clear();
     index_.clear();
     const PointId n = points.size();
@@ -62,8 +61,6 @@ class UniformGrid {
   }
 
   CellId num_cells() const { return static_cast<CellId>(cells_.size()); }
-  double cell_side() const { return cell_side_; }
-  const std::vector<Cell>& cells() const { return cells_; }
   const std::vector<PointId>& members(CellId cell) const {
     return cells_[static_cast<size_t>(cell)].members;
   }
@@ -118,7 +115,6 @@ class UniformGrid {
   }
 
  private:
-  double cell_side_ = 0.0;
   std::vector<Cell> cells_;
   std::unordered_map<CellCoords, size_t, Int64VectorHash> index_;
 };

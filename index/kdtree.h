@@ -153,29 +153,6 @@ class KdTree {
     return best;
   }
 
-  /// NearestAccepted with the bound and the result kept in the SQUARED
-  /// domain: `max_dist_sq` seeds the pruning bound directly and
-  /// *out_dist_sq receives the squared distance of the winner (infinity
-  /// when best is -1). The sharded solver's halo merge needs this form:
-  /// a local candidate's squared distance can be widened by one ulp
-  /// (`nextafter`) and passed straight through, whereas squaring a
-  /// caller-side sqrt could round back below the candidate and violate
-  /// the strict `<` update that makes bounded and unbounded searches
-  /// return the identical winner.
-  template <typename Accept>
-  PointId NearestAcceptedSq(
-      const double* q, const Accept& accept, double* out_dist_sq,
-      double max_dist_sq = std::numeric_limits<double>::infinity()) const {
-    PointId best = -1;
-    double best_sq = max_dist_sq;
-    if (!nodes_.empty()) NearestRec(0, q, accept, &best, &best_sq);
-    if (out_dist_sq != nullptr) {
-      *out_dist_sq =
-          best >= 0 ? best_sq : std::numeric_limits<double>::infinity();
-    }
-    return best;
-  }
-
   size_t MemoryBytes() const {
     return nodes_.capacity() * sizeof(Node) + boxes_.capacity() * sizeof(double) +
            perm_.capacity() * sizeof(PointId) + soa_.MemoryBytes();
@@ -377,11 +354,9 @@ class KdTree {
     if (node.left < 0) {
       // Distances come from one kernel sweep; exact-distance ties break to
       // the smallest id, so the winner depends only on the candidate SET,
-      // never on leaf order or tree shape. This is what lets a shard-local
-      // search stand in for the global one when the candidate sets agree
-      // (core/sharded_dpc.h halo-complete fast path), and it matches the
-      // ascending-id strict-< scan baselines. A point at exactly the seeded
-      // bound (*best == -1) still loses: the bound itself is not a winner.
+      // never on leaf order or tree shape, matching the ascending-id
+      // strict-< scan baselines. A point at exactly the seeded bound
+      // (*best == -1) still loses: the bound itself is not a winner.
       double buf[kLeafSize];
       const PointId len = node.end - node.begin;
       kernels::SquaredDistanceBatch(soa_, node.begin, len, q, buf);

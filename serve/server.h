@@ -271,8 +271,7 @@ class ClusterServer {
 
   /// Attaches (or detaches, with null) a trace: every subsequently
   /// executed request emits a "request" span tree — queue wait, cache
-  /// probe, lease wait, solve with per-phase children (and per-shard
-  /// spans from worker threads for sharded runs), cache insert,
+  /// probe, lease wait, solve with per-phase children, cache insert,
   /// finalize. Requests already in flight keep the trace they started
   /// with; tracing off is the default and costs nothing.
   void set_trace(std::shared_ptr<obs::Trace> trace) {

@@ -63,10 +63,9 @@ namespace dpc::serve {
 /// The solution-tier key. Numeric params render with %.17g (the same
 /// normalization CanonicalOptionValue applies to option values), so any
 /// two requests whose compute configurations are semantically identical —
-/// however they were spelled — map to one key. Pure execution-policy
-/// options are excluded — "scheduler", plus the "sharding"/"shards"
-/// region-shard knobs (bit-identical by contract, core/sharded_dpc.h) —
-/// as are rho_min and delta_min (threshold-tier concerns).
+/// however they were spelled — map to one key. The pure execution-policy
+/// option "scheduler" is excluded (schedules are bit-identical by
+/// contract), as are rho_min and delta_min (threshold-tier concerns).
 inline std::string MakeSolutionKey(uint64_t dataset_fingerprint,
                                    const std::string& algorithm,
                                    const OptionsMap& options,
@@ -77,8 +76,6 @@ inline std::string MakeSolutionKey(uint64_t dataset_fingerprint,
                 compute.d_cut, compute.epsilon);
   OptionsMap keyed = options;
   keyed.erase("scheduler");
-  keyed.erase("sharding");
-  keyed.erase("shards");
   return buf + algorithm + '|' + CanonicalOptionsString(keyed);
 }
 

@@ -61,17 +61,11 @@ int main() {
 
   // The paper's density-ordered subset search (Equation (2), ablation C)
   // is the reference for the peaks' search on the rho tree: for any s it
-  // reproduces Approx-DPC's delta and dependency exactly, unsharded and
-  // region-sharded alike.
+  // reproduces Approx-DPC's delta and dependency exactly.
   {
     const dpc::ExecutionContext ctx(2);
     const dpc::ComputeParams compute = params.compute();
     const dpc::DpcSolution solved = dpc::ApproxDpc().Solve(points, compute, ctx);
-    auto sharded_algo = dpc::MakeAlgorithmByName(
-        "approx-dpc", {{"sharding", "region"}, {"shards", "3"}});
-    CHECK(sharded_algo.ok());
-    const dpc::DpcSolution sharded =
-        sharded_algo.value()->Solve(points, compute, ctx);
     const dpc::UniformGrid grid(
         points, params.d_cut / std::sqrt(static_cast<double>(points.dim())));
     const int solved_s =
@@ -86,8 +80,6 @@ int main() {
                                                  ctx, &delta, &dependency);
       CHECK(delta == solved.delta);
       CHECK(dependency == solved.dependency);
-      CHECK(delta == sharded.delta);
-      CHECK(dependency == sharded.dependency);
     }
   }
   CHECK(dpc::ApproxDpc::SolveNumSubsets(0, 2) == 1);

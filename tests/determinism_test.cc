@@ -123,6 +123,39 @@ int main() {
     }
   }
 
+  // Degenerate inputs, every registered algorithm: an empty 2-D set
+  // yields no labels, and a 64-point blob that fits in ONE grid cell
+  // (d_cut = 1e6 puts the cell side near 7.07e5) is bit-identical
+  // across 1/2/8 threads.
+  {
+    dpc::PointSet blob(2);
+    for (int i = 0; i < 64; ++i) {
+      const double p[2] = {1000.0 + 13.0 * (i % 8), 1000.0 + 17.0 * (i / 8)};
+      blob.Add(p);
+    }
+    dpc::DpcParams p;
+    p.d_cut = 1e6;
+    p.rho_min = 2.0;
+    p.delta_min = 4.0 * p.d_cut;
+    p.epsilon = 0.5;
+    const dpc::PointSet empty(2);
+    for (const std::string& name : dpc::RegisteredAlgorithmNames()) {
+      auto algo = dpc::MakeAlgorithmByName(name);
+      CHECK(algo.ok());
+      CHECK_EQ(Cluster(*algo.value(), empty, p, dpc::ExecutionContext(2))
+                   .label.size(),
+               0u);
+      const dpc::DpcResult serial =
+          Cluster(*algo.value(), blob, p, dpc::ExecutionContext(1));
+      CHECK_EQ(serial.label.size(), static_cast<size_t>(blob.size()));
+      for (const int threads : {2, 8}) {
+        dpc::test::AssertSolutionsEqual(
+            serial,
+            Cluster(*algo.value(), blob, p, dpc::ExecutionContext(threads)));
+      }
+    }
+  }
+
   std::printf("determinism_test OK\n");
   return 0;
 }

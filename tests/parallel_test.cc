@@ -6,11 +6,12 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/scan_dpc.h"
-#include "core/ex_dpc.h"
+#include "core/registry.h"
 #include "data/generators.h"
 #include "parallel/execution_context.h"
 #include "parallel/parallel_for.h"
@@ -195,8 +196,9 @@ int main() {
     CHECK(!absolute.WithFreshStopState().ShouldStop());
   }
 
-  // A cancelled run stops at the first phase boundary: interrupted stats,
-  // every label kUnassigned, no centers.
+  // A cancelled run stops at the first phase boundary — for every
+  // registered algorithm: interrupted stats, every label kUnassigned, no
+  // centers.
   {
     dpc::data::GaussianBenchmarkParams gen;
     gen.num_points = 500;
@@ -208,22 +210,29 @@ int main() {
     params.rho_min = 2.0;
     params.delta_min = 9000.0;
 
-    dpc::ExecutionContext cancelled(2);
-    cancelled.RequestCancel();
-    dpc::ExDpc algo;
-    const dpc::DpcResult result = dpc::FinalizeSolution(
-        algo.Solve(points, params.compute(), cancelled), params.threshold());
-    CHECK(result.stats.interrupted);
-    CHECK_EQ(result.label.size(), static_cast<size_t>(points.size()));
-    for (const int64_t label : result.label) CHECK_EQ(label, dpc::kUnassigned);
-    CHECK_EQ(result.centers.size(), 0u);
+    for (const std::string& name : dpc::RegisteredAlgorithmNames()) {
+      auto algo = dpc::MakeAlgorithmByName(name);
+      CHECK(algo.ok());
+      dpc::ExecutionContext cancelled(2);
+      cancelled.RequestCancel();
+      const dpc::DpcResult result = dpc::FinalizeSolution(
+          algo.value()->Solve(points, params.compute(), cancelled),
+          params.threshold());
+      CHECK(result.stats.interrupted);
+      CHECK_EQ(result.label.size(), static_cast<size_t>(points.size()));
+      for (const int64_t label : result.label) {
+        CHECK_EQ(label, dpc::kUnassigned);
+      }
+      CHECK_EQ(result.centers.size(), 0u);
 
-    // The same run without cancellation completes normally.
-    const dpc::DpcResult ok = dpc::FinalizeSolution(
-        algo.Solve(points, params.compute(), dpc::ExecutionContext(2)),
-        params.threshold());
-    CHECK(!ok.stats.interrupted);
-    CHECK(ok.num_clusters() > 0);
+      // The same run without cancellation completes normally.
+      const dpc::DpcResult ok = dpc::FinalizeSolution(
+          algo.value()->Solve(points, params.compute(),
+                              dpc::ExecutionContext(2)),
+          params.threshold());
+      CHECK(!ok.stats.interrupted);
+      CHECK(ok.num_clusters() > 0);
+    }
   }
 
   // Quadratic-baseline cancellation latency: Scan's O(n) per-index work

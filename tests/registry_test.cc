@@ -73,6 +73,14 @@ int main() {
     CHECK(bad_key.status().code() == dpc::StatusCode::kInvalidArgument);
     CHECK(bad_key.status().message().find("nope") != std::string::npos);
 
+    // `sharding` is not an option of either grid solver.
+    for (const char* name : {"ex-dpc", "approx-dpc"}) {
+      auto sharded = dpc::MakeAlgorithmByName(name, {{"sharding", "region"}});
+      CHECK(!sharded.ok());
+      CHECK(sharded.status().code() == dpc::StatusCode::kInvalidArgument);
+      CHECK(sharded.status().message().find("sharding") != std::string::npos);
+    }
+
     auto bad_value = dpc::MakeAlgorithmByName(
         "approx-dpc", {{"joint_range_search", "maybe"}});
     CHECK(!bad_value.ok());

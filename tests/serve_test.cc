@@ -914,38 +914,32 @@ void TestServerStoreStats() {
   std::remove(store_path.c_str());
 }
 
-/// Sharded execution through the server: `sharding=region` requests hit
-/// the SAME cache key as unsharded ones (execution options are stripped
-/// from the solution key), and a sharded compute's labels are
-/// bit-identical to the unsharded direct solve.
-void TestShardedRequestsShareCacheKey() {
-  const dpc::PointSet points = TestPoints(31, 1200);
+/// `sharding=region` is not an option of any algorithm: a request that
+/// sets it fails InvalidArgument (naming the key) before anything is
+/// solved or cached, on the queued path and the rethreshold path alike.
+void TestShardingOptionRejected() {
   dpc::serve::ServerOptions options;
   options.pool_threads = 2;
   dpc::serve::ClusterServer server(options);
-  server.datasets().Register("pts", points);
+  server.datasets().Register("pts", TestPoints(31, 1200));
 
-  dpc::serve::ClusterRequest sharded;
-  sharded.dataset = "pts";
-  sharded.algorithm = "ex-dpc";
-  sharded.params = TestParams();
-  sharded.options = {{"sharding", "region"}, {"shards", "4"}};
-  const auto first = server.Submit(sharded).get();
-  CHECK(first.status.ok());
-  CHECK(!first.cache_hit);
-
-  auto algo = dpc::MakeAlgorithmByName("ex-dpc");
-  CHECK(dpc::test::BitIdenticalLabels(
-      first.result->label, DirectSolve(*algo.value(), points, sharded.params).label));
-
-  // The unsharded spelling of the same compute config is a cache hit —
-  // sharding is an execution detail, not an identity.
-  dpc::serve::ClusterRequest plain = sharded;
-  plain.options.clear();
-  const auto second = server.Submit(plain).get();
-  CHECK(second.status.ok());
-  CHECK(second.cache_hit);
-  CHECK(second.result.get() == first.result.get());
+  for (const char* algorithm : {"ex-dpc", "approx-dpc"}) {
+    dpc::serve::ClusterRequest request;
+    request.dataset = "pts";
+    request.algorithm = algorithm;
+    request.params = TestParams();
+    request.options = {{"sharding", "region"}};
+    const auto response = server.Submit(request).get();
+    CHECK(response.status.code() == dpc::StatusCode::kInvalidArgument);
+    CHECK(response.status.message().find("sharding") != std::string::npos);
+    CHECK(response.result == nullptr);
+    request.kind = dpc::serve::RequestKind::kRethreshold;
+    CHECK(server.Submit(request).get().status.code() ==
+          dpc::StatusCode::kInvalidArgument);
+  }
+  const auto stats = server.stats();
+  CHECK_EQ(stats.recomputes, 0u);
+  CHECK_EQ(stats.cache.entries, 0u);
 }
 
 void TestCoherentStatsSnapshot() {
@@ -1134,7 +1128,7 @@ int main() {
   TestErrorPaths();
   TestConcurrentSubmissions();
   TestConcurrentExecutionOverlap();
-  TestShardedRequestsShareCacheKey();
+  TestShardingOptionRejected();
   TestServerStoreStats();
   TestCoherentStatsSnapshot();
   TestServerMetricsSurface();
