@@ -27,17 +27,15 @@ int main() {
 
   auto workloads = bench::RealWorkloads(cfg);
 
-  // --- A: joint range search on/off. ---
+  // --- A: joint range search vs Ex-DPC's per-point range counts. ---
   std::printf("A. Joint range search (rho phase time [s]; results identical)\n");
   {
-    eval::Table table({"dataset", "joint (paper)", "per-point (Ex-DPC style)", "speedup"});
+    eval::Table table({"dataset", "joint (paper)", "per-point (Ex-DPC)", "speedup"});
     for (const auto& w : workloads) {
       const ExecutionContext ctx(cfg.max_threads);
-      ApproxDpcOptions on;
-      ApproxDpcOptions off;
-      off.joint_range_search = false;
-      const DpcSolution a = ApproxDpc(on).Solve(w.points, w.params.compute(), ctx);
-      const DpcSolution b = ApproxDpc(off).Solve(w.points, w.params.compute(), ctx);
+      // Ex-DPC runs the per-point range counts on the same kd-tree.
+      const DpcSolution a = ApproxDpc().Solve(w.points, w.params.compute(), ctx);
+      const DpcSolution b = ExDpc().Solve(w.points, w.params.compute(), ctx);
       table.AddRow({w.name, StrFormat("%.3f", a.stats.rho_seconds),
                     StrFormat("%.3f", b.stats.rho_seconds),
                     StrFormat("%.2fx", b.stats.rho_seconds /

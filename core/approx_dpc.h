@@ -12,12 +12,12 @@
 //     paper's headline property: Approx-DPC returns the same centers as
 //     Ex-DPC.
 //
-// rho is exact. With joint_range_search (§4.2, the default) each grid
-// cell runs ONE shared kd-tree traversal that counts neighbors for all
-// its members at once; turning it off falls back to Ex-DPC-style
-// per-point range counts — identical values, one traversal per point
-// (ablation A of bench_ablation). Both phases iterate cells partitioned
-// by the §4.5 LPT scheduler under the default cost-guided strategy.
+// rho is exact: each grid cell runs ONE shared kd-tree traversal (§4.2
+// joint range search) that counts neighbors for all its members at once
+// — the values of Ex-DPC's per-point range counts, one traversal per cell
+// instead of one per point (ablation A of bench_ablation times the two).
+// Both phases iterate cells partitioned by the §4.5 LPT scheduler under
+// the default cost-guided strategy.
 //
 // The peaks' exact dependent search runs on the kd-tree already built
 // for rho: one predicate nearest-denser query per peak, the same query
@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -48,10 +49,6 @@
 namespace dpc {
 
 struct ApproxDpcOptions {
-  /// §4.2 joint range search: one shared kd-tree traversal per grid cell
-  /// computes rho for all its members. false = Ex-DPC-style per-point
-  /// range counts. Labels are identical either way (both are exact).
-  bool joint_range_search = true;
   /// Loop scheduling override; unset inherits the ExecutionContext's
   /// strategy (default cost-guided, §4.5).
   std::optional<ScheduleStrategy> scheduler;
@@ -59,7 +56,6 @@ struct ApproxDpcOptions {
   static StatusOr<ApproxDpcOptions> FromOptions(const OptionsMap& map) {
     ApproxDpcOptions options;
     OptionsReader reader(map);
-    reader.Bool("joint_range_search", &options.joint_range_search);
     reader.Strategy("scheduler", &options.scheduler);
     if (Status s = reader.status(); !s.ok()) return s;
     return options;
@@ -156,8 +152,8 @@ class ApproxDpc : public DpcAlgorithm {
     tree.Build(points);
 
     // Grid with cell side d_cut/sqrt(dim), bounding the cell diameter by
-    // d_cut (index/grid.h — shared with S-Approx-DPC); its per-cell
-    // population doubles as the §4.5 scheduling cost model.
+    // d_cut (index/grid.h); its per-cell population doubles as the §4.5
+    // scheduling cost model.
     const UniformGrid grid(points,
                            compute.d_cut / std::sqrt(static_cast<double>(dim)));
     result.stats.index_memory_bytes = tree.MemoryBytes() + grid.MemoryBytes();
@@ -165,42 +161,33 @@ class ApproxDpc : public DpcAlgorithm {
     const std::vector<double> cell_costs = grid.CellCosts();
     result.stats.build_seconds = phase.Lap();
 
-    // rho: exact range counts, cell by cell.
-    if (options_.joint_range_search) {
-      ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
-        const std::vector<PointId>& members = grid.members(cell);
-        // Per-thread scratch (pool workers persist): the members' tight
-        // bounding box — lo then hi, dim doubles each — and the counts.
-        // Both are fully overwritten per cell.
-        static thread_local std::vector<double> box;
-        static thread_local std::vector<PointId> counts;
-        box.assign(static_cast<size_t>(2 * dim), 0.0);
-        double* lo = box.data();
-        double* hi = box.data() + dim;
+    // rho: exact range counts, one joint traversal per cell.
+    ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
+      const std::vector<PointId>& members = grid.members(cell);
+      // Per-thread scratch (pool workers persist): the members' tight
+      // bounding box — lo then hi, dim doubles each — and the counts.
+      // Both are fully overwritten per cell.
+      static thread_local std::vector<double> box;
+      static thread_local std::vector<PointId> counts;
+      box.assign(static_cast<size_t>(2 * dim), 0.0);
+      double* lo = box.data();
+      double* hi = box.data() + dim;
+      for (int d = 0; d < dim; ++d) {
+        lo[d] = std::numeric_limits<double>::infinity();
+        hi[d] = -std::numeric_limits<double>::infinity();
+      }
+      for (const PointId i : members) {
         for (int d = 0; d < dim; ++d) {
-          lo[d] = std::numeric_limits<double>::infinity();
-          hi[d] = -std::numeric_limits<double>::infinity();
+          lo[d] = std::min(lo[d], points[i][d]);
+          hi[d] = std::max(hi[d], points[i][d]);
         }
-        for (const PointId i : members) {
-          for (int d = 0; d < dim; ++d) {
-            lo[d] = std::min(lo[d], points[i][d]);
-            hi[d] = std::max(hi[d], points[i][d]);
-          }
-        }
-        tree.JointRangeCount(lo, hi, members, compute.d_cut, &counts);
-        for (size_t k = 0; k < members.size(); ++k) {
-          result.rho[static_cast<size_t>(members[k])] =
-              static_cast<double>(counts[k] - 1);  // self excluded
-        }
-      });
-    } else {
-      ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
-        for (const PointId i : grid.members(cell)) {
-          result.rho[static_cast<size_t>(i)] = static_cast<double>(
-              tree.RangeCount(points[i], compute.d_cut) - 1);
-        }
-      });
-    }
+      }
+      tree.JointRangeCount(lo, hi, members, compute.d_cut, &counts);
+      for (size_t k = 0; k < members.size(); ++k) {
+        result.rho[static_cast<size_t>(members[k])] =
+            static_cast<double>(counts[k] - 1);  // self excluded
+      }
+    });
     result.stats.rho_seconds = phase.Lap();
     if (internal::Interrupted(exec, &result)) {
       result.stats.total_seconds = total.Seconds();
@@ -208,12 +195,22 @@ class ApproxDpc : public DpcAlgorithm {
     }
 
     // delta: everyone snaps to its cell peak, then the peaks alone take
-    // the exact nearest-denser search on the rho tree.
+    // the nearest-denser search on the rho tree — over every point, or
+    // over the candidate mask when the algorithm samples one.
     const std::vector<PointId> peaks = ElectCellPeaks(
         points, grid, result.rho, exec, &result.delta, &result.dependency);
     if (!internal::Interrupted(exec, &result)) {
-      ExDpc::ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
-                                &result.dependency, &peaks);
+      const std::vector<uint8_t> kept = CandidateMask(peaks, n, compute.epsilon);
+      result.stats.index_memory_bytes += kept.capacity() * sizeof(uint8_t);
+      if (kept.empty()) {
+        ExDpc::ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
+                                  &result.dependency, &peaks);
+      } else {
+        ExDpc::ComputeExactDeltas(
+            points, tree, result.rho, exec, &result.delta, &result.dependency,
+            &peaks,
+            [&kept](PointId j) { return kept[static_cast<size_t>(j)] != 0; });
+      }
     }
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
@@ -222,6 +219,16 @@ class ApproxDpc : public DpcAlgorithm {
   }
 
  public:
+  /// The peaks' candidate mask, indexed by point id (nonzero = may be a
+  /// peak's dependent point); empty means every point. Approx-DPC
+  /// searches every point; S-Approx-DPC overrides this with its epsilon
+  /// sample (core/s_approx_dpc.h).
+  virtual std::vector<uint8_t> CandidateMask(
+      const std::vector<PointId>& /*peaks*/, PointId /*n*/,
+      double /*epsilon*/) const {
+    return {};
+  }
+
   /// The paper's dependent-point strategy for cell peaks, kept as the
   /// reference for the rho-tree search SolveImpl runs (tests and ablation
   /// C compare the two): points are sorted into `num_subsets`

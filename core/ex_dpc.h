@@ -44,6 +44,11 @@ struct ExDpcOptions {
   }
 };
 
+/// The default candidate filter of the exact delta search: every point.
+struct AcceptAll {
+  bool operator()(PointId) const { return true; }
+};
+
 class ExDpc : public DpcAlgorithm {
  public:
   ExDpc() = default;
@@ -126,17 +131,21 @@ class ExDpc : public DpcAlgorithm {
 
  public:
   /// Exact delta/dependency for one point: the nearest neighbor ranking
-  /// denser under DenserThan.
+  /// denser under DenserThan, among the candidates `keep` accepts (every
+  /// point by default; S-Approx-DPC passes its sampled mask).
+  template <typename Keep = AcceptAll>
   static void ExactDeltaFor(const PointSet& points, const KdTree& tree,
                             const std::vector<double>& rho, PointId i,
                             std::vector<double>* delta,
-                            std::vector<PointId>* dependency) {
+                            std::vector<PointId>* dependency,
+                            const Keep& keep = {}) {
     const double rho_i = rho[static_cast<size_t>(i)];
     double dist = std::numeric_limits<double>::infinity();
     const PointId nn = tree.NearestAccepted(
         points[i],
-        [&rho, rho_i, i](PointId j) {
-          return DenserThan(rho[static_cast<size_t>(j)], j, rho_i, i);
+        [&rho, rho_i, i, &keep](PointId j) {
+          return keep(j) &&
+                 DenserThan(rho[static_cast<size_t>(j)], j, rho_i, i);
         },
         &dist);
     (*delta)[static_cast<size_t>(i)] = dist;
@@ -144,19 +153,22 @@ class ExDpc : public DpcAlgorithm {
   }
 
   /// Exact delta/dependency for every point (LSH-DDP reuses this for its
-  /// refinement round; pass `only` to restrict to a subset).
+  /// refinement round; pass `only` to restrict the queries to a subset
+  /// and `keep` to restrict the candidates, as in ExactDeltaFor).
+  template <typename Keep = AcceptAll>
   static void ComputeExactDeltas(const PointSet& points, const KdTree& tree,
                                  const std::vector<double>& rho,
                                  const ExecutionContext& exec,
                                  std::vector<double>* delta,
                                  std::vector<PointId>* dependency,
-                                 const std::vector<PointId>* only = nullptr) {
+                                 const std::vector<PointId>* only = nullptr,
+                                 const Keep& keep = {}) {
     const PointId count =
         only != nullptr ? static_cast<PointId>(only->size()) : points.size();
     ParallelFor(exec, count, [&](PointId begin, PointId end) {
       for (PointId k = begin; k < end; ++k) {
         const PointId i = only != nullptr ? (*only)[static_cast<size_t>(k)] : k;
-        ExactDeltaFor(points, tree, rho, i, delta, dependency);
+        ExactDeltaFor(points, tree, rho, i, delta, dependency, keep);
       }
     });
   }

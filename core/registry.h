@@ -51,7 +51,7 @@ inline const std::vector<AlgorithmEntry>& AlgorithmTable() {
   static const std::vector<AlgorithmEntry> kTable = {
       {"ex-dpc", &MakeWithOptions<ExDpc, ExDpcOptions>},
       {"approx-dpc", &MakeWithOptions<ApproxDpc, ApproxDpcOptions>},
-      {"s-approx-dpc", &MakeWithOptions<SApproxDpc, SApproxDpcOptions>},
+      {"s-approx-dpc", &MakeWithOptions<SApproxDpc, ApproxDpcOptions>},
       {"scan", &MakeWithOptions<ScanDpc, ScanDpcOptions>},
       {"rtree-scan", &MakeWithOptions<RtreeScanDpc, ScanDpcOptions>},
       {"lsh-ddp", &MakeWithOptions<LshDdp, LshDdpOptions>},

@@ -15,7 +15,7 @@
 //   --threads N         worker threads (default 0 = all hardware threads;
 //                       runs execute on one persistent shared pool)
 //   --opt KEY=VALUE     per-algorithm option, repeatable. Examples:
-//                         approx-dpc: joint_range_search=false,
+//                         ex-dpc, approx-dpc, s-approx-dpc:
 //                                     scheduler=static
 //                         lsh-ddp:    num_tables=6, num_bits=5
 //                         cfsfdp-a:   sample_rate=0.5
@@ -78,7 +78,7 @@ int Usage(const char* argv0) {
                "[--decision-graph dg.csv] [--halo] [--demo]\n"
                "  --threads N   parallelism degree (0 = all hardware threads)\n"
                "  --opt k=v     per-algorithm option, repeatable — e.g.\n"
-               "                joint_range_search=false, scheduler=static|dynamic|lpt,\n"
+               "                scheduler=static|dynamic|lpt|inherit,\n"
                "                num_tables=6, num_bits=5, sample_rate=0.5\n"
                "  --sweep KEY=a,b,c  compute once, finalize per threshold\n",
                argv0);

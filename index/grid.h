@@ -28,13 +28,6 @@ using CellId = int64_t;
 
 class UniformGrid {
  public:
-  using CellCoords = std::vector<int64_t>;
-
-  struct Cell {
-    CellCoords coords;             ///< integer cell coordinates
-    std::vector<PointId> members;  ///< point ids, ascending
-  };
-
   UniformGrid() = default;
   UniformGrid(const PointSet& points, double cell_side) {
     Build(points, cell_side);
@@ -53,16 +46,14 @@ class UniformGrid {
             static_cast<int64_t>(std::floor(points[i][d] / cell_side));
       }
       const auto [it, inserted] = index_.try_emplace(key, cells_.size());
-      if (inserted) {
-        cells_.push_back(Cell{key, {}});
-      }
-      cells_[it->second].members.push_back(i);
+      if (inserted) cells_.emplace_back();
+      cells_[it->second].push_back(i);
     }
   }
 
   CellId num_cells() const { return static_cast<CellId>(cells_.size()); }
   const std::vector<PointId>& members(CellId cell) const {
-    return cells_[static_cast<size_t>(cell)].members;
+    return cells_[static_cast<size_t>(cell)];
   }
 
   /// The cell-local point ordering the SoA hot path reorders by
@@ -79,12 +70,12 @@ class UniformGrid {
   Ordering CellOrdering() const {
     Ordering out;
     size_t total = 0;
-    for (const auto& cell : cells_) total += cell.members.size();
+    for (const auto& cell : cells_) total += cell.size();
     out.order.reserve(total);
     out.cell_begin.reserve(cells_.size() + 1);
     out.cell_begin.push_back(0);
     for (const auto& cell : cells_) {
-      out.order.insert(out.order.end(), cell.members.begin(), cell.members.end());
+      out.order.insert(out.order.end(), cell.begin(), cell.end());
       out.cell_begin.push_back(static_cast<PointId>(out.order.size()));
     }
     return out;
@@ -97,25 +88,31 @@ class UniformGrid {
     std::vector<double> costs;
     costs.reserve(cells_.size());
     for (const auto& cell : cells_) {
-      costs.push_back(static_cast<double>(cell.members.size()));
+      costs.push_back(static_cast<double>(cell.size()));
     }
     return costs;
   }
 
   size_t MemoryBytes() const {
-    size_t bytes = cells_.capacity() * sizeof(Cell);
-    for (const auto& cell : cells_) {
-      bytes += cell.coords.capacity() * sizeof(int64_t) +
-               cell.members.capacity() * sizeof(PointId);
+    size_t bytes = cells_.capacity() * sizeof(std::vector<PointId>);
+    for (const auto& cell : cells_) bytes += cell.capacity() * sizeof(PointId);
+    // unordered_map: one bucket pointer per bucket, and per cell a node
+    // (key vector, value, next pointer, cached hash) plus the key's
+    // integer coordinates.
+    bytes += index_.bucket_count() * sizeof(void*);
+    for (const auto& entry : index_) {
+      bytes += sizeof(CellCoords) + 2 * sizeof(void*) + sizeof(size_t) +
+               entry.first.capacity() * sizeof(int64_t);
     }
-    // unordered_map overhead: one bucket pointer + one node per cell.
-    bytes += index_.bucket_count() * sizeof(void*) +
-             index_.size() * (sizeof(CellCoords) + 2 * sizeof(void*) + sizeof(size_t));
     return bytes;
   }
 
  private:
-  std::vector<Cell> cells_;
+  using CellCoords = std::vector<int64_t>;  ///< integer cell coordinates
+
+  /// Member ids of each cell, ascending; indexed by CellId.
+  std::vector<std::vector<PointId>> cells_;
+  /// Cell coordinates -> CellId.
   std::unordered_map<CellCoords, size_t, Int64VectorHash> index_;
 };
 

@@ -36,7 +36,8 @@ int main() {
   const dpc::DpcResult ex = cluster(dpc::ExDpc());
   const dpc::DpcResult ap = cluster(dpc::ApproxDpc());
 
-  // rho is exact in both algorithms, so it must agree bitwise.
+  // rho is exact in both algorithms — Approx-DPC's joint range search
+  // (§4.2) reproduces Ex-DPC's per-point counts — so it must agree bitwise.
   CHECK(ex.rho == ap.rho);
 
   // Approx-DPC's headline property: the same centers as Ex-DPC.
@@ -47,17 +48,6 @@ int main() {
   const double rand = dpc::eval::RandIndex(ap.label, ex.label);
   std::printf("rand index approx vs exact: %.5f\n", rand);
   CHECK(rand >= 0.95);
-
-  // Joint range search on/off (§4.2, ablation A): per-point counts must
-  // reproduce the joint traversal's rho — and therefore labels — exactly.
-  {
-    dpc::ApproxDpcOptions off;
-    off.joint_range_search = false;
-    const dpc::DpcResult ap_off = cluster(dpc::ApproxDpc(off));
-    CHECK(ap_off.rho == ap.rho);
-    CHECK(ap_off.centers == ap.centers);
-    CHECK(ap_off.label == ap.label);
-  }
 
   // The paper's density-ordered subset search (Equation (2), ablation C)
   // is the reference for the peaks' search on the rho tree: for any s it

@@ -3,6 +3,7 @@
 // and unknown names still fail with NotFound plus the menu string.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -57,7 +58,7 @@ int main() {
   // keys and malformed values fail with InvalidArgument naming the key.
   {
     auto tuned = dpc::MakeAlgorithmByName(
-        "approx-dpc", {{"joint_range_search", "false"}, {"scheduler", "static"}});
+        "approx-dpc", {{"scheduler", "static"}});
     CHECK(tuned.ok());
     const dpc::DpcResult r = cluster(*tuned.value());
     CHECK_EQ(r.label.size(), static_cast<size_t>(points.size()));
@@ -73,16 +74,23 @@ int main() {
     CHECK(bad_key.status().code() == dpc::StatusCode::kInvalidArgument);
     CHECK(bad_key.status().message().find("nope") != std::string::npos);
 
-    // `sharding` is not an option of either grid solver.
-    for (const char* name : {"ex-dpc", "approx-dpc"}) {
-      auto sharded = dpc::MakeAlgorithmByName(name, {{"sharding", "region"}});
-      CHECK(!sharded.ok());
-      CHECK(sharded.status().code() == dpc::StatusCode::kInvalidArgument);
-      CHECK(sharded.status().message().find("sharding") != std::string::npos);
+    // Keys the grid solvers do not have fail like any unknown key.
+    const std::vector<std::pair<std::string, dpc::OptionsMap>> deleted = {
+        {"ex-dpc", {{"sharding", "region"}}},
+        {"approx-dpc", {{"sharding", "region"}}},
+        {"approx-dpc", {{"joint_range_search", "false"}}},
+        {"s-approx-dpc", {{"sample_seed", "7"}}},
+    };
+    for (const auto& [name, options] : deleted) {
+      auto rejected = dpc::MakeAlgorithmByName(name, options);
+      CHECK(!rejected.ok());
+      CHECK(rejected.status().code() == dpc::StatusCode::kInvalidArgument);
+      CHECK(rejected.status().message().find(options.begin()->first) !=
+            std::string::npos);
     }
 
     auto bad_value = dpc::MakeAlgorithmByName(
-        "approx-dpc", {{"joint_range_search", "maybe"}});
+        "approx-dpc", {{"scheduler", "sometimes"}});
     CHECK(!bad_value.ok());
     CHECK(bad_value.status().code() == dpc::StatusCode::kInvalidArgument);
 
