@@ -87,7 +87,8 @@ class LshDdp : public DpcAlgorithm {
     lsh_params.num_projections = options_.num_bits;
     lsh_params.bucket_width = options_.bucket_width_factor * compute.d_cut;
     const LshPartitioner lsh(points, lsh_params);
-    KdTree tree(points);  // refinement index for local density maxima
+    KdTree tree;  // refinement index for local density maxima
+    tree.Build(points, exec);
     result.stats.build_seconds = phase.Lap();
     result.stats.index_memory_bytes = lsh.MemoryBytes() + tree.MemoryBytes();
 

@@ -1,8 +1,8 @@
 // Micro-benchmarks of the distance kernels and index substrates: the
 // scalar-vs-batched kernel comparison (the SoA fast path's headline
-// numbers), kd-tree build / range count / NN, R-tree range count, grid
-// build, LSH partitioning. These are the primitive costs behind every
-// row of Tables 1 and 6.
+// numbers), kd-tree build (serial and pool) / range count / NN, R-tree
+// range count, grid build, LSH partitioning. These are the primitive
+// costs behind every row of Tables 1 and 6.
 //
 // Self-contained harness (no external benchmark framework): each case
 // auto-calibrates its iteration count until the timed region exceeds
@@ -272,6 +272,48 @@ int main(int argc, char** argv) {
     });
     json.BeginResult("kdtree_nearest");
     emit("kdtree_nearest", "us_per_query", 1e6 * s, "%.2f");
+  }
+  {
+    // Range counts at the Household shape the perfbench solve-household7d
+    // workload runs (100k 7-D points, d_cut 1000): the count-block
+    // traversal every Ex-DPC rho query takes.
+    const PointSet ps = MakeData(100000);
+    const KdTree tree(ps);
+    for (const double radius : {500.0, 1000.0, 2000.0}) {
+      Rng rng(4);
+      const double s = SecondsPerOp([&] {
+        const PointId q = static_cast<PointId>(
+            rng.NextBounded(static_cast<uint64_t>(ps.size())));
+        Sink(tree.RangeCount(ps[q], radius, q));
+      });
+      const std::string name =
+          StrFormat("kdtree_range_count_dim%d_r%.0f", ps.dim(), radius);
+      json.BeginResult(name);
+      emit(name, "us_per_query", 1e6 * s, "%.2f");
+    }
+  }
+  {
+    // Serial Build against the pool build at the bench thread cap; the
+    // two produce the same tree, so the ratio is pure build parallelism.
+    const int64_t n = 1000000;
+    const PointSet ps = MakeData(n);
+    const ExecutionContext exec(cfg.max_threads);
+    const double serial_s = SecondsPerOp([&] {
+      KdTree tree;
+      tree.Build(ps);
+      Sink(tree.size());
+    });
+    const double pool_s = SecondsPerOp([&] {
+      KdTree tree;
+      tree.Build(ps, exec);
+      Sink(tree.size());
+    });
+    const std::string name =
+        StrFormat("kdtree_build_n%lld", static_cast<long long>(n));
+    json.BeginResult(name);
+    emit(name, "serial_ns_per_point", 1e9 * serial_s / static_cast<double>(n));
+    emit(name, "pool_ns_per_point", 1e9 * pool_s / static_cast<double>(n));
+    emit(name, "pool_over_serial", pool_s / serial_s, "%.2f");
   }
   {
     const PointSet ps = MakeData(20000);

@@ -16,6 +16,9 @@
 // joint range search) that counts neighbors for all its members at once
 // — the values of Ex-DPC's per-point range counts, one traversal per cell
 // instead of one per point (ablation A of bench_ablation times the two).
+// Like Ex-DPC's counts, the traversal stops at count blocks
+// (index/kdtree.h): a fringe subtree of <= KdTree::kCountBlock points is
+// one kernel sweep per member. The tree is built on the solve's pool.
 // Both phases iterate cells partitioned by the §4.5 LPT scheduler under
 // the default cost-guided strategy.
 //
@@ -149,7 +152,7 @@ class ApproxDpc : public DpcAlgorithm {
     internal::WallTimer total;
     internal::WallTimer phase;
     KdTree tree;
-    tree.Build(points);
+    tree.Build(points, exec);
 
     // Grid with cell side d_cut/sqrt(dim), bounding the cell diameter by
     // d_cut (index/grid.h); its per-cell population doubles as the §4.5
@@ -161,7 +164,7 @@ class ApproxDpc : public DpcAlgorithm {
     const std::vector<double> cell_costs = grid.CellCosts();
     result.stats.build_seconds = phase.Lap();
 
-    // rho: exact range counts, one joint traversal per cell.
+    // rho: exact range counts, one joint count-block traversal per cell.
     ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
       const std::vector<PointId>& members = grid.members(cell);
       // Per-thread scratch (pool workers persist): the members' tight

@@ -1,6 +1,8 @@
 // Ex-DPC: the paper's exact kd-tree algorithm (§3).
 //
-//   rho   — exact range count on the kd-tree (self excluded).
+//   rho   — exact range count on the kd-tree (self excluded); each count
+//           sweeps whole count blocks (index/kdtree.h) instead of
+//           descending to leaves.
 //   delta — exact nearest-denser-neighbor search: a kd-tree NN query that
 //           only accepts candidates ranking denser under DenserThan().
 //           The globally densest point gets delta = +inf.
@@ -9,12 +11,13 @@
 // DpcSolution and any ThresholdSpec is applied downstream
 // (FinalizeSolution / LabelSolution).
 //
-// Both per-point phases are embarrassingly parallel over the immutable
-// tree. Under the default cost-guided strategy they iterate grid cells
-// partitioned by the §4.5 LPT scheduler (cost = |P(c)|); static/dynamic
-// strategies split the plain id range instead. Either way each point's
-// slot is written exactly once, so results are strategy- and
-// thread-count independent.
+// The kd-tree is built on the solve's pool (KdTree::Build(points, exec),
+// the same tree as a serial build). Both per-point phases are
+// embarrassingly parallel over the immutable tree. Under the default
+// cost-guided strategy they iterate grid cells partitioned by the §4.5
+// LPT scheduler (cost = |P(c)|); static/dynamic strategies split the
+// plain id range instead. Either way each point's slot is written
+// exactly once, so results are strategy- and thread-count independent.
 #ifndef DPC_CORE_EX_DPC_H_
 #define DPC_CORE_EX_DPC_H_
 
@@ -71,7 +74,7 @@ class ExDpc : public DpcAlgorithm {
     internal::WallTimer total;
     internal::WallTimer phase;
     KdTree tree;
-    tree.Build(points);
+    tree.Build(points, exec);
 
     // Cost-guided scheduling partitions whole grid cells by population
     // (§4.5). The grid is pure scheduling metadata — only built when a
@@ -91,7 +94,7 @@ class ExDpc : public DpcAlgorithm {
     result.stats.build_seconds = phase.Lap();
     result.stats.index_memory_bytes = tree.MemoryBytes();
 
-    // rho: range count minus the point itself.
+    // rho: range count minus the point itself, swept in count blocks.
     auto rho_for = [&](PointId i) {
       result.rho[static_cast<size_t>(i)] =
           static_cast<double>(tree.RangeCount(points[i], compute.d_cut) - 1);

@@ -13,46 +13,69 @@
 // The tree is immutable after Build() and safe for concurrent queries.
 //
 // Hot-path layout: Build() materializes an SoA (dimension-major) copy of
-// the points in perm_ order, so every leaf's points occupy a contiguous
-// run of SoA positions and the leaf loops run on the batched kernels of
-// core/kernels.h instead of per-point scalar distance calls. Results are
-// bit-identical to the scalar loops (see core/kernels.h).
+// the points in perm_ order, so every subtree's points occupy a
+// contiguous run of SoA positions and point scans run on the batched
+// kernels of core/kernels.h instead of per-point scalar distance calls.
+// Results are bit-identical to the scalar loops (see core/kernels.h).
+//
+// Count blocks: the two range counts (RangeCount, JointRangeCount) stop
+// descending at any subtree of <= kCountBlock points and sweep its whole
+// SoA run with one RangeCountBatch, after the same prune / whole-subtree
+// tests every node gets. The box bounds bound the kernel's per-point
+// distances (both sum squares in ascending dimension order), so a block
+// sweep counts exactly what the leaf-by-leaf descent would. Nearest
+// search and RangeReport still descend to kLeafSize leaves: bigger
+// leaves slow the delta search down.
+//
+// Preorder layout: a median split fixes every subtree's size from n
+// alone, so a subtree of m points always has
+// N(m) = m <= kLeafSize ? 1 : 1 + N(m/2) + N(m - m/2) nodes, numbered in
+// preorder — node id's left child is id + 1, its right child
+// id + 1 + N(left size), its box sits at boxes_[id * 2 * dim]. Build()
+// therefore sizes nodes_ and boxes_ exactly once, and the pool build
+// (Build(points, exec)) splits the top levels one pool region per level,
+// then builds the remaining subtrees as one region, each writing its own
+// disjoint slots and perm_ range. Each subtree sees the same perm_ range
+// the serial recursion would hand it, so the tree is identical to the
+// serial one, node for node.
 #ifndef DPC_INDEX_KDTREE_H_
 #define DPC_INDEX_KDTREE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/dpc.h"
 #include "core/kernels.h"
 #include "core/soa.h"
+#include "parallel/execution_context.h"
+#include "parallel/parallel_for.h"
 
 namespace dpc {
 
 class KdTree {
  public:
   static constexpr int kLeafSize = 32;
+  /// Range counts stop descending at subtrees of at most this many
+  /// points and sweep them with one RangeCountBatch.
+  static constexpr int kCountBlock = 256;
 
   KdTree() = default;
   /// Convenience: build immediately over `points` (which must outlive
   /// the tree).
   explicit KdTree(const PointSet& points) { Build(points); }
 
-  void Build(const PointSet& points) {
-    points_ = &points;
-    dim_ = points.dim();
-    const PointId n = points.size();
-    perm_.resize(static_cast<size_t>(n));
-    for (PointId i = 0; i < n; ++i) perm_[static_cast<size_t>(i)] = i;
-    nodes_.clear();
-    boxes_.clear();
-    nodes_.reserve(static_cast<size_t>(2 * n / kLeafSize + 4));
-    if (n > 0) BuildNode(0, n);
-    // Leaf-contiguous SoA view (perm_ order); perm_ already maps
-    // positions back to ids, so the view needn't store its own copy.
-    soa_.Assign(points, perm_.data(), n, /*store_ids=*/false);
+  /// Serial bulk load.
+  void Build(const PointSet& points) { BuildOn(points, nullptr); }
+
+  /// Bulk load on exec's pool (exec.threads() workers): node for node
+  /// the tree Build(points) makes. Build never polls exec's stop state,
+  /// so a cancelled context still gets a complete tree.
+  void Build(const PointSet& points, const ExecutionContext& exec) {
+    BuildOn(points, &exec);
   }
 
   /// Number of indexed points.
@@ -167,51 +190,143 @@ class KdTree {
     int32_t box = 0;         // offset into boxes_ (2 * dim_ doubles: lo, hi)
   };
 
-  int32_t BuildNode(PointId begin, PointId end) {
-    const int32_t id = static_cast<int32_t>(nodes_.size());
-    nodes_.push_back(Node{});
-    Node node;
-    node.begin = begin;
-    node.end = end;
-    node.box = static_cast<int32_t>(boxes_.size());
-    boxes_.resize(boxes_.size() + static_cast<size_t>(2 * dim_));
+  /// N(m), the node count of an m-point subtree (see the file comment).
+  /// Every subtree at one depth holds floor or ceil of n/2^depth points,
+  /// so the memo holds at most two sizes per level. It is filled up front
+  /// and read-only afterwards, so pool tasks share it.
+  class NodeCounts {
+   public:
+    explicit NodeCounts(PointId n) { Fill(n); }
+    int32_t operator()(PointId m) const {
+      if (m <= kLeafSize) return 1;
+      for (const auto& [size, count] : memo_) {
+        if (size == m) return count;
+      }
+      return -1;  // unreachable: every subtree size is memoized
+    }
+
+   private:
+    int32_t Fill(PointId m) {
+      if (m <= kLeafSize) return 1;
+      if (const int32_t known = (*this)(m); known > 0) return known;
+      const int32_t count = 1 + Fill(m / 2) + Fill(m - m / 2);
+      memo_.emplace_back(m, count);
+      return count;
+    }
+    std::vector<std::pair<PointId, int32_t>> memo_;
+  };
+
+  /// A subtree still to build: its preorder node id and perm_ range.
+  struct Pending {
+    int32_t id;
+    PointId begin, end;
+  };
+
+  void BuildOn(const PointSet& points, const ExecutionContext* exec) {
+    points_ = &points;
+    dim_ = points.dim();
+    const PointId n = points.size();
+    perm_.resize(static_cast<size_t>(n));
+    for (PointId i = 0; i < n; ++i) perm_[static_cast<size_t>(i)] = i;
+    // The preorder layout is fixed by n alone, so both arrays are sized
+    // exactly once and every subtree owns disjoint slots.
+    const NodeCounts counts(n);
+    const size_t num_nodes = n > 0 ? static_cast<size_t>(counts(n)) : 0;
+    nodes_ = std::vector<Node>(num_nodes);
+    boxes_ = std::vector<double>(num_nodes * 2 * static_cast<size_t>(dim_));
+    if (n > 0) {
+      const int threads = exec != nullptr ? exec->threads() : 1;
+      if (threads <= 1 || n < internal::kMinParallelIterations) {
+        BuildNode({0, 0, n}, counts);
+      } else {
+        // Split the top levels one level per pool region until there are
+        // ~4 subtrees per thread, then build those subtrees as one region.
+        std::vector<Pending> frontier{{0, 0, n}};
+        const size_t target = 4 * static_cast<size_t>(threads);
+        while (!frontier.empty() && frontier.size() < target) {
+          RunTasks(*exec, frontier.size(),
+                   [&](size_t k) { SplitNode(frontier[k], counts); });
+          std::vector<Pending> next;
+          for (const Pending& p : frontier) {
+            const Node& node = nodes_[static_cast<size_t>(p.id)];
+            if (node.left < 0) continue;  // a finished leaf
+            const PointId mid = p.begin + (p.end - p.begin) / 2;
+            next.push_back({node.left, p.begin, mid});
+            next.push_back({node.right, mid, p.end});
+          }
+          frontier = std::move(next);
+        }
+        RunTasks(*exec, frontier.size(),
+                 [&](size_t k) { BuildNode(frontier[k], counts); });
+      }
+    }
+    // Leaf-contiguous SoA view (perm_ order); perm_ already maps
+    // positions back to ids, so the view needn't store its own copy.
+    soa_.Assign(points, perm_.data(), n, /*store_ids=*/false);
+  }
+
+  /// fn(0) .. fn(num_tasks - 1) on at most exec.threads() pool workers.
+  template <typename Fn>
+  static void RunTasks(const ExecutionContext& exec, size_t num_tasks,
+                       const Fn& fn) {
+    std::atomic<size_t> next{0};
+    exec.pool().Run(std::min<int64_t>(exec.threads(),
+                                      static_cast<int64_t>(num_tasks)),
+                    [&](int64_t) {
+                      for (size_t k; (k = next.fetch_add(1)) < num_tasks;) {
+                        fn(k);
+                      }
+                    });
+  }
+
+  void BuildNode(const Pending& p, const NodeCounts& counts) {
+    if (!SplitNode(p, counts)) return;
+    const Node& node = nodes_[static_cast<size_t>(p.id)];
+    const PointId mid = p.begin + (p.end - p.begin) / 2;
+    BuildNode({node.left, p.begin, mid}, counts);
+    BuildNode({node.right, mid, p.end}, counts);
+  }
+
+  /// Writes node p.id and its box; splits it at the median of its widest
+  /// dimension when it holds more than kLeafSize points (returns true).
+  /// The left child is node p.id + 1, the right one follows the whole
+  /// left subtree.
+  bool SplitNode(const Pending& p, const NodeCounts& counts) {
+    Node& node = nodes_[static_cast<size_t>(p.id)];
+    node.begin = p.begin;
+    node.end = p.end;
+    node.box = p.id * 2 * dim_;
     double* lo = boxes_.data() + node.box;
     double* hi = lo + dim_;
     for (int d = 0; d < dim_; ++d) {
       lo[d] = std::numeric_limits<double>::infinity();
       hi[d] = -std::numeric_limits<double>::infinity();
     }
-    for (PointId i = begin; i < end; ++i) {
-      const double* p = (*points_)[perm_[static_cast<size_t>(i)]];
+    for (PointId i = p.begin; i < p.end; ++i) {
+      const double* pt = (*points_)[perm_[static_cast<size_t>(i)]];
       for (int d = 0; d < dim_; ++d) {
-        lo[d] = std::min(lo[d], p[d]);
-        hi[d] = std::max(hi[d], p[d]);
+        lo[d] = std::min(lo[d], pt[d]);
+        hi[d] = std::max(hi[d], pt[d]);
       }
     }
-    if (end - begin > kLeafSize) {
-      // Split at the median of the widest dimension.
-      int split_dim = 0;
-      double widest = -1.0;
-      for (int d = 0; d < dim_; ++d) {
-        const double w = hi[d] - lo[d];
-        if (w > widest) {
-          widest = w;
-          split_dim = d;
-        }
+    if (p.end - p.begin <= kLeafSize) return false;
+    int split_dim = 0;
+    double widest = -1.0;
+    for (int d = 0; d < dim_; ++d) {
+      const double w = hi[d] - lo[d];
+      if (w > widest) {
+        widest = w;
+        split_dim = d;
       }
-      const PointId mid = begin + (end - begin) / 2;
-      std::nth_element(perm_.begin() + begin, perm_.begin() + mid,
-                       perm_.begin() + end, [this, split_dim](PointId a, PointId b) {
-                         return (*points_)[a][split_dim] < (*points_)[b][split_dim];
-                       });
-      // boxes_ may reallocate during recursion; don't hold lo/hi across it.
-      const int32_t left = BuildNode(begin, mid);
-      const int32_t right = BuildNode(mid, end);
-      node.left = left;
-      node.right = right;
     }
-    nodes_[static_cast<size_t>(id)] = node;
-    return id;
+    const PointId mid = p.begin + (p.end - p.begin) / 2;
+    std::nth_element(perm_.begin() + p.begin, perm_.begin() + mid,
+                     perm_.begin() + p.end, [this, split_dim](PointId a, PointId b) {
+                       return (*points_)[a][split_dim] < (*points_)[b][split_dim];
+                     });
+    node.left = p.id + 1;
+    node.right = node.left + counts(mid - p.begin);
+    return true;
   }
 
   /// Squared distance from q to the node's bounding box (0 if inside).
@@ -287,9 +402,9 @@ class KdTree {
       for (PointId& count : *counts) count += subtree;
       return;
     }
-    if (node.left < 0) {
-      // Fringe leaf: one kernel sweep over the leaf's contiguous SoA run
-      // per query (the ball test is symmetric).
+    if (node.end - node.begin <= kCountBlock) {
+      // Fringe count block: one kernel sweep over the subtree's
+      // contiguous SoA run per query (the ball test is symmetric).
       for (size_t k = 0; k < queries.size(); ++k) {
         (*counts)[k] += kernels::RangeCountBatch(
             soa_, node.begin, node.end - node.begin, (*points_)[queries[k]],
@@ -308,7 +423,7 @@ class KdTree {
       *count += node.end - node.begin;  // whole subtree inside the ball
       return;
     }
-    if (node.left < 0) {
+    if (node.end - node.begin <= kCountBlock) {
       *count += kernels::RangeCountBatch(soa_, node.begin,
                                          node.end - node.begin, q, r_sq);
       return;

@@ -1,13 +1,19 @@
 // kd-tree vs brute force: range count, range report, and
-// nearest-accepted-neighbor on random point sets across dimensions.
+// nearest-accepted-neighbor on random point sets across dimensions; the
+// count-block traversals (RangeCount, JointRangeCount) around the block
+// size and on lattice points lying exactly on the ball boundary; and the
+// pool build, which must reproduce the serial tree exactly.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/dpc.h"
 #include "core/rng.h"
 #include "index/kdtree.h"
+#include "parallel/execution_context.h"
+#include "parallel/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace {
@@ -79,10 +85,175 @@ void TestDim(int dim) {
   CHECK(std::isinf(dist));
 }
 
+dpc::PointId BruteCount(const dpc::PointSet& points, const double* q,
+                        double r) {
+  dpc::PointId count = 0;
+  for (dpc::PointId j = 0; j < points.size(); ++j) {
+    if (dpc::SquaredDistance(q, points[j], points.dim()) <= r * r) ++count;
+  }
+  return count;
+}
+
+/// JointRangeCount over `queries`, given their tight member box the way
+/// Approx-DPC builds it for a grid cell, against per-query brute force.
+void CheckJoint(const dpc::KdTree& tree, const dpc::PointSet& points,
+                const std::vector<dpc::PointId>& queries, double r) {
+  const int dim = points.dim();
+  std::vector<double> lo(static_cast<size_t>(dim),
+                         std::numeric_limits<double>::infinity());
+  std::vector<double> hi(static_cast<size_t>(dim),
+                         -std::numeric_limits<double>::infinity());
+  for (const dpc::PointId i : queries) {
+    for (int d = 0; d < dim; ++d) {
+      lo[static_cast<size_t>(d)] = std::min(lo[static_cast<size_t>(d)], points[i][d]);
+      hi[static_cast<size_t>(d)] = std::max(hi[static_cast<size_t>(d)], points[i][d]);
+    }
+  }
+  std::vector<dpc::PointId> counts;
+  tree.JointRangeCount(lo.data(), hi.data(), queries, r, &counts);
+  CHECK_EQ(counts.size(), queries.size());
+  for (size_t k = 0; k < queries.size(); ++k) {
+    CHECK_EQ(counts[k], BruteCount(points, points[queries[k]], r));
+  }
+}
+
+/// Both count traversals against brute force for member and non-member
+/// queries, with radii from "a few neighbors" to "the whole set".
+void CheckCounts(const dpc::KdTree& tree, const dpc::PointSet& points,
+                 const std::vector<double>& radii, uint64_t seed) {
+  const dpc::PointId n = points.size();
+  const int dim = points.dim();
+  dpc::Rng rng(seed);
+  std::vector<double> q(static_cast<size_t>(dim));
+  for (const double r : radii) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const dpc::PointId i = static_cast<dpc::PointId>(rng.NextBelow(n));
+      const dpc::PointId brute = BruteCount(points, points[i], r);
+      CHECK_EQ(tree.RangeCount(points[i], r), brute);
+      CHECK_EQ(tree.RangeCount(points[i], r, i), brute - 1);
+      for (int d = 0; d < dim; ++d) {
+        q[static_cast<size_t>(d)] = points[i][d] + rng.Uniform(-0.5, 0.5);
+      }
+      CHECK_EQ(tree.RangeCount(q.data(), r), BruteCount(points, q.data(), r));
+
+      // A scattered subset, and a tight one like a grid cell's members:
+      // up to 16 points within r/4 of point i.
+      std::vector<dpc::PointId> scattered;
+      for (int k = 0; k < 1 + trial; ++k) {
+        scattered.push_back(static_cast<dpc::PointId>(rng.NextBelow(n)));
+      }
+      CheckJoint(tree, points, scattered, r);
+      std::vector<dpc::PointId> tight;
+      for (dpc::PointId j = 0; j < n && tight.size() < 16; ++j) {
+        if (dpc::SquaredDistance(points[i], points[j], dim) <= r * r / 16) {
+          tight.push_back(j);
+        }
+      }
+      CheckJoint(tree, points, tight, r);
+    }
+  }
+}
+
+/// Count blocks at and around their size: a subtree of <= kCountBlock
+/// points is swept whole, so n straddles the block in every dimension.
+void TestCountBlocks() {
+  constexpr dpc::PointId kBlock = dpc::KdTree::kCountBlock;
+  for (const int dim : {1, 2, 7}) {
+    for (const dpc::PointId n :
+         {kBlock - 1, kBlock, kBlock + 1, 4 * kBlock + 3, dpc::PointId{5000}}) {
+      const dpc::PointSet points =
+          RandomPoints(dim, n, 9100 + static_cast<uint64_t>(dim * 10007 + n));
+      dpc::KdTree tree;
+      tree.Build(points);
+      CheckCounts(tree, points, {5.0, 40.0, 150.0, 2000.0},
+                  static_cast<uint64_t>(n));
+    }
+  }
+}
+
+/// Integer lattices with integer radii: r * r is exact and many points sit
+/// exactly at distance r, so a `<` where `<=` belongs (in a block sweep or
+/// a whole-subtree test) changes the counts.
+void TestLatticeBoundary() {
+  for (const int dim : {2, 7}) {
+    dpc::Rng rng(4242 + static_cast<uint64_t>(dim));
+    dpc::PointSet points(dim);
+    std::vector<double> p(static_cast<size_t>(dim));
+    const dpc::PointId n = 3000;
+    const uint64_t side = dim == 2 ? 40 : 6;
+    for (dpc::PointId i = 0; i < n; ++i) {
+      for (int d = 0; d < dim; ++d) {
+        p[static_cast<size_t>(d)] = static_cast<double>(rng.NextBelow(side));
+      }
+      points.Add(p.data());
+    }
+    dpc::KdTree tree;
+    tree.Build(points);
+    const std::vector<double> radii = {1.0, 2.0, 3.0, 5.0, 10.0};
+    // The fixture is only meaningful if boundary points exist.
+    dpc::PointId on_boundary = 0;
+    for (const double r : radii) {
+      for (dpc::PointId j = 0; j < n; ++j) {
+        if (dpc::SquaredDistance(points[0], points[j], dim) == r * r) ++on_boundary;
+      }
+    }
+    CHECK(on_boundary > 0);
+    CheckCounts(tree, points, radii, 77 + static_cast<uint64_t>(dim));
+  }
+}
+
+/// The pool build must be the serial tree node for node: same reports in
+/// the same order, same nearest answers, same memory.
+void CheckSameTree(const dpc::PointSet& points) {
+  const int dim = points.dim();
+  dpc::KdTree serial;
+  serial.Build(points);
+  for (const int threads : {1, 2, 3, 8}) {
+    const dpc::ExecutionContext exec(
+        threads, dpc::ScheduleStrategy::kCostGuided,
+        std::make_shared<dpc::ThreadPool>(threads));
+    dpc::KdTree pooled;
+    pooled.Build(points, exec);
+    CHECK_EQ(pooled.size(), serial.size());
+    CHECK_EQ(pooled.MemoryBytes(), serial.MemoryBytes());
+    if (points.size() == 0) continue;
+    dpc::Rng rng(31 + static_cast<uint64_t>(threads));
+    for (int trial = 0; trial < 200; ++trial) {
+      const dpc::PointId i =
+          static_cast<dpc::PointId>(rng.NextBelow(static_cast<uint64_t>(points.size())));
+      const double r = dim == 2 ? rng.Uniform(5.0, 40.0) : rng.Uniform(50.0, 300.0);
+      std::vector<dpc::PointId> a;
+      std::vector<dpc::PointId> b;
+      serial.RangeReport(points[i], r, &a);
+      pooled.RangeReport(points[i], r, &b);
+      CHECK(a == b);
+      const auto accept = [i](dpc::PointId j) { return j % 3 != 0 && j != i; };
+      double da = 0.0;
+      double db = 0.0;
+      CHECK_EQ(serial.NearestAccepted(points[i], accept, &da),
+               pooled.NearestAccepted(points[i], accept, &db));
+      CHECK(da == db || (std::isinf(da) && std::isinf(db)));
+    }
+  }
+}
+
+void TestPoolBuild() {
+  for (const int dim : {2, 7}) {
+    CheckSameTree(RandomPoints(dim, 50000, 600 + static_cast<uint64_t>(dim)));
+  }
+  CheckSameTree(dpc::PointSet(2));
+  for (const dpc::PointId n : {dpc::PointId{1}, dpc::PointId{dpc::KdTree::kLeafSize}}) {
+    CheckSameTree(RandomPoints(3, n, 5 + static_cast<uint64_t>(n)));
+  }
+}
+
 }  // namespace
 
 int main() {
   for (const int dim : {1, 2, 3, 5, 8}) TestDim(dim);
+  TestCountBlocks();
+  TestLatticeBoundary();
+  TestPoolBuild();
 
   // Empty and tiny trees must not crash.
   dpc::PointSet empty(2);
