@@ -1,7 +1,7 @@
 // Micro-benchmarks of the distance kernels and index substrates: the
 // scalar-vs-batched kernel comparison (the SoA fast path's headline
 // numbers), kd-tree build (serial and pool) / range count / NN, R-tree
-// range count, grid build, LSH partitioning. These are the primitive
+// range count, grid build (serial and pool), LSH partitioning. These are the primitive
 // costs behind every row of Tables 1 and 6.
 //
 // Self-contained harness (no external benchmark framework): each case
@@ -338,6 +338,33 @@ int main(int argc, char** argv) {
         StrFormat("grid_build_n%lld", static_cast<long long>(n));
     json.BeginResult(name);
     emit(name, "ns_per_point", 1e9 * s / static_cast<double>(n));
+  }
+  {
+    // Serial Build against the pool build over the same (id) visit
+    // order: the two produce the same grid, so the ratio is pure build
+    // parallelism.
+    const int64_t n = 1000000;
+    const PointSet ps = MakeData(n);
+    const double side = 1000.0 / std::sqrt(static_cast<double>(ps.dim()));
+    const ExecutionContext exec(cfg.max_threads);
+    std::vector<PointId> ids(static_cast<size_t>(n));
+    for (PointId i = 0; i < n; ++i) ids[static_cast<size_t>(i)] = i;
+    const double serial_s = SecondsPerOp([&] {
+      UniformGrid grid;
+      grid.Build(ps, side);
+      Sink(grid.num_cells());
+    });
+    const double pool_s = SecondsPerOp([&] {
+      UniformGrid grid;
+      grid.Build(ps, side, exec, ids);
+      Sink(grid.num_cells());
+    });
+    const std::string name =
+        StrFormat("grid_build_n%lld", static_cast<long long>(n));
+    json.BeginResult(name);
+    emit(name, "serial_ns_per_point", 1e9 * serial_s / static_cast<double>(n));
+    emit(name, "pool_ns_per_point", 1e9 * pool_s / static_cast<double>(n));
+    emit(name, "pool_over_serial", pool_s / serial_s, "%.2f");
   }
   {
     const PointSet ps = MakeData(20000);

@@ -1,7 +1,8 @@
-// Shared hash functors for integer-coordinate keys. Both grid cells
-// (index/grid.h) and LSH bucket keys (index/lsh.h) are vector<int64_t>
+// Hash helpers. Int64VectorHash hashes integer-coordinate keys; LSH
+// bucket keys (index/lsh.h) are its only user: vector<int64_t>
 // coordinates hashed into an unordered_map whose equality check is the
-// full coordinate comparison — collisions can never merge distinct keys.
+// full coordinate comparison, so collisions can never merge distinct
+// keys. (Grid cells use their own flat table, index/grid.h.)
 #ifndef DPC_COMMON_HASH_H_
 #define DPC_COMMON_HASH_H_
 

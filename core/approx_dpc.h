@@ -18,9 +18,16 @@
 // instead of one per point (ablation A of bench_ablation times the two).
 // Like Ex-DPC's counts, the traversal stops at count blocks
 // (index/kdtree.h): a fringe subtree of <= KdTree::kCountBlock points is
-// one kernel sweep per member. The tree is built on the solve's pool.
-// Both phases iterate cells partitioned by the §4.5 LPT scheduler under
-// the default cost-guided strategy.
+// one kernel sweep per member.
+//
+// One spatial order per solve: the kd-tree is built on the solve's pool
+// first, and the grid is then built on the pool in the tree's leaf order
+// (UniformGrid::Build(points, side, exec, tree.leaf_order())). CellIds
+// follow first touch along that order, so the §4.5 LPT bins (cost-guided
+// default), each cell's member list and the peak list all walk space
+// leaf by leaf. Every per-point result is order-independent — DenserThan
+// is a total order and nearest ties break to the smaller id — so the
+// order changes speed, never a bit of the output.
 //
 // The peaks' exact dependent search runs on the kd-tree already built
 // for rho: one predicate nearest-denser query per peak, the same query
@@ -44,7 +51,6 @@
 #include "core/ex_dpc.h"
 #include "core/kernels.h"
 #include "core/options.h"
-#include "core/soa.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
 #include "parallel/parallel_for.h"
@@ -71,8 +77,9 @@ struct ApproxDpcOptions {
 /// Cells run on the pool (LPT-partitioned by population under the default
 /// strategy); a cell writes only its own members' slots and its own
 /// peaks[c], so the result is schedule- and thread-count independent.
-/// Returns the peaks indexed by CellId (first-touch order). A stopped
-/// context can leave unvisited slots at -1: check it before using them.
+/// Returns the peaks indexed by CellId (the grid's first-touch order). A
+/// stopped context can leave unvisited slots at -1: check it before using
+/// them.
 inline std::vector<PointId> ElectCellPeaks(const PointSet& points,
                                            const UniformGrid& grid,
                                            const std::vector<double>& rho,
@@ -80,13 +87,6 @@ inline std::vector<PointId> ElectCellPeaks(const PointSet& points,
                                            std::vector<double>* delta,
                                            std::vector<PointId>* dependency) {
   std::vector<PointId> peaks(static_cast<size_t>(grid.num_cells()), PointId{-1});
-  // The snap distances stream from a cell-ordered SoA view — each cell's
-  // members are one contiguous SquaredDistanceBatch; sqrt of a
-  // bit-identical square is bit-identical to the scalar Distance.
-  const UniformGrid::Ordering ordering = grid.CellOrdering();
-  PointSetSoA cell_soa;
-  cell_soa.Assign(points, ordering.order.data(), points.size(),
-                  /*store_ids=*/false);
   ParallelForWithCosts(exec, grid.CellCosts(), [&](int64_t c) {
     const std::vector<PointId>& members = grid.members(c);
     PointId peak = members.front();
@@ -98,12 +98,14 @@ inline std::vector<PointId> ElectCellPeaks(const PointSet& points,
     }
     peaks[static_cast<size_t>(c)] = peak;
     if (members.size() == 1) return;
-    // Per-thread scratch (pool workers persist), resized per cell.
+    // Per-thread scratch (pool workers persist), resized per cell. The
+    // gather kernel's per-point arithmetic is the scalar reference's, so
+    // the sqrt below is bit-identical to the scalar Distance.
     static thread_local std::vector<double> snap_sq;
     snap_sq.resize(members.size());
-    kernels::SquaredDistanceBatch(
-        cell_soa, ordering.cell_begin[static_cast<size_t>(c)],
-        static_cast<PointId>(members.size()), points[peak], snap_sq.data());
+    kernels::SquaredDistanceGather(points, members.data(),
+                                   static_cast<PointId>(members.size()),
+                                   points[peak], snap_sq.data());
     for (size_t k = 0; k < members.size(); ++k) {
       const PointId i = members[k];
       if (i == peak) continue;
@@ -155,10 +157,11 @@ class ApproxDpc : public DpcAlgorithm {
     tree.Build(points, exec);
 
     // Grid with cell side d_cut/sqrt(dim), bounding the cell diameter by
-    // d_cut (index/grid.h); its per-cell population doubles as the §4.5
-    // scheduling cost model.
-    const UniformGrid grid(points,
-                           compute.d_cut / std::sqrt(static_cast<double>(dim)));
+    // d_cut (index/grid.h), built in the tree's leaf order; its per-cell
+    // population doubles as the §4.5 scheduling cost model.
+    UniformGrid grid;
+    grid.Build(points, compute.d_cut / std::sqrt(static_cast<double>(dim)),
+               exec, tree.leaf_order());
     result.stats.index_memory_bytes = tree.MemoryBytes() + grid.MemoryBytes();
 
     const std::vector<double> cell_costs = grid.CellCosts();

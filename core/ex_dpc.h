@@ -13,21 +13,20 @@
 //
 // The kd-tree is built on the solve's pool (KdTree::Build(points, exec),
 // the same tree as a serial build). Both per-point phases are
-// embarrassingly parallel over the immutable tree. Under the default
-// cost-guided strategy they iterate grid cells partitioned by the §4.5
-// LPT scheduler (cost = |P(c)|); static/dynamic strategies split the
-// plain id range instead. Either way each point's slot is written
-// exactly once, so results are strategy- and thread-count independent.
+// embarrassingly parallel over the immutable tree and run in the tree's
+// leaf order, so consecutive queries start from the same nodes and sweep
+// the same count blocks: ParallelFor chunks over leaf positions —
+// contiguous per thread under kStatic, claimed grains otherwise. Each
+// point's slot is written exactly once, so results are strategy- and
+// thread-count independent. Ex-DPC builds no grid.
 #ifndef DPC_CORE_EX_DPC_H_
 #define DPC_CORE_EX_DPC_H_
 
-#include <cmath>
 #include <limits>
 #include <vector>
 
 #include "core/dpc.h"
 #include "core/options.h"
-#include "index/grid.h"
 #include "index/kdtree.h"
 #include "parallel/parallel_for.h"
 
@@ -35,7 +34,8 @@ namespace dpc {
 
 struct ExDpcOptions {
   /// Loop scheduling override; unset inherits the ExecutionContext's
-  /// strategy (default cost-guided, §4.5).
+  /// strategy. Ex-DPC's loops have no cost model, so cost-guided claims
+  /// grains like dynamic (parallel/parallel_for.h).
   std::optional<ScheduleStrategy> scheduler;
 
   static StatusOr<ExDpcOptions> FromOptions(const OptionsMap& map) {
@@ -75,39 +75,18 @@ class ExDpc : public DpcAlgorithm {
     internal::WallTimer phase;
     KdTree tree;
     tree.Build(points, exec);
-
-    // Cost-guided scheduling partitions whole grid cells by population
-    // (§4.5). The grid is pure scheduling metadata — only built when a
-    // parallel region will actually form (several threads, enough work),
-    // and never charged to the index-memory stat (the paper's Ex-DPC
-    // carries a kd-tree only).
-    const bool cost_guided =
-        exec.strategy() == ScheduleStrategy::kCostGuided &&
-        exec.threads() > 1 && n >= internal::kMinParallelIterations;
-    UniformGrid grid;
-    std::vector<double> cell_costs;
-    if (cost_guided) {
-      grid.Build(points,
-                 compute.d_cut / std::sqrt(static_cast<double>(points.dim())));
-      cell_costs = grid.CellCosts();
-    }
     result.stats.build_seconds = phase.Lap();
     result.stats.index_memory_bytes = tree.MemoryBytes();
+    const std::vector<PointId>& order = tree.leaf_order();
 
     // rho: range count minus the point itself, swept in count blocks.
-    auto rho_for = [&](PointId i) {
-      result.rho[static_cast<size_t>(i)] =
-          static_cast<double>(tree.RangeCount(points[i], compute.d_cut) - 1);
-    };
-    if (cost_guided) {
-      ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
-        for (const PointId i : grid.members(cell)) rho_for(i);
-      });
-    } else {
-      ParallelFor(exec, n, [&](PointId begin, PointId end) {
-        for (PointId i = begin; i < end; ++i) rho_for(i);
-      });
-    }
+    ParallelFor(exec, n, [&](PointId begin, PointId end) {
+      for (PointId pos = begin; pos < end; ++pos) {
+        const PointId i = order[static_cast<size_t>(pos)];
+        result.rho[static_cast<size_t>(i)] =
+            static_cast<double>(tree.RangeCount(points[i], compute.d_cut) - 1);
+      }
+    });
     result.stats.rho_seconds = phase.Lap();
     if (internal::Interrupted(exec, &result)) {
       result.stats.total_seconds = total.Seconds();
@@ -115,17 +94,8 @@ class ExDpc : public DpcAlgorithm {
     }
 
     // delta: exact nearest denser neighbor.
-    if (cost_guided) {
-      ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
-        for (const PointId i : grid.members(cell)) {
-          ExactDeltaFor(points, tree, result.rho, i, &result.delta,
-                        &result.dependency);
-        }
-      });
-    } else {
-      ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
-                         &result.dependency);
-    }
+    ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
+                       &result.dependency, &order);
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
     result.stats.total_seconds = total.Seconds();

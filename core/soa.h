@@ -10,10 +10,9 @@
 // auto-vectorizer (and the hardware prefetcher) wants.
 //
 // The view is a copy, not an alias: building one costs one O(n * dim)
-// pass and n * dim doubles. Consumers therefore build it once per solve
+// pass and n * dim doubles. Consumers therefore build it once per index
 // (kd-/R-trees build theirs in perm order at Build() so leaf ranges are
-// contiguous; the grid algorithms build theirs in cell order so cell
-// members are contiguous — see UniformGrid::CellOrdering).
+// contiguous).
 //
 // A view built with a permutation remembers it: position j in the view
 // maps back to original id IdAt(j). Kernels return positions; callers
@@ -40,7 +39,7 @@ class PointSetSoA {
   }
 
   /// Permuted view: position j holds points[order[j]]. When the caller
-  /// already owns the permutation (kd-tree perm_, grid cell ordering),
+  /// already owns the permutation (the kd-tree's perm_),
   /// store_ids = false skips the redundant id copy and IdAt() must not
   /// be used.
   void Assign(const PointSet& points, const PointId* order, PointId count,

@@ -13,10 +13,13 @@
 // The tree is immutable after Build() and safe for concurrent queries.
 //
 // Hot-path layout: Build() materializes an SoA (dimension-major) copy of
-// the points in perm_ order, so every subtree's points occupy a
-// contiguous run of SoA positions and point scans run on the batched
-// kernels of core/kernels.h instead of per-point scalar distance calls.
-// Results are bit-identical to the scalar loops (see core/kernels.h).
+// the points in leaf order (perm_, exposed read-only as leaf_order()), so
+// every subtree's points occupy a contiguous run of SoA positions and
+// point scans run on the batched kernels of core/kernels.h instead of
+// per-point scalar distance calls. Results are bit-identical to the
+// scalar loops (see core/kernels.h). Ex-DPC and the grid solvers also
+// schedule their per-point loops in leaf order, so consecutive queries
+// touch the same nodes and SoA runs.
 //
 // Count blocks: the two range counts (RangeCount, JointRangeCount) stop
 // descending at any subtree of <= kCountBlock points and sweep its whole
@@ -42,7 +45,6 @@
 #define DPC_INDEX_KDTREE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -80,6 +82,20 @@ class KdTree {
 
   /// Number of indexed points.
   PointId size() const { return static_cast<PointId>(perm_.size()); }
+
+  /// The leaf order, position -> point id: every subtree owns one
+  /// contiguous run of it, so walking it visits the points leaf by leaf —
+  /// the spatial order the solves schedule their per-point loops by.
+  const std::vector<PointId>& leaf_order() const { return perm_; }
+
+  /// The [begin, end) run of leaf_order() each leaf owns, in leaf order.
+  std::vector<std::pair<PointId, PointId>> LeafSpans() const {
+    std::vector<std::pair<PointId, PointId>> spans;
+    for (const Node& node : nodes_) {
+      if (node.left < 0) spans.emplace_back(node.begin, node.end);
+    }
+    return spans;
+  }
 
   /// Number of points within distance r of q (q itself included when it
   /// is a member of the indexed set).
@@ -244,8 +260,9 @@ class KdTree {
         std::vector<Pending> frontier{{0, 0, n}};
         const size_t target = 4 * static_cast<size_t>(threads);
         while (!frontier.empty() && frontier.size() < target) {
-          RunTasks(*exec, frontier.size(),
-                   [&](size_t k) { SplitNode(frontier[k], counts); });
+          internal::RunTasks(*exec, frontier.size(), [&](size_t k) {
+            SplitNode(frontier[k], counts);
+          });
           std::vector<Pending> next;
           for (const Pending& p : frontier) {
             const Node& node = nodes_[static_cast<size_t>(p.id)];
@@ -256,27 +273,14 @@ class KdTree {
           }
           frontier = std::move(next);
         }
-        RunTasks(*exec, frontier.size(),
-                 [&](size_t k) { BuildNode(frontier[k], counts); });
+        internal::RunTasks(*exec, frontier.size(), [&](size_t k) {
+          BuildNode(frontier[k], counts);
+        });
       }
     }
     // Leaf-contiguous SoA view (perm_ order); perm_ already maps
     // positions back to ids, so the view needn't store its own copy.
     soa_.Assign(points, perm_.data(), n, /*store_ids=*/false);
-  }
-
-  /// fn(0) .. fn(num_tasks - 1) on at most exec.threads() pool workers.
-  template <typename Fn>
-  static void RunTasks(const ExecutionContext& exec, size_t num_tasks,
-                       const Fn& fn) {
-    std::atomic<size_t> next{0};
-    exec.pool().Run(std::min<int64_t>(exec.threads(),
-                                      static_cast<int64_t>(num_tasks)),
-                    [&](int64_t) {
-                      for (size_t k; (k = next.fetch_add(1)) < num_tasks;) {
-                        fn(k);
-                      }
-                    });
   }
 
   void BuildNode(const Pending& p, const NodeCounts& counts) {

@@ -51,20 +51,19 @@ inline Schedule LptSchedule(const std::vector<double>& costs, int num_bins) {
   s.bins.resize(static_cast<size_t>(bins));
   s.load.assign(static_cast<size_t>(bins), 0.0);
 
-  const int64_t n = static_cast<int64_t>(costs.size());
-  std::vector<int64_t> order(static_cast<size_t>(n));
-  std::iota(order.begin(), order.end(), int64_t{0});
-  std::sort(order.begin(), order.end(), [&costs](int64_t a, int64_t b) {
-    const double ca = costs[static_cast<size_t>(a)];
-    const double cb = costs[static_cast<size_t>(b)];
-    return ca > cb || (ca == cb && a < b);
-  });
+  // (-cost, item) pairs sort into (cost desc, id asc) order directly,
+  // without an indirect comparator.
+  std::vector<std::pair<double, int64_t>> order(costs.size());
+  for (size_t item = 0; item < costs.size(); ++item) {
+    order[item] = {-costs[item], static_cast<int64_t>(item)};
+  }
+  std::sort(order.begin(), order.end());
 
   // Min-heap of (load, bin id); the pair order breaks load ties by bin id.
   using Slot = std::pair<double, int>;
   std::priority_queue<Slot, std::vector<Slot>, std::greater<Slot>> heap;
   for (int t = 0; t < bins; ++t) heap.emplace(0.0, t);
-  for (const int64_t item : order) {
+  for (const auto& [neg_cost, item] : order) {
     auto [load, t] = heap.top();
     heap.pop();
     s.bins[static_cast<size_t>(t)].push_back(item);

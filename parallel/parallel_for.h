@@ -54,6 +54,20 @@ bool RunSlices(const ExecutionContext& ctx, int64_t begin, int64_t end,
   }
   return true;
 }
+
+/// fn(0) .. fn(num_tasks - 1) on at most ctx.threads() pool workers, each
+/// task claimed from a shared counter. Never polls the stop state: index
+/// builds (KdTree, UniformGrid) run to completion so a cancelled solve
+/// still holds a well-formed index.
+template <typename Fn>
+void RunTasks(const ExecutionContext& ctx, size_t num_tasks, const Fn& fn) {
+  std::atomic<size_t> next{0};
+  ctx.pool().Run(
+      std::min<int64_t>(ctx.threads(), static_cast<int64_t>(num_tasks)),
+      [&](int64_t) {
+        for (size_t k; (k = next.fetch_add(1)) < num_tasks;) fn(k);
+      });
+}
 }  // namespace internal
 
 /// Calls fn(begin, end) over disjoint chunks of [0, n). kStatic: one
@@ -120,9 +134,12 @@ void ParallelForStaticChunks(const ExecutionContext& ctx, int64_t n,
 /// Calls fn(item) for every item in [0, costs.size()), where costs[item]
 /// models the item's work (index/grid.h::CellCosts for grid cells).
 /// kCostGuided partitions items with the §4.5 LPT scheduler, one bin per
-/// thread; kStatic splits into contiguous equal-count runs; kDynamic
-/// claims single items. Items are heavy by definition (a cell's whole
-/// point population), so the stop poll runs per item.
+/// thread, and each thread runs its bin in ascending item order — for
+/// grid cells that is the grid's visit order, so every thread sweeps
+/// space instead of jumping between cost classes; kStatic splits into
+/// contiguous equal-count runs; kDynamic claims single items. Items are
+/// heavy by definition (a cell's whole point population), so the stop
+/// poll runs per item.
 template <typename Fn>
 void ParallelForWithCosts(const ExecutionContext& ctx,
                           const std::vector<double>& costs, const Fn& fn) {
@@ -167,9 +184,13 @@ void ParallelForWithCosts(const ExecutionContext& ctx,
       break;
     }
     case ScheduleStrategy::kCostGuided: {
-      const Schedule schedule = LptSchedule(costs, threads);
+      Schedule schedule = LptSchedule(costs, threads);
       ctx.pool().Run(threads, [&](int64_t t) {
-        for (const int64_t item : schedule.bins[static_cast<size_t>(t)]) {
+        // LPT fills a bin in cost order; the sort runs on the bin's own
+        // thread.
+        std::vector<int64_t>& bin = schedule.bins[static_cast<size_t>(t)];
+        std::sort(bin.begin(), bin.end());
+        for (const int64_t item : bin) {
           if (ctx.ShouldStop()) return;
           fn(item);
         }

@@ -1,5 +1,6 @@
 // Approx-DPC vs Ex-DPC: identical centers (the paper's exactness claim),
-// label agreement >= 0.95 Rand index, and valid structural invariants.
+// also for coordinates without an exact integer grid cell, label
+// agreement >= 0.95 Rand index, and valid structural invariants.
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -88,6 +89,30 @@ int main() {
       CHECK(dpc::DenserThan(ap.rho[static_cast<size_t>(dep)], dep, ap.rho[i],
                             static_cast<dpc::PointId>(i)));
     }
+  }
+
+  // Finite coordinates far past the int64 range of a cell index (LoadCsv
+  // accepts any finite value): each such point gets a cell of its own, so
+  // it is its own peak, takes the exact search, and the centers match
+  // Ex-DPC's. A shared cell would snap (-1e300, *) to a peak 2e300 away
+  // and report a spurious center.
+  {
+    dpc::PointSet huge(2);
+    const double coords[][2] = {
+        {1e300, 0.0}, {1e300, 0.1}, {1e300, 0.2}, {-1e300, 0.0}, {-1e300, 0.1}};
+    for (const auto& p : coords) huge.Add(p);
+    dpc::DpcParams huge_params;
+    huge_params.d_cut = 1.0;
+    huge_params.delta_min = 2.0;
+    auto cluster_huge = [&](dpc::DpcAlgorithm&& algo) {
+      return dpc::FinalizeSolution(
+          algo.Solve(huge, huge_params.compute(), dpc::ExecutionContext()),
+          huge_params.threshold());
+    };
+    const dpc::DpcResult ex_huge = cluster_huge(dpc::ExDpc());
+    const dpc::DpcResult ap_huge = cluster_huge(dpc::ApproxDpc());
+    CHECK_EQ(ex_huge.centers.size(), size_t{2});
+    CHECK(ap_huge.centers == ex_huge.centers);
   }
   std::printf("approx_dpc_test OK\n");
   return 0;

@@ -1,8 +1,9 @@
 // kd-tree vs brute force: range count, range report, and
 // nearest-accepted-neighbor on random point sets across dimensions; the
 // count-block traversals (RangeCount, JointRangeCount) around the block
-// size and on lattice points lying exactly on the ball boundary; and the
-// pool build, which must reproduce the serial tree exactly.
+// size and on lattice points lying exactly on the ball boundary; the
+// leaf order the solves schedule by; and the pool build, which must
+// reproduce the serial tree exactly.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
@@ -202,12 +203,36 @@ void TestLatticeBoundary() {
   }
 }
 
-/// The pool build must be the serial tree node for node: same reports in
-/// the same order, same nearest answers, same memory.
+/// The leaf order is a permutation of [0, n), and the leaves' runs tile
+/// it: each leaf owns one contiguous [begin, end) of at most kLeafSize
+/// positions, in leaf order, and every position belongs to one leaf.
+void CheckLeafOrder(const dpc::KdTree& tree) {
+  const dpc::PointId n = tree.size();
+  const std::vector<dpc::PointId>& order = tree.leaf_order();
+  CHECK_EQ(static_cast<dpc::PointId>(order.size()), n);
+  std::vector<int> seen(static_cast<size_t>(n), 0);
+  for (const dpc::PointId id : order) {
+    CHECK(id >= 0 && id < n);
+    ++seen[static_cast<size_t>(id)];
+  }
+  for (const int count : seen) CHECK_EQ(count, 1);
+  dpc::PointId next = 0;
+  for (const auto& [begin, end] : tree.LeafSpans()) {
+    CHECK_EQ(begin, next);
+    CHECK(end > begin && end - begin <= dpc::KdTree::kLeafSize);
+    next = end;
+  }
+  CHECK_EQ(next, n);
+}
+
+/// The pool build must be the serial tree node for node: same leaf
+/// order, same reports in the same order, same nearest answers, same
+/// memory.
 void CheckSameTree(const dpc::PointSet& points) {
   const int dim = points.dim();
   dpc::KdTree serial;
   serial.Build(points);
+  CheckLeafOrder(serial);
   for (const int threads : {1, 2, 3, 8}) {
     const dpc::ExecutionContext exec(
         threads, dpc::ScheduleStrategy::kCostGuided,
@@ -216,6 +241,9 @@ void CheckSameTree(const dpc::PointSet& points) {
     pooled.Build(points, exec);
     CHECK_EQ(pooled.size(), serial.size());
     CHECK_EQ(pooled.MemoryBytes(), serial.MemoryBytes());
+    CheckLeafOrder(pooled);
+    CHECK(pooled.leaf_order() == serial.leaf_order());
+    CHECK(pooled.LeafSpans() == serial.LeafSpans());
     if (points.size() == 0) continue;
     dpc::Rng rng(31 + static_cast<uint64_t>(threads));
     for (int trial = 0; trial < 200; ++trial) {
