@@ -35,15 +35,12 @@ struct CfsfdpAOptions {
   /// Seed of the Bernoulli sampling coins; fixed so labels are
   /// reproducible run to run.
   int64_t sample_seed = 0xcf5fd9a5;
-  /// Loop scheduling override; unset inherits the ExecutionContext.
-  std::optional<ScheduleStrategy> scheduler;
 
   static StatusOr<CfsfdpAOptions> FromOptions(const OptionsMap& map) {
     CfsfdpAOptions options;
     OptionsReader reader(map);
     reader.Double("sample_rate", &options.sample_rate);
     reader.Int64("sample_seed", &options.sample_seed);
-    reader.Strategy("scheduler", &options.scheduler);
     if (Status s = reader.status(); !s.ok()) return s;
     if (!(options.sample_rate > 0.0) || options.sample_rate > 1.0) {
       return Status::InvalidArgument("sample_rate must be in (0, 1]");
@@ -61,10 +58,7 @@ class CfsfdpA : public DpcAlgorithm {
 
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
-                        const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
+                        const ExecutionContext& exec) override {
     DpcSolution result;
     const PointId n = points.size();
     result.rho.assign(static_cast<size_t>(n), 0.0);

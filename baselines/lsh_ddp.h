@@ -37,10 +37,6 @@ struct LshDdpOptions {
   int num_bits = 4;    ///< projections per table (code width)
   /// Bucket width as a multiple of d_cut.
   double bucket_width_factor = 4.0;
-  /// Loop scheduling override; unset inherits the ExecutionContext.
-  /// Exception: the rho loop always runs static — its O(n) per-chunk
-  /// scratch would be re-paid under dynamic chunking (see SolveImpl).
-  std::optional<ScheduleStrategy> scheduler;
 
   static StatusOr<LshDdpOptions> FromOptions(const OptionsMap& map) {
     LshDdpOptions options;
@@ -48,7 +44,6 @@ struct LshDdpOptions {
     reader.Int("num_tables", &options.num_tables);
     reader.Int("num_bits", &options.num_bits);
     reader.Double("bucket_width_factor", &options.bucket_width_factor);
-    reader.Strategy("scheduler", &options.scheduler);
     if (Status s = reader.status(); !s.ok()) return s;
     if (options.num_tables < 1 || options.num_bits < 1) {
       return Status::InvalidArgument("num_tables and num_bits must be >= 1");
@@ -69,10 +64,7 @@ class LshDdp : public DpcAlgorithm {
 
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
-                        const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
+                        const ExecutionContext& exec) override {
     DpcSolution result;
     const PointId n = points.size();
     result.rho.assign(static_cast<size_t>(n), 0.0);

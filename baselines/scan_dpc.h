@@ -10,9 +10,9 @@
 //
 // Both share the quadratic dependent pass (internal::QuadraticDeltas),
 // which CFSFDP-A reuses as well. All phases parallelize over points with
-// disjoint writes, so results are thread-count and strategy independent.
-// Per-point work is uniform here (every point scans everything), so
-// there is no cost model: cost-guided scheduling falls back to dynamic.
+// disjoint writes, so results are thread-count independent. Per-point
+// work is uniform here (every point scans everything), so there is no
+// cost model: the loops claim grains (ParallelFor).
 //
 // Cancellation: with O(n) work per index, ParallelFor's 1024-index
 // sub-slice polling would overshoot a deadline by up to 1024*n distance
@@ -36,26 +36,11 @@
 
 #include "core/dpc.h"
 #include "core/kernels.h"
-#include "core/options.h"
 #include "core/soa.h"
 #include "index/rtree.h"
 #include "parallel/parallel_for.h"
 
 namespace dpc {
-
-/// Shared by ScanDpc and RtreeScanDpc (their loops are shape-identical).
-struct ScanDpcOptions {
-  /// Loop scheduling override; unset inherits the ExecutionContext.
-  std::optional<ScheduleStrategy> scheduler;
-
-  static StatusOr<ScanDpcOptions> FromOptions(const OptionsMap& map) {
-    ScanDpcOptions options;
-    OptionsReader reader(map);
-    reader.Strategy("scheduler", &options.scheduler);
-    if (Status s = reader.status(); !s.ok()) return s;
-    return options;
-  }
-};
 
 namespace internal {
 
@@ -116,17 +101,11 @@ inline void QuadraticDeltas(const PointSet& points, const PointSetSoA& soa,
 
 class ScanDpc : public DpcAlgorithm {
  public:
-  ScanDpc() = default;
-  explicit ScanDpc(ScanDpcOptions options) : options_(options) {}
-
   std::string_view name() const override { return "Scan"; }
 
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
-                        const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
+                        const ExecutionContext& exec) override {
     DpcSolution result;
     const PointId n = points.size();
     result.rho.assign(static_cast<size_t>(n), 0.0);
@@ -169,24 +148,15 @@ class ScanDpc : public DpcAlgorithm {
     result.stats.total_seconds = total.Seconds();
     return result;
   }
-
- private:
-  ScanDpcOptions options_;
 };
 
 class RtreeScanDpc : public DpcAlgorithm {
  public:
-  RtreeScanDpc() = default;
-  explicit RtreeScanDpc(ScanDpcOptions options) : options_(options) {}
-
   std::string_view name() const override { return "R-tree + Scan"; }
 
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
-                        const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
+                        const ExecutionContext& exec) override {
     DpcSolution result;
     const PointId n = points.size();
     result.rho.assign(static_cast<size_t>(n), 0.0);
@@ -222,9 +192,6 @@ class RtreeScanDpc : public DpcAlgorithm {
     result.stats.total_seconds = total.Seconds();
     return result;
   }
-
- private:
-  ScanDpcOptions options_;
 };
 
 }  // namespace dpc

@@ -2,10 +2,9 @@
 //
 //   A. Joint range search (§4.2) vs per-point range counts: how much of
 //      Approx-DPC's rho-phase win comes from sharing tree traversals.
-//   B. Cost-based LPT partitioning (§4.5) vs plain dynamic scheduling:
-//      the load-balance quality (max/min thread load under the cost
-//      model) and wall time. On 1-core machines only the balance metric
-//      is meaningful.
+//   B. Cost-based LPT partitioning (§4.5) vs hash partitioning: the
+//      load-balance quality (makespan / mean thread load under the cost
+//      model, 8 simulated threads).
 //   C. The peaks' exact dependent search: one query on the rho kd-tree
 //      (what Approx-DPC runs) vs the paper's density-ordered subset scheme
 //      at Equation (2)'s s and under/over-partitioned s.
@@ -51,23 +50,13 @@ int main() {
     eval::Table table({"dataset", "LPT makespan/mean", "hash makespan/mean"});
     for (const auto& w : workloads) {
       // Cost model of the rho phase: |P(c)| per cell.
-      UniformGrid grid(w.points, w.params.d_cut / std::sqrt(static_cast<double>(w.points.dim())));
-      std::vector<double> costs(static_cast<size_t>(grid.num_cells()));
-      double total = 0.0;
-      for (CellId c = 0; c < grid.num_cells(); ++c) {
-        costs[static_cast<size_t>(c)] = static_cast<double>(grid.members(c).size());
-        total += costs[static_cast<size_t>(c)];
-      }
-      const int threads = 8;
-      const Schedule lpt = LptSchedule(costs, threads);
-      // Hash partitioning: cell id modulo thread (LSH-DDP's strategy).
-      std::vector<double> hash_load(static_cast<size_t>(threads), 0.0);
-      for (size_t c = 0; c < costs.size(); ++c) hash_load[c % threads] += costs[c];
-      double hash_max = 0.0;
-      for (const double l : hash_load) hash_max = std::max(hash_max, l);
-      const double mean = total / threads;
-      table.AddRow({w.name, StrFormat("%.3f", lpt.makespan / mean),
-                    StrFormat("%.3f", hash_max / mean)});
+      const UniformGrid grid(
+          w.points, w.params.d_cut / std::sqrt(static_cast<double>(w.points.dim())));
+      const std::vector<double> costs = grid.CellCosts();
+      // LPT against hash partitioning: cell id modulo thread (LSH-DDP's
+      // strategy).
+      table.AddRow({w.name, StrFormat("%.3f", LptSchedule(costs, 8).Imbalance()),
+                    StrFormat("%.3f", HashSchedule(costs, 8).Imbalance())});
     }
     table.Print();
     std::printf("   (1.0 = perfect balance; LPT should sit at ~1.00, hash above it)\n");
@@ -87,7 +76,7 @@ int main() {
                               std::numeric_limits<double>::infinity());
     std::vector<PointId> dependency(static_cast<size_t>(n), -1);
     const std::vector<PointId> peaks =
-        ElectCellPeaks(w.points, grid, sol.rho, ctx, &delta, &dependency);
+        ElectCellPeaks(w.points, grid, sol.rho, &delta, &dependency);
     const KdTree tree(w.points);
     auto same = [&] {
       return delta == sol.delta && dependency == sol.dependency ? "" : " MISMATCH";

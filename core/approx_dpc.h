@@ -23,11 +23,11 @@
 // One spatial order per solve: the kd-tree is built on the solve's pool
 // first, and the grid is then built on the pool in the tree's leaf order
 // (UniformGrid::Build(points, side, exec, tree.leaf_order())). CellIds
-// follow first touch along that order, so the §4.5 LPT bins (cost-guided
-// default), each cell's member list and the peak list all walk space
-// leaf by leaf. Every per-point result is order-independent — DenserThan
-// is a total order and nearest ties break to the smaller id — so the
-// order changes speed, never a bit of the output.
+// follow first touch along that order, so the §4.5 LPT bins, each
+// cell's member list and the peak list all walk space leaf by leaf.
+// Every per-point result is order-independent — DenserThan is a total
+// order and nearest ties break to the smaller id — so the order changes
+// speed, never a bit of the output.
 //
 // The peaks' exact dependent search runs on the kd-tree already built
 // for rho: one predicate nearest-denser query per peak, the same query
@@ -38,6 +38,11 @@
 // check this search against. It costs a second density sort, s tree
 // builds and up to s descents per peak, where the rho tree answers each
 // peak in one.
+//
+// Phase timers: the per-cell peak election and snap run inside the rho
+// loop (a cell's members all get their rho from that cell's own
+// traversal), so DpcStats::rho_seconds includes the snap, and
+// delta_seconds is the peaks' search alone.
 #ifndef DPC_CORE_APPROX_DPC_H_
 #define DPC_CORE_APPROX_DPC_H_
 
@@ -50,77 +55,66 @@
 #include "core/dpc.h"
 #include "core/ex_dpc.h"
 #include "core/kernels.h"
-#include "core/options.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
 #include "parallel/parallel_for.h"
 
 namespace dpc {
 
-struct ApproxDpcOptions {
-  /// Loop scheduling override; unset inherits the ExecutionContext's
-  /// strategy (default cost-guided, §4.5).
-  std::optional<ScheduleStrategy> scheduler;
-
-  static StatusOr<ApproxDpcOptions> FromOptions(const OptionsMap& map) {
-    ApproxDpcOptions options;
-    OptionsReader reader(map);
-    reader.Strategy("scheduler", &options.scheduler);
-    if (Status s = reader.status(); !s.ok()) return s;
-    return options;
+/// One grid cell's peak pass: elects the cell's densest member (under
+/// DenserThan) as its peak and snaps every other member to it —
+/// dependency = peak, delta = distance to the peak. It writes only the
+/// members' slots, so cells can run in any order on any thread. Returns
+/// the peak.
+inline PointId ElectCellPeak(const PointSet& points,
+                             const std::vector<PointId>& members,
+                             const std::vector<double>& rho,
+                             std::vector<double>* delta,
+                             std::vector<PointId>* dependency) {
+  PointId peak = members.front();
+  for (const PointId i : members) {
+    if (DenserThan(rho[static_cast<size_t>(i)], i,
+                   rho[static_cast<size_t>(peak)], peak)) {
+      peak = i;
+    }
   }
-};
+  if (members.size() == 1) return peak;
+  // Per-thread scratch (pool workers persist), resized per cell. The
+  // gather kernel's per-point arithmetic is the scalar reference's, so
+  // the sqrt below is bit-identical to the scalar Distance.
+  static thread_local std::vector<double> snap_sq;
+  snap_sq.resize(members.size());
+  kernels::SquaredDistanceGather(points, members.data(),
+                                 static_cast<PointId>(members.size()),
+                                 points[peak], snap_sq.data());
+  for (size_t k = 0; k < members.size(); ++k) {
+    const PointId i = members[k];
+    if (i == peak) continue;
+    (*dependency)[static_cast<size_t>(i)] = peak;
+    (*delta)[static_cast<size_t>(i)] = std::sqrt(snap_sq[k]);
+  }
+  return peak;
+}
 
-/// The per-cell pass of Approx-DPC and S-Approx-DPC: elects each grid
-/// cell's densest member (under DenserThan) as its peak and snaps every
-/// other member to it — dependency = peak, delta = distance to the peak.
-/// Cells run on the pool (LPT-partitioned by population under the default
-/// strategy); a cell writes only its own members' slots and its own
-/// peaks[c], so the result is schedule- and thread-count independent.
-/// Returns the peaks indexed by CellId (the grid's first-touch order). A
-/// stopped context can leave unvisited slots at -1: check it before using
-/// them.
+/// ElectCellPeak over every grid cell, serially; returns the peaks
+/// indexed by CellId (the grid's first-touch order). SolveImpl runs
+/// ElectCellPeak inside its rho loop instead; this loop is the reference
+/// tests and ablation C rebuild the peaks with.
 inline std::vector<PointId> ElectCellPeaks(const PointSet& points,
                                            const UniformGrid& grid,
                                            const std::vector<double>& rho,
-                                           const ExecutionContext& exec,
                                            std::vector<double>* delta,
                                            std::vector<PointId>* dependency) {
-  std::vector<PointId> peaks(static_cast<size_t>(grid.num_cells()), PointId{-1});
-  ParallelForWithCosts(exec, grid.CellCosts(), [&](int64_t c) {
-    const std::vector<PointId>& members = grid.members(c);
-    PointId peak = members.front();
-    for (const PointId i : members) {
-      if (DenserThan(rho[static_cast<size_t>(i)], i,
-                     rho[static_cast<size_t>(peak)], peak)) {
-        peak = i;
-      }
-    }
-    peaks[static_cast<size_t>(c)] = peak;
-    if (members.size() == 1) return;
-    // Per-thread scratch (pool workers persist), resized per cell. The
-    // gather kernel's per-point arithmetic is the scalar reference's, so
-    // the sqrt below is bit-identical to the scalar Distance.
-    static thread_local std::vector<double> snap_sq;
-    snap_sq.resize(members.size());
-    kernels::SquaredDistanceGather(points, members.data(),
-                                   static_cast<PointId>(members.size()),
-                                   points[peak], snap_sq.data());
-    for (size_t k = 0; k < members.size(); ++k) {
-      const PointId i = members[k];
-      if (i == peak) continue;
-      (*dependency)[static_cast<size_t>(i)] = peak;
-      (*delta)[static_cast<size_t>(i)] = std::sqrt(snap_sq[k]);
-    }
-  });
+  std::vector<PointId> peaks(static_cast<size_t>(grid.num_cells()));
+  for (CellId c = 0; c < grid.num_cells(); ++c) {
+    peaks[static_cast<size_t>(c)] =
+        ElectCellPeak(points, grid.members(c), rho, delta, dependency);
+  }
   return peaks;
 }
 
 class ApproxDpc : public DpcAlgorithm {
  public:
-  ApproxDpc() = default;
-  explicit ApproxDpc(ApproxDpcOptions options) : options_(options) {}
-
   std::string_view name() const override { return "Approx-DPC"; }
 
   /// The Equation (2) analog of our cost model for the density-ordered
@@ -139,10 +133,7 @@ class ApproxDpc : public DpcAlgorithm {
 
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
-                        const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
+                        const ExecutionContext& exec) override {
     DpcSolution result;
     const PointId n = points.size();
     const int dim = points.dim();
@@ -168,6 +159,9 @@ class ApproxDpc : public DpcAlgorithm {
     result.stats.build_seconds = phase.Lap();
 
     // rho: exact range counts, one joint count-block traversal per cell.
+    // Every member's rho comes from its own cell's traversal, so the cell
+    // then elects its peak and snaps the other members to it right here.
+    std::vector<PointId> peaks(static_cast<size_t>(grid.num_cells()), PointId{-1});
     ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
       const std::vector<PointId>& members = grid.members(cell);
       // Per-thread scratch (pool workers persist): the members' tight
@@ -193,6 +187,8 @@ class ApproxDpc : public DpcAlgorithm {
         result.rho[static_cast<size_t>(members[k])] =
             static_cast<double>(counts[k] - 1);  // self excluded
       }
+      peaks[static_cast<size_t>(cell)] = ElectCellPeak(
+          points, members, result.rho, &result.delta, &result.dependency);
     });
     result.stats.rho_seconds = phase.Lap();
     if (internal::Interrupted(exec, &result)) {
@@ -200,23 +196,19 @@ class ApproxDpc : public DpcAlgorithm {
       return result;
     }
 
-    // delta: everyone snaps to its cell peak, then the peaks alone take
-    // the nearest-denser search on the rho tree — over every point, or
-    // over the candidate mask when the algorithm samples one.
-    const std::vector<PointId> peaks = ElectCellPeaks(
-        points, grid, result.rho, exec, &result.delta, &result.dependency);
-    if (!internal::Interrupted(exec, &result)) {
-      const std::vector<uint8_t> kept = CandidateMask(peaks, n, compute.epsilon);
-      result.stats.index_memory_bytes += kept.capacity() * sizeof(uint8_t);
-      if (kept.empty()) {
-        ExDpc::ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
-                                  &result.dependency, &peaks);
-      } else {
-        ExDpc::ComputeExactDeltas(
-            points, tree, result.rho, exec, &result.delta, &result.dependency,
-            &peaks,
-            [&kept](PointId j) { return kept[static_cast<size_t>(j)] != 0; });
-      }
+    // delta: the peaks alone take the nearest-denser search on the rho
+    // tree — over every point, or over the candidate mask when the
+    // algorithm samples one.
+    const std::vector<uint8_t> kept = CandidateMask(peaks, n, compute.epsilon);
+    result.stats.index_memory_bytes += kept.capacity() * sizeof(uint8_t);
+    if (kept.empty()) {
+      ExDpc::ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
+                                &result.dependency, &peaks);
+    } else {
+      ExDpc::ComputeExactDeltas(
+          points, tree, result.rho, exec, &result.delta, &result.dependency,
+          &peaks,
+          [&kept](PointId j) { return kept[static_cast<size_t>(j)] != 0; });
     }
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
@@ -245,9 +237,9 @@ class ApproxDpc : public DpcAlgorithm {
   /// denser-than predicate. The result is exactly the nearest denser
   /// neighbor (same candidate set as a global predicate search); only a
   /// tie between equidistant candidates may resolve differently — here
-  /// to the denser one, on the rho tree to the smaller id. Under
-  /// cost-guided scheduling, peaks are LPT-partitioned by density rank —
-  /// denser peaks visit fewer subsets, which rank models directly.
+  /// to the denser one, on the rho tree to the smaller id. Peaks are
+  /// LPT-partitioned by density rank — denser peaks visit fewer subsets,
+  /// which rank models directly.
   static void ComputePeakDeltasBySubsets(
       const PointSet& points, const std::vector<double>& rho,
       const std::vector<PointId>& peaks, int num_subsets,
@@ -324,9 +316,6 @@ class ApproxDpc : public DpcAlgorithm {
       (*dependency)[static_cast<size_t>(p)] = best_id;
     });
   }
-
- private:
-  ApproxDpcOptions options_;
 };
 
 }  // namespace dpc

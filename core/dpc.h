@@ -440,8 +440,8 @@ class DpcAlgorithm {
 
   /// The compute phase: produces this algorithm's DpcSolution (rho /
   /// delta / dependency + metadata). The ExecutionContext carries the
-  /// execution policy (thread pool, parallelism degree, schedule
-  /// strategy, deadline/cancellation). Callers that already hold the
+  /// execution policy (thread pool, parallelism degree,
+  /// deadline/cancellation). Callers that already hold the
   /// input's content fingerprint (the serving layer's dataset registry)
   /// pass it to skip the O(n·dim) re-hash; 0 means "compute it here".
   DpcSolution Solve(const PointSet& points, const ComputeParams& compute,

@@ -15,10 +15,9 @@
 // the same tree as a serial build). Both per-point phases are
 // embarrassingly parallel over the immutable tree and run in the tree's
 // leaf order, so consecutive queries start from the same nodes and sweep
-// the same count blocks: ParallelFor chunks over leaf positions —
-// contiguous per thread under kStatic, claimed grains otherwise. Each
-// point's slot is written exactly once, so results are strategy- and
-// thread-count independent. Ex-DPC builds no grid.
+// the same count blocks: ParallelFor grains over leaf positions. Each
+// point's slot is written exactly once, so results are thread-count
+// independent. Ex-DPC builds no grid.
 #ifndef DPC_CORE_EX_DPC_H_
 #define DPC_CORE_EX_DPC_H_
 
@@ -26,26 +25,10 @@
 #include <vector>
 
 #include "core/dpc.h"
-#include "core/options.h"
 #include "index/kdtree.h"
 #include "parallel/parallel_for.h"
 
 namespace dpc {
-
-struct ExDpcOptions {
-  /// Loop scheduling override; unset inherits the ExecutionContext's
-  /// strategy. Ex-DPC's loops have no cost model, so cost-guided claims
-  /// grains like dynamic (parallel/parallel_for.h).
-  std::optional<ScheduleStrategy> scheduler;
-
-  static StatusOr<ExDpcOptions> FromOptions(const OptionsMap& map) {
-    ExDpcOptions options;
-    OptionsReader reader(map);
-    reader.Strategy("scheduler", &options.scheduler);
-    if (Status s = reader.status(); !s.ok()) return s;
-    return options;
-  }
-};
 
 /// The default candidate filter of the exact delta search: every point.
 struct AcceptAll {
@@ -54,16 +37,11 @@ struct AcceptAll {
 
 class ExDpc : public DpcAlgorithm {
  public:
-  ExDpc() = default;
-  explicit ExDpc(ExDpcOptions options) : options_(options) {}
-
   std::string_view name() const override { return "Ex-DPC"; }
 
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
-                        const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
+                        const ExecutionContext& exec) override {
     DpcSolution result;
     const PointId n = points.size();
     result.rho.assign(static_cast<size_t>(n), 0.0);
@@ -145,9 +123,6 @@ class ExDpc : public DpcAlgorithm {
       }
     });
   }
-
- private:
-  ExDpcOptions options_;
 };
 
 }  // namespace dpc

@@ -15,13 +15,11 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/status.h"
-#include "parallel/execution_context.h"
 
 namespace dpc {
 
@@ -49,8 +47,8 @@ inline StatusOr<OptionsMap> ParseOptionList(
 /// parses integer options exactly, so the canonical form must too),
 /// other finite numbers through %.17g (so "0.50", "5e-1", and ".5" all
 /// become "0.5"), boolean words collapse to "1"/"0" (mirroring
-/// OptionsReader::Bool's vocabulary), and anything else — enum values
-/// like "lpt", paths, names — is preserved byte-for-byte.
+/// OptionsReader::Bool's vocabulary), and anything else — paths, names —
+/// is preserved byte-for-byte.
 inline std::string CanonicalOptionValue(const std::string& value) {
   if (value == "true" || value == "on" || value == "yes") return "1";
   if (value == "false" || value == "off" || value == "no") return "0";
@@ -144,26 +142,6 @@ class OptionsReader {
         Fail(key, *v, "a finite number");
       } else {
         *out = parsed;
-      }
-    }
-    return *this;
-  }
-
-  /// static | dynamic | lpt (aliases: cost, cost-guided) | inherit.
-  /// "inherit" clears the override so the ExecutionContext decides.
-  OptionsReader& Strategy(const std::string& key,
-                          std::optional<ScheduleStrategy>* out) {
-    if (const std::string* v = Consume(key)) {
-      if (*v == "inherit") {
-        out->reset();
-      } else if (*v == "static") {
-        *out = ScheduleStrategy::kStatic;
-      } else if (*v == "dynamic") {
-        *out = ScheduleStrategy::kDynamic;
-      } else if (*v == "lpt" || *v == "cost" || *v == "cost-guided") {
-        *out = ScheduleStrategy::kCostGuided;
-      } else {
-        Fail(key, *v, "one of static|dynamic|lpt|inherit");
       }
     }
     return *this;

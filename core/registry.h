@@ -4,10 +4,10 @@
 // test run picks it up automatically).
 //
 // API v2: every factory takes an OptionsMap (core/options.h) so callers
-// like `dpc_cli --opt k=v` can drive per-algorithm knobs — LSH table
-// counts, Approx-DPC's joint-range-search toggle, scheduler overrides —
-// without recompiling. Unknown keys and malformed values fail with
-// InvalidArgument.
+// like `dpc_cli --opt k=v` can drive per-algorithm knobs — LSH-DDP's
+// table and bit counts, CFSFDP-A's sample rate and seed — without
+// recompiling. The paper's three algorithms and the Scan baselines have
+// no keys. Unknown keys and malformed values fail with InvalidArgument.
 #ifndef DPC_CORE_REGISTRY_H_
 #define DPC_CORE_REGISTRY_H_
 
@@ -45,15 +45,22 @@ StatusOr<std::unique_ptr<DpcAlgorithm>> MakeWithOptions(const OptionsMap& map) {
       std::make_unique<Algo>(std::move(options).value()));
 }
 
+/// The factory of an algorithm without options: every key is unknown.
+template <typename Algo>
+StatusOr<std::unique_ptr<DpcAlgorithm>> MakeWithoutOptions(const OptionsMap& map) {
+  if (Status s = OptionsReader(map).status(); !s.ok()) return s;
+  return std::unique_ptr<DpcAlgorithm>(std::make_unique<Algo>());
+}
+
 /// Single source of truth: landing an algorithm means adding one slot
 /// here.
 inline const std::vector<AlgorithmEntry>& AlgorithmTable() {
   static const std::vector<AlgorithmEntry> kTable = {
-      {"ex-dpc", &MakeWithOptions<ExDpc, ExDpcOptions>},
-      {"approx-dpc", &MakeWithOptions<ApproxDpc, ApproxDpcOptions>},
-      {"s-approx-dpc", &MakeWithOptions<SApproxDpc, ApproxDpcOptions>},
-      {"scan", &MakeWithOptions<ScanDpc, ScanDpcOptions>},
-      {"rtree-scan", &MakeWithOptions<RtreeScanDpc, ScanDpcOptions>},
+      {"ex-dpc", &MakeWithoutOptions<ExDpc>},
+      {"approx-dpc", &MakeWithoutOptions<ApproxDpc>},
+      {"s-approx-dpc", &MakeWithoutOptions<SApproxDpc>},
+      {"scan", &MakeWithoutOptions<ScanDpc>},
+      {"rtree-scan", &MakeWithoutOptions<RtreeScanDpc>},
       {"lsh-ddp", &MakeWithOptions<LshDdp, LshDdpOptions>},
       {"cfsfdp-a", &MakeWithOptions<CfsfdpA, CfsfdpAOptions>},
   };

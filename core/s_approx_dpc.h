@@ -46,9 +46,6 @@ class SApproxDpc : public ApproxDpc {
   /// reproducible run to run.
   static constexpr uint64_t kSampleSeed = 0x5a94d9c;
 
-  SApproxDpc() = default;
-  explicit SApproxDpc(ApproxDpcOptions options) : ApproxDpc(options) {}
-
   std::string_view name() const override { return "S-Approx-DPC"; }
 
   /// Every id in `peaks`, plus each point whose sampling coin falls

@@ -15,12 +15,11 @@
 //   --threads N         worker threads (default 0 = all hardware threads;
 //                       runs execute on one persistent shared pool)
 //   --opt KEY=VALUE     per-algorithm option, repeatable. Examples:
-//                         ex-dpc, approx-dpc, s-approx-dpc:
-//                                     scheduler=static
 //                         lsh-ddp:    num_tables=6, num_bits=5
 //                         cfsfdp-a:   sample_rate=0.5
-//                       scheduler takes static|dynamic|lpt|inherit.
-//                       Unknown keys fail with the recognized-key menu.
+//                       ex-dpc, approx-dpc, s-approx-dpc, scan and
+//                       rtree-scan take no keys. Unknown keys fail with
+//                       the recognized-key menu.
 //   --k N               instead of --delta-min: pick exactly N centers
 //   --sweep KEY=a,b,c   threshold sweep mode: KEY is delta_min or rho_min.
 //                       Runs the expensive compute phase ONCE (Solve),
@@ -78,7 +77,6 @@ int Usage(const char* argv0) {
                "[--decision-graph dg.csv] [--halo] [--demo]\n"
                "  --threads N   parallelism degree (0 = all hardware threads)\n"
                "  --opt k=v     per-algorithm option, repeatable — e.g.\n"
-               "                scheduler=static|dynamic|lpt|inherit,\n"
                "                num_tables=6, num_bits=5, sample_rate=0.5\n"
                "  --sweep KEY=a,b,c  compute once, finalize per threshold\n",
                argv0);

@@ -39,9 +39,9 @@ int main() {
   // from params.threshold() in O(n), so a different threshold only needs
   // another FinalizeSolution on the same solution. The ExecutionContext
   // carries the execution policy: which thread pool to run on (default:
-  // one persistent process-wide pool, reused across runs), how many
-  // threads (0 = all), and the loop scheduling strategy (default: the
-  // paper's §4.5 cost-guided LPT).
+  // one persistent process-wide pool, reused across runs) and how many
+  // threads (0 = all). Grid cells are always scheduled by the paper's
+  // §4.5 cost-guided LPT.
   const dpc::ExecutionContext ctx;
   dpc::ApproxDpc algo;
   const dpc::DpcSolution solution = algo.Solve(points, params.compute(), ctx);

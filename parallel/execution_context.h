@@ -1,7 +1,7 @@
 // ExecutionContext — the execution policy of DpcAlgorithm::Solve:
-// which ThreadPool to run on, how many threads to use, how loops map
-// iterations to threads (ScheduleStrategy, paper §4.5), and a per-run
-// deadline / cancellation flag checked at phase boundaries.
+// which ThreadPool to run on, how many threads to use, and a per-run
+// deadline / cancellation flag checked at phase boundaries. How a loop
+// maps iterations to threads is fixed by its shape (parallel/parallel_for.h).
 //
 // Contexts are cheap value types: copies share the pool and the cancel
 // flag, so a caller can keep one context, hand copies to runs, and
@@ -24,46 +24,21 @@
 
 namespace dpc {
 
-/// How a parallel loop maps iterations to threads (parallel/parallel_for.h).
-enum class ScheduleStrategy {
-  kStatic,      ///< contiguous equal-count chunks, one per thread
-  kDynamic,     ///< threads claim fixed-grain chunks from a shared counter
-  kCostGuided,  ///< LPT bins over a per-item cost model (paper §4.5);
-                ///< loops without a cost model fall back to dynamic
-};
-
-inline const char* ToString(ScheduleStrategy strategy) {
-  switch (strategy) {
-    case ScheduleStrategy::kStatic:
-      return "static";
-    case ScheduleStrategy::kDynamic:
-      return "dynamic";
-    case ScheduleStrategy::kCostGuided:
-      return "lpt";
-  }
-  return "?";
-}
-
 class ExecutionContext {
  public:
-  /// All hardware threads on the shared process-wide pool, cost-guided
-  /// scheduling (the paper's default), no deadline.
+  /// All hardware threads on the shared process-wide pool, no deadline.
   ExecutionContext() : ExecutionContext(0) {}
 
   /// num_threads <= 0 selects all hardware threads. A null pool selects
   /// the shared process-wide pool.
-  explicit ExecutionContext(
-      int num_threads,
-      ScheduleStrategy strategy = ScheduleStrategy::kCostGuided,
-      std::shared_ptr<ThreadPool> pool = nullptr)
+  explicit ExecutionContext(int num_threads,
+                            std::shared_ptr<ThreadPool> pool = nullptr)
       : threads_(ResolveThreads(num_threads)),
-        strategy_(strategy),
         pool_(pool != nullptr ? std::move(pool) : SharedDefaultPool()),
         stop_(std::make_shared<StopState>()) {}
 
   /// Parallelism degree (>= 1).
   int threads() const { return threads_; }
-  ScheduleStrategy strategy() const { return strategy_; }
   ThreadPool& pool() const { return *pool_; }
   const std::shared_ptr<ThreadPool>& shared_pool() const { return pool_; }
 
@@ -71,11 +46,6 @@ class ExecutionContext {
   ExecutionContext WithThreads(int num_threads) const {
     ExecutionContext copy = *this;
     copy.threads_ = ResolveThreads(num_threads);
-    return copy;
-  }
-  ExecutionContext WithStrategy(ScheduleStrategy strategy) const {
-    ExecutionContext copy = *this;
-    copy.strategy_ = strategy;
     return copy;
   }
   /// A copy running on a different ThreadPool (null selects the shared
@@ -192,7 +162,6 @@ class ExecutionContext {
   };
 
   int threads_ = 1;
-  ScheduleStrategy strategy_ = ScheduleStrategy::kCostGuided;
   std::shared_ptr<ThreadPool> pool_;
   std::shared_ptr<StopState> stop_;
   std::shared_ptr<obs::Trace> trace_;  ///< null = tracing off

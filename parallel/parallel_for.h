@@ -1,24 +1,22 @@
-// Strategy-dispatched parallel loops over the persistent ThreadPool —
-// the replacement for core/parallel_for.h's per-call std::thread
-// spawn/join. The ExecutionContext picks the strategy; the loop shape
-// picks the entry point:
+// Parallel loops over the persistent ThreadPool — the replacement for
+// core/parallel_for.h's per-call std::thread spawn/join. The loop shape
+// picks the schedule; there is one per shape:
 //
 //   ParallelFor          index ranges without a cost model (per-point
-//                        phases): static chunks or dynamic claiming.
+//                        phases): threads claim grain-sized chunks.
 //   ParallelForWithCosts per-item loops with a cost model (grid cells,
-//                        §4.5): cost-guided builds an LPT schedule with
-//                        one bin per thread.
+//                        §4.5): an LPT schedule with one bin per thread.
 //
 // Every variant calls fn on each index/item exactly once with disjoint
 // slices, so loops whose writes are per-slot disjoint stay deterministic
-// across strategies and thread counts — the library-wide contract that
+// across thread counts — the library-wide contract that
 // tests/determinism_test.cc enforces.
 //
 // Cancellation: both loops poll ctx.ShouldStop() amortized (every
-// kStopCheckStride indices / every claimed item) and stop issuing work
-// once it fires, so an expired or cancelled request releases the pool
-// mid-phase instead of at the next phase boundary. A stopped loop leaves
-// later indices unvisited — callers observe the same ShouldStop() at the
+// kStopCheckStride indices / every item) and stop issuing work once it
+// fires, so an expired or cancelled request releases the pool mid-phase
+// instead of at the next phase boundary. A stopped loop leaves later
+// indices unvisited — callers observe the same ShouldStop() at the
 // phase boundary (stop state is sticky) and discard the partial phase
 // via internal::Interrupted.
 #ifndef DPC_PARALLEL_PARALLEL_FOR_H_
@@ -70,10 +68,8 @@ void RunTasks(const ExecutionContext& ctx, size_t num_tasks, const Fn& fn) {
 }
 }  // namespace internal
 
-/// Calls fn(begin, end) over disjoint chunks of [0, n). kStatic: one
-/// contiguous chunk per thread. kDynamic and kCostGuided (which has no
-/// per-index cost model here): threads claim grain-sized chunks from a
-/// shared counter.
+/// Calls fn(begin, end) over disjoint chunks of [0, n): threads claim
+/// grain-sized chunks from a shared counter.
 template <typename Fn>
 void ParallelFor(const ExecutionContext& ctx, int64_t n, const Fn& fn) {
   if (n <= 0) return;
@@ -83,28 +79,19 @@ void ParallelFor(const ExecutionContext& ctx, int64_t n, const Fn& fn) {
     internal::RunSlices(ctx, 0, n, fn);
     return;
   }
-  if (ctx.strategy() == ScheduleStrategy::kStatic) {
-    const int64_t chunk = (n + threads - 1) / threads;
-    ctx.pool().Run(threads, [&](int64_t t) {
-      const int64_t begin = t * chunk;
-      const int64_t end = std::min(begin + chunk, n);
-      if (begin < end) internal::RunSlices(ctx, begin, end, fn);
-    });
-  } else {
-    // ~8 grains per thread balances claim overhead against load balance.
-    const int64_t grain =
-        std::max<int64_t>(1, n / (static_cast<int64_t>(threads) * 8));
-    std::atomic<int64_t> next{0};
-    ctx.pool().Run(threads, [&](int64_t) {
-      for (;;) {
-        const int64_t begin = next.fetch_add(grain, std::memory_order_relaxed);
-        if (begin >= n) break;
-        if (!internal::RunSlices(ctx, begin, std::min(begin + grain, n), fn)) {
-          break;
-        }
+  // ~8 grains per thread balances claim overhead against load balance.
+  const int64_t grain =
+      std::max<int64_t>(1, n / (static_cast<int64_t>(threads) * 8));
+  std::atomic<int64_t> next{0};
+  ctx.pool().Run(threads, [&](int64_t) {
+    for (;;) {
+      const int64_t begin = next.fetch_add(grain, std::memory_order_relaxed);
+      if (begin >= n) break;
+      if (!internal::RunSlices(ctx, begin, std::min(begin + grain, n), fn)) {
+        break;
       }
-    });
-  }
+    }
+  });
 }
 
 /// One fn(begin, end) callback per contiguous static chunk (one chunk
@@ -133,13 +120,12 @@ void ParallelForStaticChunks(const ExecutionContext& ctx, int64_t n,
 
 /// Calls fn(item) for every item in [0, costs.size()), where costs[item]
 /// models the item's work (index/grid.h::CellCosts for grid cells).
-/// kCostGuided partitions items with the §4.5 LPT scheduler, one bin per
+/// Items are partitioned with the §4.5 LPT scheduler, one bin per
 /// thread, and each thread runs its bin in ascending item order — for
 /// grid cells that is the grid's visit order, so every thread sweeps
-/// space instead of jumping between cost classes; kStatic splits into
-/// contiguous equal-count runs; kDynamic claims single items. Items are
-/// heavy by definition (a cell's whole point population), so the stop
-/// poll runs per item.
+/// space instead of jumping between cost classes. Items are heavy by
+/// definition (a cell's whole point population), so the stop poll runs
+/// per item.
 template <typename Fn>
 void ParallelForWithCosts(const ExecutionContext& ctx,
                           const std::vector<double>& costs, const Fn& fn) {
@@ -159,45 +145,17 @@ void ParallelForWithCosts(const ExecutionContext& ctx,
     }
     return;
   }
-  switch (ctx.strategy()) {
-    case ScheduleStrategy::kStatic: {
-      const int64_t chunk = (n + threads - 1) / threads;
-      ctx.pool().Run(threads, [&](int64_t t) {
-        const int64_t begin = t * chunk;
-        const int64_t end = std::min(begin + chunk, n);
-        for (int64_t item = begin; item < end; ++item) {
-          if (ctx.ShouldStop()) return;
-          fn(item);
-        }
-      });
-      break;
+  Schedule schedule = LptSchedule(costs, threads);
+  ctx.pool().Run(threads, [&](int64_t t) {
+    // LPT fills a bin in cost order; the sort runs on the bin's own
+    // thread.
+    std::vector<int64_t>& bin = schedule.bins[static_cast<size_t>(t)];
+    std::sort(bin.begin(), bin.end());
+    for (const int64_t item : bin) {
+      if (ctx.ShouldStop()) return;
+      fn(item);
     }
-    case ScheduleStrategy::kDynamic: {
-      std::atomic<int64_t> next{0};
-      ctx.pool().Run(threads, [&](int64_t) {
-        for (;;) {
-          const int64_t item = next.fetch_add(1, std::memory_order_relaxed);
-          if (item >= n || ctx.ShouldStop()) break;
-          fn(item);
-        }
-      });
-      break;
-    }
-    case ScheduleStrategy::kCostGuided: {
-      Schedule schedule = LptSchedule(costs, threads);
-      ctx.pool().Run(threads, [&](int64_t t) {
-        // LPT fills a bin in cost order; the sort runs on the bin's own
-        // thread.
-        std::vector<int64_t>& bin = schedule.bins[static_cast<size_t>(t)];
-        std::sort(bin.begin(), bin.end());
-        for (const int64_t item : bin) {
-          if (ctx.ShouldStop()) return;
-          fn(item);
-        }
-      });
-      break;
-    }
-  }
+  });
 }
 
 }  // namespace dpc

@@ -97,9 +97,6 @@ struct ServerOptions {
   /// Bound on memoized labelings per cached solution (each memo carries
   /// full DpcResult copies — see serve/solution_cache.h).
   size_t labelings_per_solution = 16;
-  /// Loop scheduling for every request (per-request option maps can
-  /// still override per algorithm, e.g. scheduler=static).
-  ScheduleStrategy strategy = ScheduleStrategy::kCostGuided;
 };
 
 /// Monotonic counters, snapshotted by stats(). Since PR 9 these are
@@ -640,7 +637,7 @@ class ClusterServer {
     // Per-request context on the leased pool: deadline and cancellation
     // are this request's alone. Solve takes its whole execution policy
     // from this context.
-    ExecutionContext ctx(lease->width(), options_.strategy, lease->pool());
+    ExecutionContext ctx(lease->width(), lease->pool());
     if (s.deadline_at != std::chrono::steady_clock::time_point::max()) {
       ctx.set_deadline(s.deadline_at);
     }

@@ -65,8 +65,8 @@ int main() {
       std::vector<double> delta(solved.rho.size(),
                                 std::numeric_limits<double>::infinity());
       std::vector<dpc::PointId> dependency(solved.rho.size(), -1);
-      const std::vector<dpc::PointId> peaks = dpc::ElectCellPeaks(
-          points, grid, solved.rho, ctx, &delta, &dependency);
+      const std::vector<dpc::PointId> peaks =
+          dpc::ElectCellPeaks(points, grid, solved.rho, &delta, &dependency);
       dpc::ApproxDpc::ComputePeakDeltasBySubsets(points, solved.rho, peaks, s,
                                                  ctx, &delta, &dependency);
       CHECK(delta == solved.delta);

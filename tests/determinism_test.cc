@@ -1,8 +1,7 @@
-// Determinism guarantees: identical results across repeated runs, across
-// thread counts, AND across schedule strategies (the parallel phases only
-// write disjoint per-point slots; ties are broken by id, never by arrival
-// order — so static chunks, dynamic claiming, and LPT bins all land on
-// the same bits).
+// Determinism guarantees: identical results across repeated runs and
+// across thread counts (the parallel phases only write disjoint per-point
+// slots; ties are broken by id, never by arrival order — so claimed
+// grains and LPT bins land on the same bits at any thread count).
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -90,10 +89,9 @@ int main() {
     }
   }
 
-  // Schedule sweep: every registered algorithm under
-  // {static, dynamic, LPT} x {1, 2, 8} threads, all through ONE shared
-  // ThreadPool — labels must be bit-identical to the 1-thread static
-  // baseline. (A smaller input keeps the quadratic baselines affordable
+  // Thread sweep: every registered algorithm at {1, 2, 8} threads, all
+  // through ONE shared ThreadPool — labels must be bit-identical to the
+  // 1-thread baseline. (A smaller input keeps the quadratic baselines affordable
   // while still exceeding the parallel-region threshold.)
   {
     dpc::data::GaussianBenchmarkParams small = gen;
@@ -107,19 +105,15 @@ int main() {
     for (const std::string& name : dpc::RegisteredAlgorithmNames()) {
       auto algo = dpc::MakeAlgorithmByName(name);
       CHECK(algo.ok());
-      const dpc::ExecutionContext base(1, dpc::ScheduleStrategy::kStatic, pool);
+      const dpc::ExecutionContext base(1, pool);
       const dpc::DpcResult baseline = Cluster(*algo.value(), pts, p, base);
       CHECK(baseline.num_clusters() > 0);
-      for (const auto strategy :
-           {dpc::ScheduleStrategy::kStatic, dpc::ScheduleStrategy::kDynamic,
-            dpc::ScheduleStrategy::kCostGuided}) {
-        for (const int threads : {1, 2, 8}) {
-          const dpc::ExecutionContext ctx(threads, strategy, pool);
-          dpc::test::AssertSolutionsEqual(baseline,
-                                          Cluster(*algo.value(), pts, p, ctx));
-        }
+      for (const int threads : {1, 2, 8}) {
+        const dpc::ExecutionContext ctx(threads, pool);
+        dpc::test::AssertSolutionsEqual(baseline,
+                                        Cluster(*algo.value(), pts, p, ctx));
       }
-      std::printf("%-12s identical across strategies x threads\n", name.c_str());
+      std::printf("%-12s identical across threads\n", name.c_str());
     }
   }
 

@@ -125,8 +125,7 @@ void TestMembership() {
     CHECK(serial.num_cells() < n);
 
     const std::vector<PointId> visit = Shuffled(n, 7 + static_cast<uint64_t>(dim));
-    const dpc::ExecutionContext exec(
-        3, dpc::ScheduleStrategy::kCostGuided, std::make_shared<dpc::ThreadPool>(3));
+    const dpc::ExecutionContext exec(3, std::make_shared<dpc::ThreadPool>(3));
     dpc::UniformGrid pooled;
     pooled.Build(points, side, exec, visit);
     CheckAgainstReference(pooled, points, side, visit);
@@ -147,7 +146,7 @@ void TestPoolBuild() {
     const std::vector<PointId> visit = Shuffled(n, 11);
     dpc::UniformGrid shuffled_one;
     for (const int threads : {1, 2, 3, 8}) {
-      const dpc::ExecutionContext exec(threads, dpc::ScheduleStrategy::kCostGuided,
+      const dpc::ExecutionContext exec(threads,
                                        std::make_shared<dpc::ThreadPool>(threads));
       dpc::UniformGrid pooled;
       pooled.Build(points, side, exec, ids);
@@ -204,8 +203,7 @@ void TestHugeCoordinates() {
 }
 
 void TestTinySets() {
-  const dpc::ExecutionContext exec(2, dpc::ScheduleStrategy::kCostGuided,
-                                   std::make_shared<dpc::ThreadPool>(2));
+  const dpc::ExecutionContext exec(2, std::make_shared<dpc::ThreadPool>(2));
   const dpc::PointSet empty(3);
   dpc::UniformGrid grid(empty, 1.0);
   CHECK_EQ(grid.num_cells(), 0);

@@ -234,9 +234,8 @@ void CheckSameTree(const dpc::PointSet& points) {
   serial.Build(points);
   CheckLeafOrder(serial);
   for (const int threads : {1, 2, 3, 8}) {
-    const dpc::ExecutionContext exec(
-        threads, dpc::ScheduleStrategy::kCostGuided,
-        std::make_shared<dpc::ThreadPool>(threads));
+    const dpc::ExecutionContext exec(threads,
+                                     std::make_shared<dpc::ThreadPool>(threads));
     dpc::KdTree pooled;
     pooled.Build(points, exec);
     CHECK_EQ(pooled.size(), serial.size());

@@ -58,29 +58,28 @@ int main() {
   // keys and malformed values fail with InvalidArgument naming the key.
   {
     auto tuned = dpc::MakeAlgorithmByName(
-        "approx-dpc", {{"scheduler", "static"}});
+        "lsh-ddp", {{"num_tables", "6"}, {"num_bits", "5"}});
     CHECK(tuned.ok());
     const dpc::DpcResult r = cluster(*tuned.value());
     CHECK_EQ(r.label.size(), static_cast<size_t>(points.size()));
     CHECK(r.num_clusters() >= 1);
-
-    auto lsh = dpc::MakeAlgorithmByName(
-        "lsh-ddp", {{"num_tables", "6"}, {"num_bits", "5"}});
-    CHECK(lsh.ok());
-    CHECK(cluster(*lsh.value()).num_clusters() >= 1);
 
     auto bad_key = dpc::MakeAlgorithmByName("ex-dpc", {{"nope", "1"}});
     CHECK(!bad_key.ok());
     CHECK(bad_key.status().code() == dpc::StatusCode::kInvalidArgument);
     CHECK(bad_key.status().message().find("nope") != std::string::npos);
 
-    // Keys the grid solvers do not have fail like any unknown key.
-    const std::vector<std::pair<std::string, dpc::OptionsMap>> deleted = {
+    // Deleted keys fail like any unknown key: the grid solvers' old
+    // toggles, and the loop-schedule override on every algorithm.
+    std::vector<std::pair<std::string, dpc::OptionsMap>> deleted = {
         {"ex-dpc", {{"sharding", "region"}}},
         {"approx-dpc", {{"sharding", "region"}}},
         {"approx-dpc", {{"joint_range_search", "false"}}},
         {"s-approx-dpc", {{"sample_seed", "7"}}},
     };
+    for (const std::string& name : dpc::RegisteredAlgorithmNames()) {
+      deleted.push_back({name, {{"scheduler", "static"}}});
+    }
     for (const auto& [name, options] : deleted) {
       auto rejected = dpc::MakeAlgorithmByName(name, options);
       CHECK(!rejected.ok());
@@ -89,8 +88,7 @@ int main() {
             std::string::npos);
     }
 
-    auto bad_value = dpc::MakeAlgorithmByName(
-        "approx-dpc", {{"scheduler", "sometimes"}});
+    auto bad_value = dpc::MakeAlgorithmByName("lsh-ddp", {{"num_tables", "six"}});
     CHECK(!bad_value.ok());
     CHECK(bad_value.status().code() == dpc::StatusCode::kInvalidArgument);
 

@@ -95,7 +95,7 @@ int main() {
     const dpc::UniformGrid grid(
         points, p.d_cut / std::sqrt(static_cast<double>(points.dim())));
     const std::vector<dpc::PointId> peaks =
-        dpc::ElectCellPeaks(points, grid, rho, ctx, &delta, &dependency);
+        dpc::ElectCellPeaks(points, grid, rho, &delta, &dependency);
     const std::vector<uint8_t> kept = algo.CandidateMask(peaks, points.size(), eps);
     std::vector<uint8_t> is_peak(rho.size(), 0);
     for (const dpc::PointId peak : peaks) is_peak[static_cast<size_t>(peak)] = 1;

@@ -362,15 +362,9 @@ void TestSolutionKey() {
   CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", spelled_a,
                                     rethresholded.compute()) == base);
 
-  // Execution policy is NOT part of the key (labels are thread-count and
-  // strategy independent by the determinism contract).
-  dpc::OptionsMap with_scheduler = spelled_a;
-  with_scheduler["scheduler"] = "static";
-  CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", with_scheduler, compute) ==
-        base);
-  with_scheduler["scheduler"] = "lpt";
-  CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", with_scheduler, compute) ==
-        base);
+  // Execution policy is NOT part of the key: MakeSolutionKey takes no
+  // thread count (labels are thread-count independent by the
+  // determinism contract).
 
   // Threshold keys canonicalize spelling-equal values too.
   CHECK(dpc::serve::MakeThresholdKey(Spec(2.0, 5.0)) ==
