@@ -39,6 +39,13 @@
 // builds and up to s descents per peak, where the rho tree answers each
 // peak in one.
 //
+// S-Approx-DPC (core/s_approx_dpc.h) runs this same solve with three
+// differences, selected by the protected ApproxDpc(true) constructor:
+// the cell side is epsilon*d_cut/sqrt(dim); each cell runs one RangeCount
+// for its smallest-id member and every member takes that rho (so that
+// member is the cell's peak); and the peaks' nearest-denser search
+// accepts cell peaks only. Approx-DPC ignores epsilon.
+//
 // Phase timers: the per-cell peak election and snap run inside the rho
 // loop (a cell's members all get their rho from that cell's own
 // traversal), so DpcStats::rho_seconds includes the snap, and
@@ -115,7 +122,17 @@ inline std::vector<PointId> ElectCellPeaks(const PointSet& points,
 
 class ApproxDpc : public DpcAlgorithm {
  public:
+  ApproxDpc() = default;
+
   std::string_view name() const override { return "Approx-DPC"; }
+
+  /// The grid's cell side for `compute` on `dim`-dimensional points:
+  /// d_cut/sqrt(dim), which bounds the cell diameter by d_cut, scaled by
+  /// epsilon for S-Approx-DPC.
+  double CellSide(const ComputeParams& compute, int dim) const {
+    const double d_cut = s_approx_ ? compute.epsilon * compute.d_cut : compute.d_cut;
+    return d_cut / std::sqrt(static_cast<double>(dim));
+  }
 
   /// The Equation (2) analog of our cost model for the density-ordered
   /// subset search: total tree build shrinks with s (s trees of n/s
@@ -132,6 +149,9 @@ class ApproxDpc : public DpcAlgorithm {
   }
 
  protected:
+  /// `s_approx` = true is S-Approx-DPC's solve (see the file comment).
+  explicit ApproxDpc(bool s_approx) : s_approx_(s_approx) {}
+
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
                         const ExecutionContext& exec) override {
     DpcSolution result;
@@ -147,45 +167,52 @@ class ApproxDpc : public DpcAlgorithm {
     KdTree tree;
     tree.Build(points, exec);
 
-    // Grid with cell side d_cut/sqrt(dim), bounding the cell diameter by
-    // d_cut (index/grid.h), built in the tree's leaf order; its per-cell
-    // population doubles as the §4.5 scheduling cost model.
+    // Grid with cell side CellSide (cell diameter <= d_cut for
+    // Approx-DPC), built in the tree's leaf order; its per-cell population
+    // doubles as the §4.5 scheduling cost model.
     UniformGrid grid;
-    grid.Build(points, compute.d_cut / std::sqrt(static_cast<double>(dim)),
-               exec, tree.leaf_order());
+    grid.Build(points, CellSide(compute, dim), exec, tree.leaf_order());
     result.stats.index_memory_bytes = tree.MemoryBytes() + grid.MemoryBytes();
 
     const std::vector<double> cell_costs = grid.CellCosts();
     result.stats.build_seconds = phase.Lap();
 
-    // rho: exact range counts, one joint count-block traversal per cell.
-    // Every member's rho comes from its own cell's traversal, so the cell
-    // then elects its peak and snaps the other members to it right here.
+    // rho, then the cell's peak election and snap right here: every
+    // member's rho comes from its own cell. Approx-DPC counts exactly,
+    // one joint count-block traversal per cell; S-Approx-DPC counts once
+    // per cell, for its smallest-id member.
     std::vector<PointId> peaks(static_cast<size_t>(grid.num_cells()), PointId{-1});
     ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
       const std::vector<PointId>& members = grid.members(cell);
-      // Per-thread scratch (pool workers persist): the members' tight
-      // bounding box — lo then hi, dim doubles each — and the counts.
-      // Both are fully overwritten per cell.
-      static thread_local std::vector<double> box;
-      static thread_local std::vector<PointId> counts;
-      box.assign(static_cast<size_t>(2 * dim), 0.0);
-      double* lo = box.data();
-      double* hi = box.data() + dim;
-      for (int d = 0; d < dim; ++d) {
-        lo[d] = std::numeric_limits<double>::infinity();
-        hi[d] = -std::numeric_limits<double>::infinity();
-      }
-      for (const PointId i : members) {
+      if (s_approx_) {
+        const PointId m = *std::min_element(members.begin(), members.end());
+        const double rho_m =
+            static_cast<double>(tree.RangeCount(points[m], compute.d_cut) - 1);
+        for (const PointId i : members) result.rho[static_cast<size_t>(i)] = rho_m;
+      } else {
+        // Per-thread scratch (pool workers persist): the members' tight
+        // bounding box — lo then hi, dim doubles each — and the counts.
+        // Both are fully overwritten per cell.
+        static thread_local std::vector<double> box;
+        static thread_local std::vector<PointId> counts;
+        box.assign(static_cast<size_t>(2 * dim), 0.0);
+        double* lo = box.data();
+        double* hi = box.data() + dim;
         for (int d = 0; d < dim; ++d) {
-          lo[d] = std::min(lo[d], points[i][d]);
-          hi[d] = std::max(hi[d], points[i][d]);
+          lo[d] = std::numeric_limits<double>::infinity();
+          hi[d] = -std::numeric_limits<double>::infinity();
         }
-      }
-      tree.JointRangeCount(lo, hi, members, compute.d_cut, &counts);
-      for (size_t k = 0; k < members.size(); ++k) {
-        result.rho[static_cast<size_t>(members[k])] =
-            static_cast<double>(counts[k] - 1);  // self excluded
+        for (const PointId i : members) {
+          for (int d = 0; d < dim; ++d) {
+            lo[d] = std::min(lo[d], points[i][d]);
+            hi[d] = std::max(hi[d], points[i][d]);
+          }
+        }
+        tree.JointRangeCount(lo, hi, members, compute.d_cut, &counts);
+        for (size_t k = 0; k < members.size(); ++k) {
+          result.rho[static_cast<size_t>(members[k])] =
+              static_cast<double>(counts[k] - 1);  // self excluded
+        }
       }
       peaks[static_cast<size_t>(cell)] = ElectCellPeak(
           points, members, result.rho, &result.delta, &result.dependency);
@@ -197,18 +224,18 @@ class ApproxDpc : public DpcAlgorithm {
     }
 
     // delta: the peaks alone take the nearest-denser search on the rho
-    // tree — over every point, or over the candidate mask when the
-    // algorithm samples one.
-    const std::vector<uint8_t> kept = CandidateMask(peaks, n, compute.epsilon);
-    result.stats.index_memory_bytes += kept.capacity() * sizeof(uint8_t);
-    if (kept.empty()) {
-      ExDpc::ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
-                                &result.dependency, &peaks);
-    } else {
+    // tree — over every point, or over the cell peaks for S-Approx-DPC.
+    if (s_approx_) {
+      std::vector<uint8_t> is_peak(static_cast<size_t>(n), 0);
+      for (const PointId p : peaks) is_peak[static_cast<size_t>(p)] = 1;
+      result.stats.index_memory_bytes += is_peak.capacity() * sizeof(uint8_t);
       ExDpc::ComputeExactDeltas(
           points, tree, result.rho, exec, &result.delta, &result.dependency,
           &peaks,
-          [&kept](PointId j) { return kept[static_cast<size_t>(j)] != 0; });
+          [&is_peak](PointId j) { return is_peak[static_cast<size_t>(j)] != 0; });
+    } else {
+      ExDpc::ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
+                                &result.dependency, &peaks);
     }
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
@@ -217,16 +244,6 @@ class ApproxDpc : public DpcAlgorithm {
   }
 
  public:
-  /// The peaks' candidate mask, indexed by point id (nonzero = may be a
-  /// peak's dependent point); empty means every point. Approx-DPC
-  /// searches every point; S-Approx-DPC overrides this with its epsilon
-  /// sample (core/s_approx_dpc.h).
-  virtual std::vector<uint8_t> CandidateMask(
-      const std::vector<PointId>& /*peaks*/, PointId /*n*/,
-      double /*epsilon*/) const {
-    return {};
-  }
-
   /// The paper's dependent-point strategy for cell peaks, kept as the
   /// reference for the rho-tree search SolveImpl runs (tests and ablation
   /// C compare the two): points are sorted into `num_subsets`
@@ -316,6 +333,9 @@ class ApproxDpc : public DpcAlgorithm {
       (*dependency)[static_cast<size_t>(p)] = best_id;
     });
   }
+
+ private:
+  bool s_approx_ = false;
 };
 
 }  // namespace dpc

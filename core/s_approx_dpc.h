@@ -1,66 +1,51 @@
-// S-Approx-DPC: the sampling-based variant of Approx-DPC (paper §5),
-// with the epsilon knob trading dependent-phase work for label accuracy.
+// S-Approx-DPC: the paper's §5 variant of Approx-DPC, with the epsilon
+// knob trading label accuracy for time (Table 5).
 //
-// It IS Approx-DPC — same grid (cells of side d_cut/sqrt(dim), cell
-// diameter <= d_cut), same joint-range-search rho, same cell peaks and
-// snapping, same solve body — plus one candidate mask. The epsilon knob
-// subsamples the CANDIDATE SET of the peaks' nearest-denser search: every
-// cell peak is kept unconditionally, and every other point with
-// probability
-//     keep_rate = 1 / (1 + 4 * epsilon)
-// (stateless per-point hash, so samples are NESTED: a larger epsilon's
-// candidates are a subset of a smaller epsilon's). Peaks then search the
-// rho kd-tree under the predicate kept[j] && DenserThan(...): rejected
-// points are skipped at the leaves, so the result is the nearest denser
-// KEPT point. Exact-distance ties break to the smallest id, so the winner
-// depends only on the candidate set: a kd-tree built over the kept points
-// alone returns the same neighbor (s_approx_dpc_test checks this bitwise).
+// It runs Approx-DPC's solve (core/approx_dpc.h) with three differences:
 //
-// Accuracy properties, relative to Ex-DPC:
-//   * epsilon -> 0 keeps every point, collapsing to Approx-DPC exactly;
-//   * a peak's delta is computed over a SUBSET of points, hence is an
-//     overestimate that exceeds the exact value by at most d_cut + the
-//     distance to the nearest denser CELL PEAK (cell peaks are always
-//     candidates);
-//   * centers are never lost (delta only grows); a spurious center can
-//     appear only when an exact peak delta falls within that margin below
-//     delta_min — with the usual delta_min >> d_cut, centers match
-//     Ex-DPC's exactly, and only dependency targets (label attachment of
-//     non-center peaks) drift with epsilon.
+//   * the grid's cell side is epsilon * d_cut / sqrt(dim), so the cell
+//     diameter is epsilon * d_cut and a larger epsilon makes fewer,
+//     fuller cells;
+//   * rho is counted once per cell: the cell's smallest-id member m runs
+//     one kd-tree RangeCount(m, d_cut) - 1 and every member takes that
+//     value. The range counts fall from one per point to one per cell;
+//   * only cell peaks run the nearest-denser search, and only cell peaks
+//     are its candidates (an is-peak mask on the rho kd-tree).
+//
+// Every member of a cell shares one rho, so DenserThan's id tie-break
+// makes m the cell's peak, and the other members snap to it as in
+// Approx-DPC (dependency = m, delta = distance to m).
+//
+// Accuracy, relative to Ex-DPC:
+//   * as epsilon -> 0 every cell holds one location: duplicates share a
+//     cell, a rho and a peak, and snap at distance 0, and the solution is
+//     Ex-DPC's bit for bit;
+//   * for epsilon <= 1 the cell diameter is <= d_cut, so every non-peak's
+//     delta is <= d_cut; with the usual delta_min > d_cut no non-peak can
+//     become a center;
+//   * a member's rho is m's count, off from its own by at most the points
+//     in the shell between d_cut - epsilon*d_cut and d_cut + epsilon*d_cut
+//     around m, so centers and labels drift as epsilon grows (perfbench's
+//     1M-point 2-D random walk, seed 1, at epsilon = 1: 58 centers against
+//     Ex-DPC's 54, Rand index 0.992);
+//   * for epsilon > 1 the cell diameter exceeds d_cut: a cell's members
+//     need no longer be d_cut-neighbors of each other, and once
+//     epsilon * d_cut >= delta_min a non-peak's snap distance can make it
+//     a center.
 #ifndef DPC_CORE_S_APPROX_DPC_H_
 #define DPC_CORE_S_APPROX_DPC_H_
 
-#include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "core/approx_dpc.h"
-#include "core/dpc.h"
-#include "core/rng.h"
 
 namespace dpc {
 
 class SApproxDpc : public ApproxDpc {
  public:
-  /// Seed of the nested per-point sampling coins; fixed so labels are
-  /// reproducible run to run.
-  static constexpr uint64_t kSampleSeed = 0x5a94d9c;
+  SApproxDpc() : ApproxDpc(/*s_approx=*/true) {}
 
   std::string_view name() const override { return "S-Approx-DPC"; }
-
-  /// Every id in `peaks`, plus each point whose sampling coin falls
-  /// below keep_rate.
-  std::vector<uint8_t> CandidateMask(const std::vector<PointId>& peaks,
-                                     PointId n, double epsilon) const override {
-    const double keep_rate = 1.0 / (1.0 + 4.0 * epsilon);
-    std::vector<uint8_t> kept(static_cast<size_t>(n));
-    for (PointId i = 0; i < n; ++i) {
-      kept[static_cast<size_t>(i)] =
-          HashToUnit(kSampleSeed, static_cast<uint64_t>(i)) < keep_rate;
-    }
-    for (const PointId p : peaks) kept[static_cast<size_t>(p)] = 1;
-    return kept;
-  }
 };
 
 }  // namespace dpc

@@ -66,9 +66,9 @@ int main() {
   }
 
   // The sampled algorithms draw their randomness from seeded hashes
-  // (LSH projection directions, S-Approx-DPC's candidate coins), never
-  // from thread scheduling — labels stay bit-identical across 1/2/8
-  // workers.
+  // (LSH projection directions, CFSFDP-A's sample), never from thread
+  // scheduling, and S-Approx-DPC's one count per cell depends only on
+  // the cell — labels stay bit-identical across 1/2/8 workers.
   {
     dpc::LshDdp lsh_ddp;
     dpc::SApproxDpc s_approx;

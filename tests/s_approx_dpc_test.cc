@@ -1,17 +1,18 @@
-// Metamorphic properties of S-Approx-DPC's epsilon knob on planted
-// Gaussians:
+// S-Approx-DPC's contract (core/s_approx_dpc.h) on planted Gaussians with
+// duplicated points:
 //
-//   * centers match Ex-DPC's exactly at every epsilon (the §5 design:
-//     peak deltas only grow under candidate subsampling, and the usual
-//     delta_min >> d_cut margin absorbs the growth);
-//   * label agreement with Ex-DPC degrades monotonically as epsilon
-//     sweeps {0.01, 0.2, 1.0} — the candidate samples are NESTED, so a
-//     larger epsilon can only lose dependency information;
-//   * epsilon = 0.01 keeps ~96% of candidates and must agree >= 0.99;
-//   * epsilon -> 0 keeps everyone and collapses to Approx-DPC exactly;
-//   * the candidate mask on the rho tree is bit-identical to searching a
-//     separate kd-tree built over only the kept points (the candidate-
-//     subset formulation), and every cell peak is kept.
+//   * singleton collapse: at epsilon = 1e-9 every cell holds one location,
+//     and rho, delta and dependency are Ex-DPC's bit for bit;
+//   * every member of a cell carries RangeCount(smallest id, d_cut) - 1,
+//     and snaps to that member, the cell's peak;
+//   * each peak depends on its nearest denser peak (brute-force
+//     reference over the peaks alone);
+//   * for epsilon <= 1 every non-peak's delta is <= d_cut, so no non-peak
+//     is a center;
+//   * the grid's cell count strictly falls as epsilon grows, while
+//     Approx-DPC's solution does not depend on epsilon;
+//   * results are bit-identical at 1, 2 and 8 threads.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -20,7 +21,6 @@
 
 #include "core/approx_dpc.h"
 #include "core/ex_dpc.h"
-#include "core/rng.h"
 #include "core/s_approx_dpc.h"
 #include "data/generators.h"
 #include "eval/rand_index.h"
@@ -28,110 +28,126 @@
 #include "index/kdtree.h"
 #include "tests/test_util.h"
 
+namespace {
+
+bool SameSolution(const dpc::DpcSolution& a, const dpc::DpcSolution& b) {
+  return a.rho == b.rho && a.delta == b.delta && a.dependency == b.dependency;
+}
+
+}  // namespace
+
 int main() {
-  // Dense enough that grid cells hold many points (cell side
-  // d_cut/sqrt(2) ~ 3500 on the 1e5 domain) — with near-empty cells
-  // every point is its own peak and the epsilon knob would have nothing
-  // to subsample.
   dpc::data::GaussianBenchmarkParams gen;
   gen.num_points = 20000;
   gen.num_clusters = 6;
   gen.overlap = 0.03;
   gen.noise_rate = 0.08;
   gen.seed = 7;
-  const dpc::PointSet points = dpc::data::GaussianBenchmark(gen);
+  dpc::PointSet points = dpc::data::GaussianBenchmark(gen);
+  // Duplicates: every 97th point once more, every 389th twice more.
+  const dpc::PointId base_n = points.size();
+  for (dpc::PointId i = 0; i < base_n; i += 97) points.Add(points[i]);
+  for (dpc::PointId i = 0; i < base_n; i += 389) {
+    points.Add(points[i]);
+    points.Add(points[i]);
+  }
+  const int dim = points.dim();
 
   dpc::DpcParams params;
   params.d_cut = 5000.0;
   params.rho_min = 5.0;
   params.delta_min = 20000.0;
   const dpc::ExecutionContext ctx(2);
-  auto cluster = [&](dpc::DpcAlgorithm&& algo, const dpc::DpcParams& p) {
-    return dpc::FinalizeSolution(algo.Solve(points, p.compute(), ctx),
-                                 p.threshold());
+  auto solve = [&](dpc::DpcAlgorithm&& algo, double epsilon,
+                   const dpc::ExecutionContext& exec) {
+    dpc::DpcParams p = params;
+    p.epsilon = epsilon;
+    return algo.Solve(points, p.compute(), exec);
   };
 
-  const dpc::DpcResult ground = cluster(dpc::ExDpc(), params);
+  const dpc::DpcSolution exact = solve(dpc::ExDpc(), 1.0, ctx);
+  const dpc::DpcResult ground = dpc::FinalizeSolution(exact, params.threshold());
   CHECK(ground.num_clusters() >= 2);
 
-  std::vector<double> rand_index;
-  for (const double eps : {0.01, 0.2, 1.0}) {
+  // Singleton collapse: duplicates share a cell, a rho and a peak, and
+  // snap at distance 0 — exactly Ex-DPC's answer for them.
+  CHECK(SameSolution(solve(dpc::SApproxDpc(), 1e-9, ctx), exact));
+
+  const dpc::KdTree tree(points);
+  const std::vector<double> epsilons = {0.2, 0.4, 0.6, 0.8, 1.0};
+  dpc::CellId prev_cells = 0;
+  for (const double eps : epsilons) {
     dpc::DpcParams p = params;
     p.epsilon = eps;
-    const dpc::DpcResult r = cluster(dpc::SApproxDpc(), p);
-    CHECK(r.centers == ground.centers);  // exact centers at every epsilon
+    const dpc::DpcSolution s = solve(dpc::SApproxDpc(), eps, ctx);
+    const dpc::UniformGrid grid(points,
+                                dpc::SApproxDpc().CellSide(p.compute(), dim));
+    CHECK_EQ(dpc::SApproxDpc().CellSide(p.compute(), dim),
+             eps * params.d_cut / std::sqrt(static_cast<double>(dim)));
+    std::vector<uint8_t> is_peak(s.rho.size(), 0);
+    std::vector<dpc::PointId> peaks;
+    for (dpc::CellId c = 0; c < grid.num_cells(); ++c) {
+      const std::vector<dpc::PointId>& members = grid.members(c);
+      const dpc::PointId m = *std::min_element(members.begin(), members.end());
+      is_peak[static_cast<size_t>(m)] = 1;
+      peaks.push_back(m);
+      const double rho_m =
+          static_cast<double>(tree.RangeCount(points[m], params.d_cut) - 1);
+      for (const dpc::PointId i : members) {
+        const size_t si = static_cast<size_t>(i);
+        CHECK_EQ(s.rho[si], rho_m);
+        if (i == m) continue;
+        // A non-peak snaps to m, within the cell diameter eps * d_cut.
+        CHECK_EQ(s.dependency[si], m);
+        CHECK(s.delta[si] <= params.d_cut);
+      }
+    }
+    // Only peaks are candidates: ties in distance go to the smaller id.
+    for (const dpc::PointId q : peaks) {
+      const size_t sq = static_cast<size_t>(q);
+      double best = std::numeric_limits<double>::infinity();
+      dpc::PointId best_id = -1;
+      for (const dpc::PointId j : peaks) {
+        if (!dpc::DenserThan(s.rho[static_cast<size_t>(j)], j, s.rho[sq], q)) continue;
+        const double d = dpc::Distance(points[q], points[j], dim);
+        if (d < best || (d == best && j < best_id)) {
+          best = d;
+          best_id = j;
+        }
+      }
+      CHECK_EQ(s.dependency[sq], best_id);
+      CHECK_EQ(s.delta[sq], best);
+    }
+    // Every non-peak's delta is <= d_cut < delta_min, so every center is
+    // a cell peak.
+    const dpc::DpcResult r = dpc::FinalizeSolution(s, p.threshold());
+    for (const dpc::PointId c : r.centers) {
+      CHECK(is_peak[static_cast<size_t>(c)] != 0);
+    }
+    // Fewer, fuller cells as epsilon grows.
+    if (prev_cells != 0) CHECK(grid.num_cells() < prev_cells);
+    prev_cells = grid.num_cells();
     const double ri = dpc::eval::RandIndex(r.label, ground.label);
-    std::printf("eps=%.2f: Rand index vs Ex-DPC = %.6f\n", eps, ri);
-    rand_index.push_back(ri);
-  }
-  CHECK(rand_index[0] >= 0.99);
-  CHECK(rand_index[0] >= rand_index[1]);  // nested samples: accuracy only
-  CHECK(rand_index[1] >= rand_index[2]);  // degrades as epsilon grows
-  CHECK(rand_index[2] < 1.0);  // ... and the knob actually bites here
-
-  // epsilon -> 0 keeps every candidate: bit-identical to Approx-DPC.
-  {
-    dpc::DpcParams p = params;
-    p.epsilon = 1e-12;
-    const dpc::DpcResult a = cluster(dpc::SApproxDpc(), p);
-    const dpc::DpcResult b = cluster(dpc::ApproxDpc(), p);
-    CHECK(a.label == b.label);
-    CHECK(a.dependency == b.dependency);
-    CHECK(a.centers == b.centers);
+    std::printf("eps=%.1f: %lld cells, %lld centers (Ex-DPC %lld), Rand vs "
+                "Ex-DPC %.6f\n",
+                eps, static_cast<long long>(grid.num_cells()),
+                static_cast<long long>(r.centers.size()),
+                static_cast<long long>(ground.centers.size()), ri);
+    CHECK(ri >= 0.95);
   }
 
-  // The candidate-subset reference: Ex-DPC's per-point rho, cell peaks
-  // snapped as in Approx-DPC, then each peak searches a kd-tree built
-  // over only the kept points (ascending id order), mapped back to global
-  // ids through candidate_ids.
-  for (const double eps : {0.2, 1.0}) {
-    dpc::DpcParams p = params;
-    p.epsilon = eps;
-    dpc::SApproxDpc algo;
-    const dpc::DpcSolution solved = algo.Solve(points, p.compute(), ctx);
-    const std::vector<double>& rho = ground.rho;
-    std::vector<double> delta(rho.size(), std::numeric_limits<double>::infinity());
-    std::vector<dpc::PointId> dependency(rho.size(), -1);
-    const dpc::UniformGrid grid(
-        points, p.d_cut / std::sqrt(static_cast<double>(points.dim())));
-    const std::vector<dpc::PointId> peaks =
-        dpc::ElectCellPeaks(points, grid, rho, &delta, &dependency);
-    const std::vector<uint8_t> kept = algo.CandidateMask(peaks, points.size(), eps);
-    std::vector<uint8_t> is_peak(rho.size(), 0);
-    for (const dpc::PointId peak : peaks) is_peak[static_cast<size_t>(peak)] = 1;
+  // Approx-DPC ignores epsilon.
+  CHECK(SameSolution(solve(dpc::ApproxDpc(), 0.2, ctx),
+                     solve(dpc::ApproxDpc(), 1.0, ctx)));
 
-    dpc::PointSet candidates(points.dim());
-    std::vector<dpc::PointId> candidate_ids;
-    for (dpc::PointId i = 0; i < points.size(); ++i) {
-      const size_t si = static_cast<size_t>(i);
-      // Every cell peak is kept; any other point iff its coin < keep_rate.
-      CHECK_EQ(kept[si] != 0,
-               is_peak[si] != 0 ||
-                   dpc::HashToUnit(dpc::SApproxDpc::kSampleSeed,
-                                   static_cast<uint64_t>(i)) < 1.0 / (1.0 + 4.0 * eps));
-      if (kept[si] == 0) continue;
-      candidates.Add(points[i]);
-      candidate_ids.push_back(i);
+  // Thread-count independence.
+  for (const double eps : {0.3, 1.0}) {
+    const dpc::DpcSolution one =
+        solve(dpc::SApproxDpc(), eps, dpc::ExecutionContext(1));
+    for (const int threads : {2, 8}) {
+      CHECK(SameSolution(
+          solve(dpc::SApproxDpc(), eps, dpc::ExecutionContext(threads)), one));
     }
-    CHECK(candidate_ids.size() < rho.size());  // the mask actually drops points
-    const dpc::KdTree candidate_tree(candidates);
-    for (const dpc::PointId peak : peaks) {
-      const double rho_p = rho[static_cast<size_t>(peak)];
-      double dist = std::numeric_limits<double>::infinity();
-      const dpc::PointId nn = candidate_tree.NearestAccepted(
-          points[peak],
-          [&](dpc::PointId cj) {
-            const dpc::PointId j = candidate_ids[static_cast<size_t>(cj)];
-            return dpc::DenserThan(rho[static_cast<size_t>(j)], j, rho_p, peak);
-          },
-          &dist);
-      delta[static_cast<size_t>(peak)] = dist;
-      dependency[static_cast<size_t>(peak)] =
-          nn >= 0 ? candidate_ids[static_cast<size_t>(nn)] : dpc::PointId{-1};
-    }
-    CHECK(solved.rho == rho);
-    CHECK(solved.delta == delta);
-    CHECK(solved.dependency == dependency);
   }
 
   std::printf("s_approx_dpc_test OK\n");
