@@ -1,8 +1,9 @@
 // Micro-benchmarks of the distance kernels and index substrates: the
 // scalar-vs-batched kernel comparison (the SoA fast path's headline
-// numbers), kd-tree build (serial and pool) / range count / NN, R-tree
-// range count, grid build (serial and pool), LSH partitioning. These are the primitive
-// costs behind every row of Tables 1 and 6.
+// numbers), kd-tree build (serial and pool) / range count / NN /
+// nearest-denser search, R-tree range count, grid build (serial and
+// pool), LSH partitioning. These are the primitive costs behind every
+// row of Tables 1 and 6.
 //
 // Self-contained harness (no external benchmark framework): each case
 // auto-calibrates its iteration count until the timed region exceeds
@@ -22,6 +23,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "core/ex_dpc.h"
 #include "core/kernels.h"
 #include "core/soa.h"
 #include "data/real_like.h"
@@ -291,6 +293,27 @@ int main(int argc, char** argv) {
       json.BeginResult(name);
       emit(name, "us_per_query", 1e6 * s, "%.2f");
     }
+    // The nearest-denser search every Ex-DPC delta query runs
+    // (ExDpc::ExactDeltaFor: NearestAccepted under DenserThan), over the
+    // rho a d_cut = 1000 solve gives these points. Informational.
+    std::vector<double> rho(static_cast<size_t>(ps.size()));
+    for (PointId i = 0; i < ps.size(); ++i) {
+      rho[static_cast<size_t>(i)] =
+          static_cast<double>(tree.RangeCount(ps[i], 1000.0) - 1);
+    }
+    std::vector<double> delta(rho.size());
+    std::vector<PointId> dependency(rho.size());
+    Rng rng(5);
+    const double s = SecondsPerOp([&] {
+      const PointId q = static_cast<PointId>(
+          rng.NextBounded(static_cast<uint64_t>(ps.size())));
+      ExDpc::ExactDeltaFor(ps, tree, rho, q, &delta, &dependency);
+      Sink(dependency[static_cast<size_t>(q)]);
+    });
+    const std::string name =
+        StrFormat("kdtree_nearest_denser_dim%d", ps.dim());
+    json.BeginResult(name);
+    emit(name, "us_per_query", 1e6 * s, "%.2f");
   }
   {
     // Serial Build against the pool build at the bench thread cap; the

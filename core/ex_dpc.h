@@ -83,7 +83,8 @@ class ExDpc : public DpcAlgorithm {
  public:
   /// Exact delta/dependency for one point: the nearest neighbor ranking
   /// denser under DenserThan, among the candidates `keep` accepts (every
-  /// point by default; S-Approx-DPC passes its sampled mask).
+  /// point by default; S-Approx-DPC passes its is-peak mask, so its cell
+  /// peaks search among cell peaks only).
   template <typename Keep = AcceptAll>
   static void ExactDeltaFor(const PointSet& points, const KdTree& tree,
                             const std::vector<double>& rho, PointId i,

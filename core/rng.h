@@ -76,10 +76,10 @@ class Rng {
 };
 
 /// One splitmix64-mixed uniform double in [0, 1) from (seed, index) — a
-/// stateless per-point coin for deterministic subsampling (S-Approx-DPC
-/// cell sampling, CFSFDP-A's density sample). Thresholding it yields
-/// nested samples: the set kept at a lower rate is a subset of any
-/// higher rate's, independent of thread count and iteration order.
+/// stateless per-point coin for deterministic subsampling (CFSFDP-A's
+/// density sample, the SVG scatter plots' point thinning). Thresholding
+/// it yields nested samples: the set kept at a lower rate is a subset of
+/// any higher rate's, independent of thread count and iteration order.
 inline double HashToUnit(uint64_t seed, uint64_t index) {
   uint64_t z = seed ^ (index + 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

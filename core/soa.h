@@ -44,27 +44,38 @@ class PointSetSoA {
   /// be used.
   void Assign(const PointSet& points, const PointId* order, PointId count,
               bool store_ids = true) {
-    dim_ = points.dim();
+    Resize(points.dim(), count);
+    FillRange(points, order, 0, count);
+    if (order != nullptr && store_ids) ids_.assign(order, order + count);
+  }
+
+  /// The range fill behind Assign, for building a view in chunks: Resize
+  /// once to `count` positions (no stored ids), then FillRange disjoint
+  /// [begin, end) position ranges — concurrently if need be, since each
+  /// writes only its own slots of every column. Position j receives
+  /// points[order[j]] (points[j] when order is null).
+  void Resize(int dim, PointId count) {
+    dim_ = dim;
     n_ = count;
     data_.resize(static_cast<size_t>(dim_) * static_cast<size_t>(count));
+    ids_.clear();
+  }
+
+  void FillRange(const PointSet& points, const PointId* order, PointId begin,
+                 PointId end) {
     const double* raw = points.raw().data();
     const auto dim = static_cast<size_t>(dim_);
     for (int d = 0; d < dim_; ++d) {
-      double* col = data_.data() + static_cast<size_t>(d) * static_cast<size_t>(count);
+      double* col = data_.data() + static_cast<size_t>(d) * static_cast<size_t>(n_);
       if (order != nullptr) {
-        for (PointId j = 0; j < count; ++j) {
+        for (PointId j = begin; j < end; ++j) {
           col[j] = raw[static_cast<size_t>(order[j]) * dim + static_cast<size_t>(d)];
         }
       } else {
-        for (PointId j = 0; j < count; ++j) {
+        for (PointId j = begin; j < end; ++j) {
           col[j] = raw[static_cast<size_t>(j) * dim + static_cast<size_t>(d)];
         }
       }
-    }
-    if (order != nullptr && store_ids) {
-      ids_.assign(order, order + count);
-    } else {
-      ids_.clear();
     }
   }
 

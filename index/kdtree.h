@@ -30,6 +30,13 @@
 // search and RangeReport still descend to kLeafSize leaves: bigger
 // leaves slow the delta search down.
 //
+// Bound pass-down: the nearest search (NearestAccepted) needs both
+// children's box distances to descend the nearer one first, so it hands
+// each child the distance it just computed instead of letting the child
+// recompute it for its prune test; each visited node's box is read once
+// per query. The prune itself is unchanged (strict `>`), so the visited
+// leaves and the winner are too.
+//
 // Preorder layout: a median split fixes every subtree's size from n
 // alone, so a subtree of m points always has
 // N(m) = m <= kLeafSize ? 1 : 1 + N(m/2) + N(m - m/2) nodes, numbered in
@@ -40,7 +47,9 @@
 // then builds the remaining subtrees as one region, each writing its own
 // disjoint slots and perm_ range. Each subtree sees the same perm_ range
 // the serial recursion would hand it, so the tree is identical to the
-// serial one, node for node.
+// serial one, node for node. A last region transposes the SoA view in
+// disjoint position chunks (PointSetSoA::FillRange), the same bytes as
+// the serial build's one Assign.
 #ifndef DPC_INDEX_KDTREE_H_
 #define DPC_INDEX_KDTREE_H_
 
@@ -184,7 +193,9 @@ class KdTree {
     double best_sq = max_dist < std::numeric_limits<double>::infinity()
                          ? max_dist * max_dist
                          : std::numeric_limits<double>::infinity();
-    if (!nodes_.empty()) NearestRec(0, q, accept, &best, &best_sq);
+    if (!nodes_.empty()) {
+      NearestRec(0, MinSqToBox(nodes_[0], q), q, accept, &best, &best_sq);
+    }
     if (out_dist != nullptr) {
       *out_dist = best >= 0 ? std::sqrt(best_sq)
                             : std::numeric_limits<double>::infinity();
@@ -250,15 +261,16 @@ class KdTree {
     const size_t num_nodes = n > 0 ? static_cast<size_t>(counts(n)) : 0;
     nodes_ = std::vector<Node>(num_nodes);
     boxes_ = std::vector<double>(num_nodes * 2 * static_cast<size_t>(dim_));
+    const int threads = exec != nullptr ? exec->threads() : 1;
+    const bool pooled = threads > 1 && n >= internal::kMinParallelIterations;
+    const size_t target = 4 * static_cast<size_t>(threads);
     if (n > 0) {
-      const int threads = exec != nullptr ? exec->threads() : 1;
-      if (threads <= 1 || n < internal::kMinParallelIterations) {
+      if (!pooled) {
         BuildNode({0, 0, n}, counts);
       } else {
         // Split the top levels one level per pool region until there are
         // ~4 subtrees per thread, then build those subtrees as one region.
         std::vector<Pending> frontier{{0, 0, n}};
-        const size_t target = 4 * static_cast<size_t>(threads);
         while (!frontier.empty() && frontier.size() < target) {
           internal::RunTasks(*exec, frontier.size(), [&](size_t k) {
             SplitNode(frontier[k], counts);
@@ -279,8 +291,19 @@ class KdTree {
       }
     }
     // Leaf-contiguous SoA view (perm_ order); perm_ already maps
-    // positions back to ids, so the view needn't store its own copy.
-    soa_.Assign(points, perm_.data(), n, /*store_ids=*/false);
+    // positions back to ids, so the view needn't store its own copy. The
+    // pool build transposes it in `target` position chunks.
+    if (!pooled) {
+      soa_.Assign(points, perm_.data(), n, /*store_ids=*/false);
+      return;
+    }
+    soa_.Resize(dim_, n);
+    const PointId chunk = (n + static_cast<PointId>(target) - 1) /
+                          static_cast<PointId>(target);
+    internal::RunTasks(*exec, target, [&](size_t k) {
+      const PointId begin = std::min(static_cast<PointId>(k) * chunk, n);
+      soa_.FillRange(points, perm_.data(), begin, std::min(begin + chunk, n));
+    });
   }
 
   void BuildNode(const Pending& p, const NodeCounts& counts) {
@@ -462,14 +485,17 @@ class KdTree {
     ReportRec(node.right, q, r_sq, out);
   }
 
+  /// `box_sq` is MinSqToBox(node ni, q), computed once by the parent
+  /// (which needs both children's to order them) or by NearestAccepted
+  /// for the root.
   template <typename Accept>
-  void NearestRec(int32_t ni, const double* q, const Accept& accept, PointId* best,
-                  double* best_sq) const {
+  void NearestRec(int32_t ni, double box_sq, const double* q,
+                  const Accept& accept, PointId* best, double* best_sq) const {
     const Node& node = nodes_[static_cast<size_t>(ni)];
     // `>` (not `>=`): a box at exactly *best_sq may still hold an
     // equal-distance point with a smaller id, and the tie-break below must
     // see it for the winner to be tree-shape independent.
-    if (MinSqToBox(node, q) > *best_sq) return;
+    if (box_sq > *best_sq) return;
     if (node.left < 0) {
       // Distances come from one kernel sweep; exact-distance ties break to
       // the smallest id, so the winner depends only on the candidate SET,
@@ -493,10 +519,13 @@ class KdTree {
     // Descend the nearer child first so the bound tightens early.
     const double dl = MinSqToBox(nodes_[static_cast<size_t>(node.left)], q);
     const double dr = MinSqToBox(nodes_[static_cast<size_t>(node.right)], q);
-    const int32_t first = dl <= dr ? node.left : node.right;
-    const int32_t second = dl <= dr ? node.right : node.left;
-    NearestRec(first, q, accept, best, best_sq);
-    NearestRec(second, q, accept, best, best_sq);
+    if (dl <= dr) {
+      NearestRec(node.left, dl, q, accept, best, best_sq);
+      NearestRec(node.right, dr, q, accept, best, best_sq);
+    } else {
+      NearestRec(node.right, dr, q, accept, best, best_sq);
+      NearestRec(node.left, dl, q, accept, best, best_sq);
+    }
   }
 
   void NearestAllRec(int32_t ni, const double* q, PointId* best,

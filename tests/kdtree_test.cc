@@ -2,9 +2,11 @@
 // nearest-accepted-neighbor on random point sets across dimensions; the
 // count-block traversals (RangeCount, JointRangeCount) around the block
 // size and on lattice points lying exactly on the ball boundary; the
+// nearest search's ties and seeded bounds on the same lattices; the
 // leaf order the solves schedule by; and the pool build, which must
 // reproduce the serial tree exactly.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -172,22 +174,34 @@ void TestCountBlocks() {
   }
 }
 
+/// 3000 random points of an integer lattice (side 40 in 2-D, 6 in 7-D),
+/// plus an exact copy of every tenth of them: squared distances are exact
+/// integers, many are equal, and duplicates tie at distance 0.
+dpc::PointSet LatticePoints(int dim) {
+  dpc::Rng rng(4242 + static_cast<uint64_t>(dim));
+  dpc::PointSet points(dim);
+  std::vector<double> p(static_cast<size_t>(dim));
+  const uint64_t side = dim == 2 ? 40 : 6;
+  for (int i = 0; i < 3000; ++i) {
+    for (int d = 0; d < dim; ++d) {
+      p[static_cast<size_t>(d)] = static_cast<double>(rng.NextBelow(side));
+    }
+    points.Add(p.data());
+  }
+  for (dpc::PointId i = 0; i < 3000; i += 10) {
+    p.assign(points[i], points[i] + dim);
+    points.Add(p.data());
+  }
+  return points;
+}
+
 /// Integer lattices with integer radii: r * r is exact and many points sit
 /// exactly at distance r, so a `<` where `<=` belongs (in a block sweep or
 /// a whole-subtree test) changes the counts.
 void TestLatticeBoundary() {
   for (const int dim : {2, 7}) {
-    dpc::Rng rng(4242 + static_cast<uint64_t>(dim));
-    dpc::PointSet points(dim);
-    std::vector<double> p(static_cast<size_t>(dim));
-    const dpc::PointId n = 3000;
-    const uint64_t side = dim == 2 ? 40 : 6;
-    for (dpc::PointId i = 0; i < n; ++i) {
-      for (int d = 0; d < dim; ++d) {
-        p[static_cast<size_t>(d)] = static_cast<double>(rng.NextBelow(side));
-      }
-      points.Add(p.data());
-    }
+    const dpc::PointSet points = LatticePoints(dim);
+    const dpc::PointId n = points.size();
     dpc::KdTree tree;
     tree.Build(points);
     const std::vector<double> radii = {1.0, 2.0, 3.0, 5.0, 10.0};
@@ -200,6 +214,91 @@ void TestLatticeBoundary() {
     }
     CHECK(on_boundary > 0);
     CheckCounts(tree, points, radii, 77 + static_cast<uint64_t>(dim));
+  }
+}
+
+/// Brute-force NearestAccepted: among accepted points strictly closer
+/// than bound_sq, the smallest squared distance, then the smallest id.
+template <typename Accept>
+dpc::PointId BruteNearest(const dpc::PointSet& points, const double* q,
+                          const Accept& accept, double bound_sq,
+                          double* out_sq) {
+  dpc::PointId best = -1;
+  double best_sq = bound_sq;
+  for (dpc::PointId j = 0; j < points.size(); ++j) {
+    if (!accept(j)) continue;
+    const double d_sq = dpc::SquaredDistance(q, points[j], points.dim());
+    if (d_sq < best_sq) {
+      best_sq = d_sq;
+      best = j;
+    }
+  }
+  *out_sq = best_sq;
+  return best;
+}
+
+/// NearestAccepted on the lattices, where equal distances are common:
+/// members (whose duplicates tie at 0) and half-integer offsets of them
+/// (equidistant from many lattice points) query an id-parity predicate
+/// with no bound, and with max_dist below, at and above the true nearest
+/// distance. A point exactly at the bound never wins, so at the bound
+/// the answer is -1 unless a strictly closer point exists. A prune that
+/// skips boxes at exactly the current best, or that tests a child against
+/// its sibling's box distance, loses ties or whole subtrees here.
+void TestLatticeNearest() {
+  for (const int dim : {2, 7}) {
+    const dpc::PointSet points = LatticePoints(dim);
+    const dpc::PointId n = points.size();
+    dpc::KdTree tree;
+    tree.Build(points);
+    dpc::Rng rng(5151 + static_cast<uint64_t>(dim));
+    std::vector<double> q(static_cast<size_t>(dim));
+    int exact_at_bound = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+      const dpc::PointId i = static_cast<dpc::PointId>(rng.NextBelow(n));
+      const bool offset = trial % 2 == 1;
+      for (int d = 0; d < dim; ++d) {
+        q[static_cast<size_t>(d)] =
+            points[i][d] + (offset && rng.NextBelow(2) == 0 ? 0.5 : 0.0);
+      }
+      const dpc::PointId parity = trial % 4 < 2 ? 0 : 1;
+      const auto accept = [i, parity](dpc::PointId j) {
+        return j % 2 == parity && j != i;
+      };
+      double true_sq = 0.0;
+      const dpc::PointId true_nn =
+          BruteNearest(points, q.data(), accept,
+                       std::numeric_limits<double>::infinity(), &true_sq);
+      CHECK(true_nn >= 0);
+      double dist = 0.0;
+      CHECK_EQ(tree.NearestAccepted(q.data(), accept, &dist), true_nn);
+      CHECK_EQ(dist, std::sqrt(true_sq));
+
+      const double true_dist = std::sqrt(true_sq);
+      for (const double max_dist :
+           {true_dist * 0.5, true_dist, true_dist + 0.5}) {
+        const double bound_sq = max_dist * max_dist;
+        double ref_sq = 0.0;
+        const dpc::PointId ref =
+            BruteNearest(points, q.data(), accept, bound_sq, &ref_sq);
+        if (max_dist == true_dist && bound_sq == true_sq) {
+          CHECK_EQ(ref, dpc::PointId{-1});
+          ++exact_at_bound;
+        }
+        if (max_dist > true_dist) CHECK_EQ(ref, true_nn);
+        const dpc::PointId got =
+            tree.NearestAccepted(q.data(), accept, &dist, max_dist);
+        CHECK_EQ(got, ref);
+        if (ref >= 0) {
+          CHECK_EQ(dist, std::sqrt(ref_sq));
+        } else {
+          CHECK(std::isinf(dist));
+        }
+      }
+    }
+    // The fixture is only meaningful if many bounds sit exactly on the
+    // nearest distance (distance 0 or a perfect-square squared distance).
+    CHECK(exact_at_bound > 100);
   }
 }
 
@@ -280,6 +379,7 @@ int main() {
   for (const int dim : {1, 2, 3, 5, 8}) TestDim(dim);
   TestCountBlocks();
   TestLatticeBoundary();
+  TestLatticeNearest();
   TestPoolBuild();
 
   // Empty and tiny trees must not crash.
