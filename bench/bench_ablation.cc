@@ -8,6 +8,10 @@
 //   C. The peaks' exact dependent search: one query on the rho kd-tree
 //      (what Approx-DPC runs) vs the paper's density-ordered subset scheme
 //      at Equation (2)'s s and under/over-partitioned s.
+//
+// A and C print "results identical"; the bench checks it and exits 1 on
+// any rho (A) or delta/dependency (C) difference, so its smoke run is a
+// correctness gate too.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -25,6 +29,7 @@ int main() {
   bench::PrintBanner("Ablation", "Approx-DPC design choices", cfg);
 
   auto workloads = bench::RealWorkloads(cfg);
+  bool identical = true;
 
   // --- A: joint range search vs Ex-DPC's per-point range counts. ---
   std::printf("A. Joint range search (rho phase time [s]; results identical)\n");
@@ -35,10 +40,14 @@ int main() {
       // Ex-DPC runs the per-point range counts on the same kd-tree.
       const DpcSolution a = ApproxDpc().Solve(w.points, w.params.compute(), ctx);
       const DpcSolution b = ExDpc().Solve(w.points, w.params.compute(), ctx);
+      const bool same = a.rho == b.rho;
+      identical = identical && same;
       table.AddRow({w.name, StrFormat("%.3f", a.stats.rho_seconds),
                     StrFormat("%.3f", b.stats.rho_seconds),
-                    StrFormat("%.2fx", b.stats.rho_seconds /
-                                           std::max(a.stats.rho_seconds, 1e-9))});
+                    StrFormat("%.2fx%s",
+                              b.stats.rho_seconds /
+                                  std::max(a.stats.rho_seconds, 1e-9),
+                              same ? "" : " MISMATCH")});
     }
     table.Print();
   }
@@ -79,7 +88,9 @@ int main() {
         ElectCellPeaks(w.points, grid, sol.rho, &delta, &dependency);
     const KdTree tree(w.points);
     auto same = [&] {
-      return delta == sol.delta && dependency == sol.dependency ? "" : " MISMATCH";
+      const bool ok = delta == sol.delta && dependency == sol.dependency;
+      identical = identical && ok;
+      return ok ? "" : " MISMATCH";
     };
     eval::Table table({"search", "time [s]", "note"});
     internal::WallTimer timer;
@@ -97,6 +108,10 @@ int main() {
                               same())});
     }
     table.Print();
+  }
+  if (!identical) {
+    std::fprintf(stderr, "bench_ablation: MISMATCH rows above\n");
+    return 1;
   }
   return 0;
 }

@@ -90,9 +90,9 @@ struct KernelNumbers {
 
 /// One scalar-vs-batched comparison over a full sweep of `points`
 /// (n per-point distance evaluations per op, fresh query each op).
-/// kind: 0 = squared distances into a buffer, 1 = range count,
-/// 2 = min distance. Alternates the two sides over `kRepeats` rounds and
-/// keeps each side's minimum — the noise-robust estimator for the gated
+/// kind: 0 = squared distances into a buffer, 1 = range count.
+/// Alternates the two sides over `kRepeats` rounds and keeps each
+/// side's minimum — the noise-robust estimator for the gated
 /// speedup ratios (this box shares its core, so a single round can see a
 /// 2x swing from a noisy neighbor). Many short rounds beat few long
 /// ones: a slow phase — a noisy neighbor, a frequency dip — lasts
@@ -124,23 +124,12 @@ KernelNumbers MeasureKernel(const PointSet& points, const PointSetSoA& soa,
                 buf[static_cast<size_t>(j)] = SquaredDistance(q, points[j], dim);
               }
               Sink(buf[static_cast<size_t>(n - 1)]);
-            } else if (kind == 1) {
+            } else {
               PointId count = 0;
               for (PointId j = 0; j < n; ++j) {
                 if (SquaredDistance(q, points[j], dim) <= r_sq) ++count;
               }
               Sink(count);
-            } else {
-              double best_sq = std::numeric_limits<double>::infinity();
-              PointId best = -1;
-              for (PointId j = 0; j < n; ++j) {
-                const double d_sq = SquaredDistance(q, points[j], dim);
-                if (d_sq < best_sq) {
-                  best_sq = d_sq;
-                  best = j;
-                }
-              }
-              Sink(best);
             }
           }, kRoundSeconds);
       out.scalar_ns = std::min(out.scalar_ns, ns);
@@ -157,10 +146,8 @@ KernelNumbers MeasureKernel(const PointSet& points, const PointSetSoA& soa,
             if (kind == 0) {
               kernels::SquaredDistanceBatch(soa, 0, n, q, buf.data());
               Sink(buf[static_cast<size_t>(n - 1)]);
-            } else if (kind == 1) {
-              Sink(kernels::RangeCountBatch(soa, 0, n, q, r_sq));
             } else {
-              Sink(kernels::MinDistanceBatch(soa, 0, n, q).pos);
+              Sink(kernels::RangeCountBatch(soa, 0, n, q, r_sq));
             }
           }, kRoundSeconds);
       out.batch_ns = std::min(out.batch_ns, ns);
@@ -211,7 +198,7 @@ int main(int argc, char** argv) {
   const struct {
     const char* name;
     int kind;
-  } kKernels[] = {{"sqdist", 0}, {"range_count", 1}, {"min_distance", 2}};
+  } kKernels[] = {{"sqdist", 0}, {"range_count", 1}};
   const size_t tier_passes = tiers.empty() ? 1 : tiers.size();
   for (size_t pass = 0; pass < tier_passes; ++pass) {
     std::string suffix;

@@ -253,10 +253,13 @@ class ApproxDpc : public DpcAlgorithm {
   /// plain nearest-neighbor there; only the peak's own subset needs the
   /// denser-than predicate. The result is exactly the nearest denser
   /// neighbor (same candidate set as a global predicate search); only a
-  /// tie between equidistant candidates may resolve differently — here
-  /// to the denser one, on the rho tree to the smaller id. Peaks are
-  /// LPT-partitioned by density rank — denser peaks visit fewer subsets,
-  /// which rank models directly.
+  /// tie between equidistant candidates may resolve differently. Here
+  /// the densest of them wins: within a subset the kd-tree breaks exact
+  /// ties to the smallest local id, which is the densest point, and a
+  /// later (sparser) subset must be strictly closer to displace the
+  /// running best. The rho tree breaks the same tie to the smallest
+  /// point id. Peaks are LPT-partitioned by density rank — denser peaks
+  /// visit fewer subsets, which rank models directly.
   static void ComputePeakDeltasBySubsets(
       const PointSet& points, const std::vector<double>& rho,
       const std::vector<PointId>& peaks, int num_subsets,
@@ -312,10 +315,9 @@ class ApproxDpc : public DpcAlgorithm {
         double dist = std::numeric_limits<double>::infinity();
         PointId local;
         if (b < last) {
-          // Every point in this subset outranks p: plain NN on the
-          // predicate-free batched path.
-          local = trees[static_cast<size_t>(b)].NearestWithin(points[p], &dist,
-                                                              best);
+          // Every point in this subset outranks p: plain NN.
+          local = trees[static_cast<size_t>(b)].NearestAccepted(
+              points[p], [](PointId) { return true; }, &dist, best);
         } else {
           // A subset-local id lid sits at density-order position
           // base + lid, so its rank is base + lid by construction.

@@ -23,7 +23,6 @@
 #include <string>
 
 #include "core/dpc.h"
-#include "core/kernels_common.h"
 #include "core/kernels_dispatch.h"
 #include "core/soa.h"
 
@@ -58,13 +57,6 @@ inline void SquaredDistanceBatch(const PointSetSoA& soa, PointId begin,
 inline PointId RangeCountBatch(const PointSetSoA& soa, PointId begin,
                                PointId count, const double* q, double r_sq) {
   return Active().range_count(soa, begin, count, q, r_sq);
-}
-
-/// argmin_j SquaredDistance(q, soa[begin + j]) over [0, count) — the
-/// delta primitive for predicate-free nearest-neighbor scans.
-inline MinResult MinDistanceBatch(const PointSetSoA& soa, PointId begin,
-                                  PointId count, const double* q) {
-  return Active().min_distance(soa, begin, count, q);
 }
 
 /// out[j] = sum_d a[d] * soa[begin + j][d] — the projection primitive of

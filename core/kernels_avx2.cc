@@ -10,7 +10,6 @@
 // these functions are only reachable through the dispatch table after
 // core/cpu_features.h proved the host executes AVX2 (CPUID + XGETBV).
 #include <algorithm>
-#include <limits>
 
 #include "core/kernels_dispatch.h"
 

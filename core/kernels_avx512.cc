@@ -12,7 +12,6 @@
 // tier from SupportedTierMask(), so the binary never claims a width it
 // does not have.
 #include <algorithm>
-#include <limits>
 
 #include "core/kernels_dispatch.h"
 

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/dpc.h"
-#include "core/kernels_common.h"
 #include "core/soa.h"
 
 namespace dpc::kernels {
@@ -46,8 +45,6 @@ struct KernelTable {
   void (*sqdist)(const PointSetSoA&, PointId, PointId, const double*, double*);
   PointId (*range_count)(const PointSetSoA&, PointId, PointId, const double*,
                          double);
-  MinResult (*min_distance)(const PointSetSoA&, PointId, PointId,
-                            const double*);
   void (*dot)(const PointSetSoA&, PointId, PointId, const double*, double*);
   void (*gather)(const PointSet&, const PointId*, PointId, const double*,
                  double*);

@@ -4,7 +4,6 @@
 // Compiled with -ffp-contract=off like every tier TU (uniformity; the
 // baseline ISA cannot contract anyway).
 #include <algorithm>
-#include <limits>
 
 #include "core/kernels_dispatch.h"
 

@@ -134,27 +134,6 @@ class KdTree {
         q, [exclude](PointId id) { return id != exclude; }, out_dist);
   }
 
-  /// Predicate-free nearest neighbor: like NearestAccepted with an
-  /// accept-all predicate, but leaves run the branchless MinDistanceBatch
-  /// kernel. `max_dist` seeds the pruning bound exactly as in
-  /// NearestAccepted (-1 means "nothing beat the bound"). Approx-DPC's
-  /// density-ordered subset search uses this for every subset that
-  /// wholly outranks the query peak.
-  PointId NearestWithin(
-      const double* q, double* out_dist,
-      double max_dist = std::numeric_limits<double>::infinity()) const {
-    PointId best = -1;
-    double best_sq = max_dist < std::numeric_limits<double>::infinity()
-                         ? max_dist * max_dist
-                         : std::numeric_limits<double>::infinity();
-    if (!nodes_.empty()) NearestAllRec(0, q, &best, &best_sq);
-    if (out_dist != nullptr) {
-      *out_dist = best >= 0 ? std::sqrt(best_sq)
-                            : std::numeric_limits<double>::infinity();
-    }
-    return best;
-  }
-
   /// The paper's §4.2 joint range search: counts, for every query id in
   /// `queries` (members of the indexed set), the points within distance
   /// r — one shared traversal per call instead of one per query. The
@@ -526,27 +505,6 @@ class KdTree {
       NearestRec(node.right, dr, q, accept, best, best_sq);
       NearestRec(node.left, dl, q, accept, best, best_sq);
     }
-  }
-
-  void NearestAllRec(int32_t ni, const double* q, PointId* best,
-                     double* best_sq) const {
-    const Node& node = nodes_[static_cast<size_t>(ni)];
-    if (MinSqToBox(node, q) >= *best_sq) return;
-    if (node.left < 0) {
-      const kernels::MinResult m = kernels::MinDistanceBatch(
-          soa_, node.begin, node.end - node.begin, q);
-      if (m.d_sq < *best_sq) {
-        *best_sq = m.d_sq;
-        *best = perm_[static_cast<size_t>(m.pos)];
-      }
-      return;
-    }
-    const double dl = MinSqToBox(nodes_[static_cast<size_t>(node.left)], q);
-    const double dr = MinSqToBox(nodes_[static_cast<size_t>(node.right)], q);
-    const int32_t first = dl <= dr ? node.left : node.right;
-    const int32_t second = dl <= dr ? node.right : node.left;
-    NearestAllRec(first, q, best, best_sq);
-    NearestAllRec(second, q, best, best_sq);
   }
 
   const PointSet* points_ = nullptr;

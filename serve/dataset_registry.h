@@ -13,7 +13,6 @@
 #ifndef DPC_SERVE_DATASET_REGISTRY_H_
 #define DPC_SERVE_DATASET_REGISTRY_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -38,39 +37,9 @@ struct NamedDataset {
   std::string name;
   PointSet points;
   uint64_t fingerprint = 0;
-  /// Coarse spatial cost histogram: point counts over kCostProfileBins
-  /// equal-width slices of the first coordinate. Deterministic, O(n) at
-  /// registration; PlanShardWidth's LPT overload reads it so skewed
-  /// datasets plan wider shards than uniform ones of the same size.
-  std::vector<double> cost_profile;
 
   NamedDataset() : points(1) {}
 };
-
-inline constexpr size_t kCostProfileBins = 64;
-
-/// The histogram above. A degenerate first coordinate (all points equal,
-/// or n == 0) collapses to a single bin — no skew signal, and the LPT
-/// planner falls back to flat behavior.
-inline std::vector<double> BuildCostProfile(const PointSet& points) {
-  const PointId n = points.size();
-  if (n == 0) return {};
-  double lo = points[0][0];
-  double hi = lo;
-  for (PointId i = 1; i < n; ++i) {
-    lo = std::min(lo, points[i][0]);
-    hi = std::max(hi, points[i][0]);
-  }
-  if (!(hi > lo)) return {static_cast<double>(n)};
-  std::vector<double> bins(kCostProfileBins, 0.0);
-  const double scale = static_cast<double>(kCostProfileBins) / (hi - lo);
-  for (PointId i = 0; i < n; ++i) {
-    size_t b = static_cast<size_t>((points[i][0] - lo) * scale);
-    if (b >= kCostProfileBins) b = kCostProfileBins - 1;
-    bins[b] += 1.0;
-  }
-  return bins;
-}
 
 class DatasetRegistry {
  public:
@@ -80,7 +49,6 @@ class DatasetRegistry {
     auto entry = std::make_shared<NamedDataset>();
     entry->name = name;
     entry->fingerprint = FingerprintPoints(points);
-    entry->cost_profile = BuildCostProfile(points);
     entry->points = std::move(points);
     const uint64_t fingerprint = entry->fingerprint;
     std::lock_guard<std::mutex> lock(mu_);

@@ -612,15 +612,10 @@ class ClusterServer {
                const std::string& key, const ThresholdSpec& threshold,
                const std::shared_ptr<obs::Trace>& trace,
                uint64_t request_span_id) {
-    // LPT-profile-aware width when the registry computed one (skewed
-    // datasets plan wider shards); flat |P| model otherwise.
     const int width =
-        dataset.cost_profile.empty()
-            ? PlanShardWidth(shard_pool_.total(), lanes_,
-                             static_cast<int64_t>(dataset.points.size()),
-                             s.request.priority)
-            : PlanShardWidth(shard_pool_.total(), lanes_,
-                             dataset.cost_profile, s.request.priority);
+        PlanShardWidth(shard_pool_.total(), lanes_,
+                       static_cast<int64_t>(dataset.points.size()),
+                       s.request.priority);
     obs::ScopedSpan lease_span(trace.get(), "lease-wait", request_span_id);
     std::optional<ShardPool::Lease> lease =
         shard_pool_.Acquire(width, s.deadline_at);

@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "parallel/lpt_scheduler.h"
 #include "parallel/omp_utils.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
@@ -47,35 +46,6 @@ inline int PlanShardWidth(int total, int lanes, int64_t cost_points,
   if (cost_points < internal::kMinParallelIterations) width = 1;
   width += std::max(0, priority);
   return std::clamp(width, 1, std::max(1, total));
-}
-
-/// Cost-profile-aware width. `bin_costs` is the dataset's coarse spatial
-/// cost histogram (serve/dataset_registry.h NamedDataset::cost_profile).
-/// The flat |P| model above assumes the work divides evenly across a
-/// shard's threads; a skewed dataset does not — its LPT makespan at the
-/// flat width exceeds the even-split prediction sum/base — so the width
-/// grows until the §4.5 LPT schedule of the bins meets the flat model's
-/// per-lane latency target, or the budget caps it. A uniform profile
-/// plans exactly the flat width (the 5% slack absorbs integer-
-/// granularity remainders: 64 equal bins on 3 threads load 22/21/21,
-/// which is not skew).
-inline int PlanShardWidth(int total, int lanes,
-                          const std::vector<double>& bin_costs, int priority) {
-  double sum = 0.0;
-  for (const double c : bin_costs) sum += c;
-  const int64_t cost_points = static_cast<int64_t>(sum);
-  if (bin_costs.empty() || cost_points < internal::kMinParallelIterations) {
-    return PlanShardWidth(total, lanes, cost_points, priority);
-  }
-  const int budget = std::max(1, total);
-  const int base = std::max(1, total / std::max(1, lanes));
-  const double target = (sum / base) * 1.05;
-  int width = base;
-  while (width < budget && LptSchedule(bin_costs, width).makespan > target) {
-    ++width;
-  }
-  width += std::max(0, priority);
-  return std::clamp(width, 1, budget);
 }
 
 class ShardPool {

@@ -73,6 +73,38 @@ int main() {
       CHECK(dependency == solved.dependency);
     }
   }
+  // Equidistant candidates: the subset search resolves the tie to the
+  // denser one. With s = 2 the 42 densest points (40 fillers at |x| >=
+  // 100, then the rho-90 and rho-50 candidates at (1, 0) and (-1, 0))
+  // form subset 0, searched as a plain nearest neighbor for the query
+  // peak at the origin; the kd-tree splits them at x = 0, so each
+  // candidate sits in its own half at the same box distance.
+  {
+    dpc::PointSet tie(2);
+    std::vector<double> rho;
+    auto add = [&](double x, double y, double r) {
+      const double p[2] = {x, y};
+      tie.Add(p);
+      rho.push_back(r);
+    };
+    add(0.0, 0.0, 1.0);    // id 0: the query peak
+    add(-1.0, 0.0, 50.0);  // id 1
+    add(1.0, 0.0, 90.0);   // id 2: the denser candidate
+    for (int i = 0; i < 20; ++i) {
+      add(100.0 + i, 0.0, 100.0 + 2 * i);
+      add(-100.0 - i, 0.0, 101.0 + 2 * i);
+    }
+    for (int i = 0; i < 41; ++i) add(10000.0 + i, 10000.0, 0.0);
+    CHECK_EQ(tie.size(), dpc::PointId{84});
+    std::vector<double> delta(rho.size(),
+                              std::numeric_limits<double>::infinity());
+    std::vector<dpc::PointId> dependency(rho.size(), -1);
+    dpc::ApproxDpc::ComputePeakDeltasBySubsets(tie, rho, {0}, 2,
+                                               dpc::ExecutionContext(1),
+                                               &delta, &dependency);
+    CHECK_EQ(dependency[0], dpc::PointId{2});
+    CHECK(delta[0] == 1.0);
+  }
   CHECK(dpc::ApproxDpc::SolveNumSubsets(0, 2) == 1);
   CHECK(dpc::ApproxDpc::SolveNumSubsets(points.size(), 2) >= 1);
 

@@ -46,26 +46,15 @@ void CheckRange(const dpc::PointSet& points, const dpc::PointSetSoA& soa,
   CHECK_EQ(batch.back(), -42.0);
 
   dpc::PointId scalar_hits = 0;
-  double scalar_min = std::numeric_limits<double>::infinity();
-  dpc::PointId scalar_argmin = -1;
   for (dpc::PointId j = 0; j < count; ++j) {
     const double d_sq = dpc::SquaredDistance(
         q, points[ids[static_cast<size_t>(begin + j)]], dim);
     CHECK(batch[static_cast<size_t>(j)] == d_sq);  // bitwise
     if (d_sq <= r_sq) ++scalar_hits;
-    if (d_sq < scalar_min) {
-      scalar_min = d_sq;
-      scalar_argmin = begin + j;
-    }
   }
 
   CHECK_EQ(dpc::kernels::RangeCountBatch(soa, begin, count, q, r_sq),
            scalar_hits);
-
-  const dpc::kernels::MinResult m =
-      dpc::kernels::MinDistanceBatch(soa, begin, count, q);
-  CHECK_EQ(m.pos, scalar_argmin);
-  if (count > 0) CHECK(m.d_sq == scalar_min);
 
   // DotBatch vs an ascending-dimension scalar dot (q doubles as the
   // projection direction).
@@ -124,28 +113,6 @@ void TestDim(int dim) {
       CheckRange(points, perm_soa, reversed, begin, std::min(len, n), q.data(),
                  r * r);
     }
-  }
-
-  // Tie-breaking: duplicate the minimum so several positions share the
-  // winning distance — MinDistanceBatch must report the FIRST position,
-  // exactly like an ascending scalar scan with strict '<'.
-  {
-    dpc::PointSet dups(dim);
-    std::vector<double> a(static_cast<size_t>(dim), 1.0);
-    std::vector<double> b(static_cast<size_t>(dim), 2.0);
-    for (int i = 0; i < 600; ++i) {
-      dups.Add(i % 3 == 1 ? a.data() : b.data());  // min at 1, 4, 7, ...
-    }
-    const dpc::PointSetSoA dup_soa(dups);
-    std::vector<double> origin(static_cast<size_t>(dim), 1.0);
-    const dpc::kernels::MinResult m = dpc::kernels::MinDistanceBatch(
-        dup_soa, 0, dups.size(), origin.data());
-    CHECK_EQ(m.pos, 1);
-    CHECK(m.d_sq == 0.0);
-    // Offset start: first qualifying position relative to the sub-range.
-    const dpc::kernels::MinResult m2 = dpc::kernels::MinDistanceBatch(
-        dup_soa, 2, dups.size() - 2, origin.data());
-    CHECK_EQ(m2.pos, 4);
   }
 
   std::printf("kernels dim=%d OK (tier %s)\n", dim,

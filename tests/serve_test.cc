@@ -298,39 +298,19 @@ void TestCacheStoreDemotePromote() {
   std::remove(path.c_str());
 }
 
-/// Satellite: PlanShardWidth's LPT-profile overload. A uniform cost
-/// profile plans the flat width; a skewed one widens until the LPT
-/// makespan meets the flat per-lane target (or the budget caps it).
-void TestPlanShardWidthProfiles() {
-  // Flat model baseline: 8 threads over 4 lanes -> width 2 above the
-  // parallel threshold, 1 below it.
+/// PlanShardWidth's flat |P| model: an even split of the budget across
+/// lanes, 1 below the parallel threshold, plus one thread per priority
+/// level, clamped to the budget.
+void TestPlanShardWidth() {
+  // 8 threads over 4 lanes -> width 2 above the parallel threshold, 1
+  // below it.
   CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, int64_t{100000}, 0), 2);
   CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, int64_t{10}, 0), 1);
 
-  // Uniform profile: LPT of 16 x 4000 on 2 threads has makespan 32000,
-  // within 5% of the even-split 32000 -> the flat width stands.
-  const std::vector<double> uniform(16, 4000.0);
-  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, uniform, 0), 2);
-
-  // One dominant bin: no width can beat its 40000 makespan, so the
-  // planner widens all the way to the budget.
-  std::vector<double> skewed(25, 1000.0);
-  skewed[0] = 40000.0;
-  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, skewed, 0), 8);
-
-  // Two heavy bins level out at width 3: {30000, 30000, 4000} makespans
-  // 34000 @2 (over the 33600 target) but 30000 @3.
-  const std::vector<double> two_heavy = {30000.0, 30000.0, 4000.0};
-  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, two_heavy, 0), 3);
-
-  // Below the parallel threshold the profile is ignored — inner loops
-  // run serial anyway.
-  const std::vector<double> small(16, 10.0);
-  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, small, 0), 1);
-
   // Priority boosts ride on top, clamped to the budget.
-  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, uniform, 3), 5);
-  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, skewed, 3), 8);
+  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, int64_t{100000}, 3), 5);
+  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, int64_t{10}, 3), 4);
+  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, int64_t{100000}, 7), 8);
 }
 
 void TestSolutionKey() {
@@ -1112,7 +1092,7 @@ int main() {
   TestSolutionCacheCostAwareEviction();
   TestSolutionCacheByteBudget();
   TestCacheStoreDemotePromote();
-  TestPlanShardWidthProfiles();
+  TestPlanShardWidth();
   TestSolutionKey();
   TestAdmissionQueuePriority();
   TestServerEndToEnd();
