@@ -11,8 +11,8 @@
 // Both share the quadratic dependent pass (internal::QuadraticDeltas),
 // which CFSFDP-A reuses as well. All phases parallelize over points with
 // disjoint writes, so results are thread-count independent. Per-point
-// work is uniform here (every point scans everything), so there is no
-// cost model: the loops claim grains (ParallelFor).
+// work is uniform here (every point scans everything); the loops claim
+// grains (ParallelFor), like every pool loop.
 //
 // Cancellation: with O(n) work per index, ParallelFor's 1024-index
 // sub-slice polling would overshoot a deadline by up to 1024*n distance

@@ -1,13 +1,15 @@
-// Ablations of Approx-DPC's design choices (DESIGN.md experiment index).
+// Ablations of Approx-DPC's design choices (docs/BENCHMARKING.md lists
+// every bench binary and the paper artifact it reproduces).
 //
 //   A. Joint range search (§4.2) vs per-point range counts: how much of
 //      Approx-DPC's rho-phase win comes from sharing tree traversals.
-//   B. Cost-based LPT partitioning (§4.5) vs hash partitioning: the
-//      load-balance quality (makespan / mean thread load under the cost
-//      model, 8 simulated threads).
 //   C. The peaks' exact dependent search: one query on the rho kd-tree
 //      (what Approx-DPC runs) vs the paper's density-ordered subset scheme
 //      at Equation (2)'s s and under/over-partitioned s.
+//
+// There is no B: the cell loop claims grains like every pool loop, so
+// there is no cell partition to ablate. A and C keep the letters that
+// ROADMAP and code comments cite.
 //
 // A and C print "results identical"; the bench checks it and exits 1 on
 // any rho (A) or delta/dependency (C) difference, so its smoke run is a
@@ -21,7 +23,6 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "index/grid.h"
-#include "parallel/lpt_scheduler.h"
 
 int main() {
   using namespace dpc;
@@ -50,25 +51,6 @@ int main() {
                               same ? "" : " MISMATCH")});
     }
     table.Print();
-  }
-
-  // --- B: LPT vs hash partitioning balance. ---
-  std::printf("\nB. Load balancing: LPT vs hash partitioning (cost-model imbalance, "
-              "8 simulated threads)\n");
-  {
-    eval::Table table({"dataset", "LPT makespan/mean", "hash makespan/mean"});
-    for (const auto& w : workloads) {
-      // Cost model of the rho phase: |P(c)| per cell.
-      const UniformGrid grid(
-          w.points, w.params.d_cut / std::sqrt(static_cast<double>(w.points.dim())));
-      const std::vector<double> costs = grid.CellCosts();
-      // LPT against hash partitioning: cell id modulo thread (LSH-DDP's
-      // strategy).
-      table.AddRow({w.name, StrFormat("%.3f", LptSchedule(costs, 8).Imbalance()),
-                    StrFormat("%.3f", HashSchedule(costs, 8).Imbalance())});
-    }
-    table.Print();
-    std::printf("   (1.0 = perfect balance; LPT should sit at ~1.00, hash above it)\n");
   }
 
   // --- C: the peaks' exact dependent search. ---

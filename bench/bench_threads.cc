@@ -1,17 +1,19 @@
 // Figure 9 — running time vs number of threads.
 //
 // Reproduces the thread sweep (the paper uses 1..48 on dual 12-core
-// Xeons). Expected shapes on real multicore hardware:
-//   * Approx-DPC and S-Approx-DPC scale nearly linearly (cost-based LPT
-//     load balancing),
+// Xeons). One table per dataset: a row per algorithm, its wall time at
+// each thread count up to DPC_BENCH_THREADS, and its delta-phase time at
+// the largest count. Expected shapes on multicore hardware:
+//   * Approx-DPC and S-Approx-DPC speed up with threads (their cell loop
+//     hands out grains of cells like every other pool loop),
 //   * Ex-DPC plateaus once the sequential dependent phase dominates,
 //   * LSH-DDP scales irregularly (no load balancing),
 //   * Scan/CFSFDP-A remain slowest even with all threads.
 //
-// NOTE: this reproduction machine exposes a single hardware core, so
-// wall-clock speedups cannot materialize here; the sweep still runs to
-// demonstrate the parallel code paths, and the per-phase decomposition of
-// Table 6 (bench_decomposed) shows which phases are parallelized.
+// Speedups need as many hardware cores as threads: the banner prints the
+// hardware thread count, and on fewer cores the rows flatten. The
+// per-phase decomposition of Table 6 (bench_decomposed) shows which
+// phases are parallelized.
 #include <algorithm>
 #include <cstdio>
 
@@ -60,7 +62,7 @@ int main() {
   std::printf("expected shape (Figure 9, on real multicore hardware): "
               "Approx/S-Approx near-linear speedup; Ex-DPC limited by its "
               "sequential delta phase (last column stays constant); LSH-DDP "
-              "irregular. On this 1-core machine the rows are flat by "
-              "construction.\n");
+              "irregular. Rows flatten once threads exceed the hardware "
+              "threads printed above.\n");
   return 0;
 }

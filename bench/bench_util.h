@@ -1,9 +1,9 @@
 // Shared infrastructure for the paper-reproduction benchmark binaries.
 //
-// Each bench binary reproduces one table or figure of §6 (see DESIGN.md's
-// experiment index). They share: the dataset registry (four real-like
-// datasets plus the synthetic Syn / S1-S4 families), per-dataset default
-// parameters (the paper's defaults), and an algorithm factory.
+// Each bench binary reproduces one table or figure of §6 (see the binary
+// table in docs/BENCHMARKING.md). They share: the dataset registry (four
+// real-like datasets plus the synthetic Syn / S1-S4 families), per-dataset
+// default parameters (the paper's defaults), and an algorithm factory.
 //
 // Environment knobs: DPC_BENCH_SCALE, DPC_BENCH_THREADS, DPC_BENCH_HEAVY
 // (see eval/bench_config.h).

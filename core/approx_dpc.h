@@ -23,8 +23,11 @@
 // One spatial order per solve: the kd-tree is built on the solve's pool
 // first, and the grid is then built on the pool in the tree's leaf order
 // (UniformGrid::Build(points, side, exec, tree.leaf_order())). CellIds
-// follow first touch along that order, so the §4.5 LPT bins, each
+// follow first touch along that order, so the cell loop's grains, each
 // cell's member list and the peak list all walk space leaf by leaf.
+// The cell loop is a plain ParallelFor over CellIds: threads claim
+// grains of consecutive cells, as every other pool loop does (the
+// paper's §4.5 cost-guided LPT partition showed no win over grains).
 // Every per-point result is order-independent — DenserThan is a total
 // order and nearest ties break to the smaller id — so the order changes
 // speed, never a bit of the output.
@@ -168,13 +171,10 @@ class ApproxDpc : public DpcAlgorithm {
     tree.Build(points, exec);
 
     // Grid with cell side CellSide (cell diameter <= d_cut for
-    // Approx-DPC), built in the tree's leaf order; its per-cell population
-    // doubles as the §4.5 scheduling cost model.
+    // Approx-DPC), built in the tree's leaf order.
     UniformGrid grid;
     grid.Build(points, CellSide(compute, dim), exec, tree.leaf_order());
     result.stats.index_memory_bytes = tree.MemoryBytes() + grid.MemoryBytes();
-
-    const std::vector<double> cell_costs = grid.CellCosts();
     result.stats.build_seconds = phase.Lap();
 
     // rho, then the cell's peak election and snap right here: every
@@ -182,40 +182,44 @@ class ApproxDpc : public DpcAlgorithm {
     // one joint count-block traversal per cell; S-Approx-DPC counts once
     // per cell, for its smallest-id member.
     std::vector<PointId> peaks(static_cast<size_t>(grid.num_cells()), PointId{-1});
-    ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
-      const std::vector<PointId>& members = grid.members(cell);
-      if (s_approx_) {
-        const PointId m = *std::min_element(members.begin(), members.end());
-        const double rho_m =
-            static_cast<double>(tree.RangeCount(points[m], compute.d_cut) - 1);
-        for (const PointId i : members) result.rho[static_cast<size_t>(i)] = rho_m;
-      } else {
-        // Per-thread scratch (pool workers persist): the members' tight
-        // bounding box — lo then hi, dim doubles each — and the counts.
-        // Both are fully overwritten per cell.
-        static thread_local std::vector<double> box;
-        static thread_local std::vector<PointId> counts;
-        box.assign(static_cast<size_t>(2 * dim), 0.0);
-        double* lo = box.data();
-        double* hi = box.data() + dim;
-        for (int d = 0; d < dim; ++d) {
-          lo[d] = std::numeric_limits<double>::infinity();
-          hi[d] = -std::numeric_limits<double>::infinity();
-        }
-        for (const PointId i : members) {
+    ParallelFor(exec, grid.num_cells(), [&](int64_t begin, int64_t end) {
+      for (CellId cell = begin; cell < end; ++cell) {
+        const std::vector<PointId>& members = grid.members(cell);
+        if (s_approx_) {
+          const PointId m = *std::min_element(members.begin(), members.end());
+          const double rho_m = static_cast<double>(
+              tree.RangeCount(points[m], compute.d_cut) - 1);
+          for (const PointId i : members) {
+            result.rho[static_cast<size_t>(i)] = rho_m;
+          }
+        } else {
+          // Per-thread scratch (pool workers persist): the members' tight
+          // bounding box — lo then hi, dim doubles each — and the counts.
+          // Both are fully overwritten per cell.
+          static thread_local std::vector<double> box;
+          static thread_local std::vector<PointId> counts;
+          box.assign(static_cast<size_t>(2 * dim), 0.0);
+          double* lo = box.data();
+          double* hi = box.data() + dim;
           for (int d = 0; d < dim; ++d) {
-            lo[d] = std::min(lo[d], points[i][d]);
-            hi[d] = std::max(hi[d], points[i][d]);
+            lo[d] = std::numeric_limits<double>::infinity();
+            hi[d] = -std::numeric_limits<double>::infinity();
+          }
+          for (const PointId i : members) {
+            for (int d = 0; d < dim; ++d) {
+              lo[d] = std::min(lo[d], points[i][d]);
+              hi[d] = std::max(hi[d], points[i][d]);
+            }
+          }
+          tree.JointRangeCount(lo, hi, members, compute.d_cut, &counts);
+          for (size_t k = 0; k < members.size(); ++k) {
+            result.rho[static_cast<size_t>(members[k])] =
+                static_cast<double>(counts[k] - 1);  // self excluded
           }
         }
-        tree.JointRangeCount(lo, hi, members, compute.d_cut, &counts);
-        for (size_t k = 0; k < members.size(); ++k) {
-          result.rho[static_cast<size_t>(members[k])] =
-              static_cast<double>(counts[k] - 1);  // self excluded
-        }
+        peaks[static_cast<size_t>(cell)] = ElectCellPeak(
+            points, members, result.rho, &result.delta, &result.dependency);
       }
-      peaks[static_cast<size_t>(cell)] = ElectCellPeak(
-          points, members, result.rho, &result.delta, &result.dependency);
     });
     result.stats.rho_seconds = phase.Lap();
     if (internal::Interrupted(exec, &result)) {
@@ -258,8 +262,8 @@ class ApproxDpc : public DpcAlgorithm {
   /// ties to the smallest local id, which is the densest point, and a
   /// later (sparser) subset must be strictly closer to displace the
   /// running best. The rho tree breaks the same tie to the smallest
-  /// point id. Peaks are LPT-partitioned by density rank — denser peaks
-  /// visit fewer subsets, which rank models directly.
+  /// point id. The s tree builds run as pool tasks that never poll the
+  /// stop state; the peaks run as a ParallelFor.
   static void ComputePeakDeltasBySubsets(
       const PointSet& points, const std::vector<double>& rho,
       const std::vector<PointId>& peaks, int num_subsets,
@@ -288,51 +292,44 @@ class ApproxDpc : public DpcAlgorithm {
       }
     }
     std::vector<KdTree> trees(static_cast<size_t>(s));
-    std::vector<double> build_costs(static_cast<size_t>(s));
-    for (int b = 0; b < s; ++b) {
-      build_costs[static_cast<size_t>(b)] =
-          static_cast<double>(subsets[static_cast<size_t>(b)].size());
-    }
-    ParallelForWithCosts(exec, build_costs, [&](int64_t b) {
-      trees[static_cast<size_t>(b)].Build(subsets[static_cast<size_t>(b)]);
+    internal::RunTasks(exec, trees.size(), [&](size_t b) {
+      trees[b].Build(subsets[b]);
     });
 
-    std::vector<double> peak_costs(peaks.size());
-    for (size_t k = 0; k < peaks.size(); ++k) {
-      peak_costs[k] =
-          static_cast<double>(rank[static_cast<size_t>(peaks[k])] + 1);
-    }
-    ParallelForWithCosts(exec, peak_costs, [&](int64_t k) {
-      const PointId p = peaks[static_cast<size_t>(k)];
-      const PointId rank_p = rank[static_cast<size_t>(p)];
-      const int last = static_cast<int>(rank_p / block);
-      double best = std::numeric_limits<double>::infinity();
-      PointId best_id = -1;
-      // The running best threads through as each search's initial bound,
-      // so subsets that cannot beat it prune away at their root.
-      for (int b = 0; b <= last; ++b) {
-        const PointId base = static_cast<PointId>(b) * block;
-        double dist = std::numeric_limits<double>::infinity();
-        PointId local;
-        if (b < last) {
-          // Every point in this subset outranks p: plain NN.
-          local = trees[static_cast<size_t>(b)].NearestAccepted(
-              points[p], [](PointId) { return true; }, &dist, best);
-        } else {
-          // A subset-local id lid sits at density-order position
-          // base + lid, so its rank is base + lid by construction.
-          local = trees[static_cast<size_t>(b)].NearestAccepted(
-              points[p],
-              [base, rank_p](PointId lid) { return base + lid < rank_p; },
-              &dist, best);
+    ParallelFor(exec, static_cast<int64_t>(peaks.size()),
+                [&](int64_t begin, int64_t end) {
+      for (int64_t k = begin; k < end; ++k) {
+        const PointId p = peaks[static_cast<size_t>(k)];
+        const PointId rank_p = rank[static_cast<size_t>(p)];
+        const int last = static_cast<int>(rank_p / block);
+        double best = std::numeric_limits<double>::infinity();
+        PointId best_id = -1;
+        // The running best threads through as each search's initial bound,
+        // so subsets that cannot beat it prune away at their root.
+        for (int b = 0; b <= last; ++b) {
+          const PointId base = static_cast<PointId>(b) * block;
+          double dist = std::numeric_limits<double>::infinity();
+          PointId local;
+          if (b < last) {
+            // Every point in this subset outranks p: plain NN.
+            local = trees[static_cast<size_t>(b)].NearestAccepted(
+                points[p], [](PointId) { return true; }, &dist, best);
+          } else {
+            // A subset-local id lid sits at density-order position
+            // base + lid, so its rank is base + lid by construction.
+            local = trees[static_cast<size_t>(b)].NearestAccepted(
+                points[p],
+                [base, rank_p](PointId lid) { return base + lid < rank_p; },
+                &dist, best);
+          }
+          if (local >= 0 && dist < best) {
+            best = dist;
+            best_id = order[static_cast<size_t>(base + local)];
+          }
         }
-        if (local >= 0 && dist < best) {
-          best = dist;
-          best_id = order[static_cast<size_t>(base + local)];
-        }
+        (*delta)[static_cast<size_t>(p)] = best;
+        (*dependency)[static_cast<size_t>(p)] = best_id;
       }
-      (*delta)[static_cast<size_t>(p)] = best;
-      (*dependency)[static_cast<size_t>(p)] = best_id;
     });
   }
 

@@ -40,8 +40,8 @@ int main() {
   // another FinalizeSolution on the same solution. The ExecutionContext
   // carries the execution policy: which thread pool to run on (default:
   // one persistent process-wide pool, reused across runs) and how many
-  // threads (0 = all). Grid cells are always scheduled by the paper's
-  // §4.5 cost-guided LPT.
+  // threads (0 = all). Every parallel loop, grid cells included, hands
+  // out grains of consecutive indices to whichever thread is free.
   const dpc::ExecutionContext ctx;
   dpc::ApproxDpc algo;
   const dpc::DpcSolution solution = algo.Solve(points, params.compute(), ctx);

@@ -15,7 +15,7 @@
 // Cell order is visit order: the caller passes a permutation of the point
 // ids (Approx-DPC passes the kd-tree's leaf order), cells are numbered in
 // first-touch order along it, and each cell lists its members in visit
-// order. CellIds, the per-cell schedules and everything indexed by CellId
+// order. CellIds, the cell loops and everything indexed by CellId
 // thereby inherit the visit order's locality.
 //
 // Build(points, side, exec, visit_order) runs on exec's pool: workers
@@ -40,8 +40,8 @@
 
 namespace dpc {
 
-/// Index of a UniformGrid cell — the unit the §4.5 LPT scheduler
-/// partitions across threads.
+/// Index of a UniformGrid cell — the unit the grid solvers' cell loop
+/// hands out, in grains of consecutive ids, across threads.
 using CellId = int64_t;
 
 class UniformGrid {
@@ -70,18 +70,6 @@ class UniformGrid {
   /// Member ids of a cell, in visit order.
   const std::vector<PointId>& members(CellId cell) const {
     return cells_[static_cast<size_t>(cell)];
-  }
-
-  /// §4.5 cost-model hook for the LPT scheduler: the per-point phases do
-  /// work proportional to a cell's population, so cost(c) = |P(c)|.
-  /// Feed this straight into LptSchedule / ParallelForWithCosts.
-  std::vector<double> CellCosts() const {
-    std::vector<double> costs;
-    costs.reserve(cells_.size());
-    for (const auto& cell : cells_) {
-      costs.push_back(static_cast<double>(cell.size()));
-    }
-    return costs;
   }
 
   /// The member lists; the hash table lives only during Build.

@@ -1,19 +1,16 @@
 // Parallel loops over the persistent ThreadPool — the replacement for
-// core/parallel_for.h's per-call std::thread spawn/join. The loop shape
-// picks the schedule; there is one per shape:
+// core/parallel_for.h's per-call std::thread spawn/join. Index loops,
+// per-point phases and grid cells alike, run ParallelFor: threads claim
+// grain-sized chunks from a shared counter. ParallelForStaticChunks is
+// the one other shape, for callbacks that amortize per-chunk scratch.
 //
-//   ParallelFor          index ranges without a cost model (per-point
-//                        phases): threads claim grain-sized chunks.
-//   ParallelForWithCosts per-item loops with a cost model (grid cells,
-//                        §4.5): an LPT schedule with one bin per thread.
-//
-// Every variant calls fn on each index/item exactly once with disjoint
+// Every variant calls fn on each index exactly once with disjoint
 // slices, so loops whose writes are per-slot disjoint stay deterministic
 // across thread counts — the library-wide contract that
 // tests/determinism_test.cc enforces.
 //
-// Cancellation: both loops poll ctx.ShouldStop() amortized (every
-// kStopCheckStride indices / every item) and stop issuing work once it
+// Cancellation: ParallelFor polls ctx.ShouldStop() amortized (every
+// kStopCheckStride indices) and stops issuing work once it
 // fires, so an expired or cancelled request releases the pool mid-phase
 // instead of at the next phase boundary. A stopped loop leaves later
 // indices unvisited — callers observe the same ShouldStop() at the
@@ -25,10 +22,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "parallel/execution_context.h"
-#include "parallel/lpt_scheduler.h"
 
 namespace dpc {
 
@@ -115,46 +110,6 @@ void ParallelForStaticChunks(const ExecutionContext& ctx, int64_t n,
     const int64_t begin = t * chunk;
     const int64_t end = std::min(begin + chunk, n);
     if (begin < end) fn(begin, end);
-  });
-}
-
-/// Calls fn(item) for every item in [0, costs.size()), where costs[item]
-/// models the item's work (index/grid.h::CellCosts for grid cells).
-/// Items are partitioned with the §4.5 LPT scheduler, one bin per
-/// thread, and each thread runs its bin in ascending item order — for
-/// grid cells that is the grid's visit order, so every thread sweeps
-/// space instead of jumping between cost classes. Items are heavy by
-/// definition (a cell's whole point population), so the stop poll runs
-/// per item.
-template <typename Fn>
-void ParallelForWithCosts(const ExecutionContext& ctx,
-                          const std::vector<double>& costs, const Fn& fn) {
-  const int64_t n = static_cast<int64_t>(costs.size());
-  if (n <= 0) return;
-  const int threads =
-      static_cast<int>(std::min<int64_t>(ctx.threads(), n));
-  // Inline when the modeled work is tiny (mirrors ParallelFor's guard;
-  // costs are in work units — iterations for the grid's |P(c)| model).
-  double total_cost = 0.0;
-  for (const double cost : costs) total_cost += cost;
-  if (threads <= 1 ||
-      total_cost < static_cast<double>(internal::kMinParallelIterations)) {
-    for (int64_t item = 0; item < n; ++item) {
-      if (ctx.ShouldStop()) return;
-      fn(item);
-    }
-    return;
-  }
-  Schedule schedule = LptSchedule(costs, threads);
-  ctx.pool().Run(threads, [&](int64_t t) {
-    // LPT fills a bin in cost order; the sort runs on the bin's own
-    // thread.
-    std::vector<int64_t>& bin = schedule.bins[static_cast<size_t>(t)];
-    std::sort(bin.begin(), bin.end());
-    for (const int64_t item : bin) {
-      if (ctx.ShouldStop()) return;
-      fn(item);
-    }
   });
 }
 

@@ -1,7 +1,7 @@
 // ClusterServer — the serving layer's engine, a concurrent scheduler: a
 // fixed set of EXECUTOR LANES pops the AdmissionQueue directly, highest
 // priority first; each lane leases a shard of the thread budget
-// (serve/shard_pool.h) sized from the request's population cost and
+// (serve/shard_pool.h) sized from the request's point count and
 // priority, so several independent requests run side by side instead
 // of one-at-a-time at full width. With one lane (max_concurrent = 1) the
 // behavior degenerates to classic serial dispatch: every request gets
@@ -603,8 +603,8 @@ class ClusterServer {
             trace, request_span.id());
   }
 
-  /// The actual solve: lease a shard of the budget sized from the §4.5
-  /// population cost and the request priority, run with a per-request
+  /// The actual solve: lease a shard of the budget sized from the
+  /// request's point count and priority, run with a per-request
   /// deadline context on the leased pool, insert into the cache, then
   /// respond.
   void Compute(Submission& s, ClusterResponse response,

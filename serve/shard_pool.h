@@ -12,8 +12,8 @@
 // most `total()` of them run at any instant.
 //
 // Width planning is deterministic: PlanShardWidth sizes a request's
-// shard from the §4.5 population cost model (work scales with |P|, and
-// below the parallel threshold inner loops inline serial anyway) and the
+// shard from the request's point count (work scales with |P|, and below
+// the parallel threshold inner loops inline serial anyway) and the
 // request's priority, so a given request mix always gets the same
 // placement.
 #ifndef DPC_SERVE_SHARD_POOL_H_

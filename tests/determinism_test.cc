@@ -1,7 +1,7 @@
 // Determinism guarantees: identical results across repeated runs and
 // across thread counts (the parallel phases only write disjoint per-point
 // slots; ties are broken by id, never by arrival order — so claimed
-// grains and LPT bins land on the same bits at any thread count).
+// grains land on the same bits at any thread count).
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -14,10 +14,21 @@
 #include "core/registry.h"
 #include "core/s_approx_dpc.h"
 #include "data/generators.h"
+#include "index/grid.h"
+#include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace {
+
+/// True when `algo`'s grid for `params` has enough cells that ParallelFor
+/// hands its cell loop to the pool instead of running it inline.
+bool CellLoopRunsOnPool(const dpc::ApproxDpc& algo, const dpc::PointSet& points,
+                        const dpc::DpcParams& params) {
+  const dpc::UniformGrid grid(points,
+                              algo.CellSide(params.compute(), points.dim()));
+  return grid.num_cells() >= dpc::internal::kMinParallelIterations;
+}
 
 /// One clustering: the compute phase under `ctx`, then the threshold.
 dpc::DpcResult Cluster(dpc::DpcAlgorithm& algo, const dpc::PointSet& points,
@@ -46,29 +57,42 @@ int main() {
   params.rho_min = 5.0;
   params.delta_min = 8000.0;
 
-  for (const bool approx : {false, true}) {
-    dpc::ExDpc exact_algo;
-    dpc::ApproxDpc approx_algo;
-    dpc::DpcAlgorithm& algo =
-        approx ? static_cast<dpc::DpcAlgorithm&>(approx_algo)
-               : static_cast<dpc::DpcAlgorithm&>(exact_algo);
+  // Two inputs per grid solver: at d_cut 1500 the grids are small (793
+  // cells; 1,930 for S-Approx-DPC at epsilon 0.5) and the cell loop runs
+  // inline; at d_cut 500 they pass ParallelFor's inline cutoff (3,142
+  // and 5,735 cells), so the pool's grains run the cell loop.
+  const double kPoolCellsDCut = 500.0;
+  for (const double d_cut : {params.d_cut, kPoolCellsDCut}) {
+    dpc::DpcParams p = params;
+    p.d_cut = d_cut;
+    for (const bool approx : {false, true}) {
+      dpc::ExDpc exact_algo;
+      dpc::ApproxDpc approx_algo;
+      dpc::DpcAlgorithm& algo =
+          approx ? static_cast<dpc::DpcAlgorithm&>(approx_algo)
+                 : static_cast<dpc::DpcAlgorithm&>(exact_algo);
+      if (approx && d_cut == kPoolCellsDCut) {
+        CHECK(CellLoopRunsOnPool(approx_algo, points, p));
+      }
 
-    const dpc::ExecutionContext one(1);
-    const dpc::DpcResult serial = Cluster(algo, points, params, one);
-    const dpc::DpcResult serial2 = Cluster(algo, points, params, one);
-    dpc::test::AssertSolutionsEqual(serial, serial2);
+      const dpc::ExecutionContext one(1);
+      const dpc::DpcResult serial = Cluster(algo, points, p, one);
+      const dpc::DpcResult serial2 = Cluster(algo, points, p, one);
+      dpc::test::AssertSolutionsEqual(serial, serial2);
 
-    const dpc::DpcResult parallel =
-        Cluster(algo, points, params, dpc::ExecutionContext(4));
-    dpc::test::AssertSolutionsEqual(serial, parallel);
+      const dpc::DpcResult parallel =
+          Cluster(algo, points, p, dpc::ExecutionContext(4));
+      dpc::test::AssertSolutionsEqual(serial, parallel);
 
-    CHECK(serial.num_clusters() > 0);
+      CHECK(serial.num_clusters() > 0);
+    }
   }
 
   // The sampled algorithms draw their randomness from seeded hashes
   // (LSH projection directions, CFSFDP-A's sample), never from thread
   // scheduling, and S-Approx-DPC's one count per cell depends only on
   // the cell — labels stay bit-identical across 1/2/8 workers.
+  // S-Approx-DPC also runs the d_cut 500 input, at 1/2/4/8 workers.
   {
     dpc::LshDdp lsh_ddp;
     dpc::SApproxDpc s_approx;
@@ -87,6 +111,16 @@ int main() {
       }
       CHECK(serial.num_clusters() > 0);
     }
+
+    p.d_cut = kPoolCellsDCut;
+    CHECK(CellLoopRunsOnPool(s_approx, points, p));
+    const dpc::DpcResult serial =
+        Cluster(s_approx, points, p, dpc::ExecutionContext(1));
+    for (const int threads : {2, 4, 8}) {
+      dpc::test::AssertSolutionsEqual(
+          serial, Cluster(s_approx, points, p, dpc::ExecutionContext(threads)));
+    }
+    CHECK(serial.num_clusters() > 0);
   }
 
   // Thread sweep: every registered algorithm at {1, 2, 8} threads, all

@@ -1,9 +1,9 @@
 // UniformGrid vs a brute-force floor reference: membership in dims
 // {1, 2, 7} with negative coordinates and points exactly on cell
 // boundaries; first-touch cell numbering along a caller's visit order;
-// the d_cut diameter bound; the cost model; own cells for coordinates
-// without an exact integer cell; and the pool build, which must equal
-// the serial one at every thread count.
+// the d_cut diameter bound; every point in exactly one cell; own cells
+// for coordinates without an exact integer cell; and the pool build,
+// which must equal the serial one at every thread count.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -162,19 +162,20 @@ void TestPoolBuild() {
 }
 
 /// With side = d_cut / sqrt(dim), any two members of a cell lie within
-/// d_cut (up to the rounding of x / side at a boundary), and the cost
-/// model counts every point once.
-void TestDiameterAndCosts() {
+/// d_cut (up to the rounding of x / side at a boundary), and the member
+/// lists hold every point once.
+void TestDiameterAndCoverage() {
   for (const int dim : {1, 2, 7}) {
     const double d_cut = 60.0;
     const double side = d_cut / std::sqrt(static_cast<double>(dim));
     const dpc::PointSet points =
         MixedPoints(dim, 5000, side, 300 + static_cast<uint64_t>(dim));
     const dpc::UniformGrid grid(points, side);
-    double total = 0.0;
-    for (const double cost : grid.CellCosts()) total += cost;
-    CHECK_EQ(total, static_cast<double>(points.size()));
-    CHECK_EQ(grid.CellCosts().size(), static_cast<size_t>(grid.num_cells()));
+    size_t total = 0;
+    for (CellId c = 0; c < grid.num_cells(); ++c) {
+      total += grid.members(c).size();
+    }
+    CHECK_EQ(total, static_cast<size_t>(points.size()));
     for (CellId c = 0; c < grid.num_cells(); ++c) {
       const std::vector<PointId>& members = grid.members(c);
       for (const PointId a : members) {
@@ -207,7 +208,6 @@ void TestTinySets() {
   const dpc::PointSet empty(3);
   dpc::UniformGrid grid(empty, 1.0);
   CHECK_EQ(grid.num_cells(), 0);
-  CHECK(grid.CellCosts().empty());
   grid.Build(empty, 1.0, exec, {});
   CHECK_EQ(grid.num_cells(), 0);
 
@@ -220,7 +220,6 @@ void TestTinySets() {
   grid.Build(one, 1.0, exec, {0});
   CHECK_EQ(grid.num_cells(), 1);
   CHECK(grid.members(0) == std::vector<PointId>({0}));
-  CHECK_EQ(grid.CellCosts().front(), 1.0);
 }
 
 }  // namespace
@@ -228,7 +227,7 @@ void TestTinySets() {
 int main() {
   TestMembership();
   TestPoolBuild();
-  TestDiameterAndCosts();
+  TestDiameterAndCoverage();
   TestHugeCoordinates();
   TestTinySets();
   std::printf("grid_test OK\n");

@@ -1,13 +1,11 @@
 // The parallel/ layer underneath API v2: ThreadPool task-execution
-// guarantees, ParallelFor/ParallelForWithCosts coverage and LPT bin
-// order, the shared default pool, and ExecutionContext
-// deadline/cancellation semantics.
+// guarantees, ParallelFor coverage on the inline and the pool paths, the
+// shared default pool, and ExecutionContext deadline/cancellation
+// semantics.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,7 +14,6 @@
 #include "core/registry.h"
 #include "data/generators.h"
 #include "parallel/execution_context.h"
-#include "parallel/lpt_scheduler.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "tests/test_util.h"
@@ -45,75 +42,20 @@ int main() {
     CHECK_EQ(nested.load(), 32);
   }
 
-  // ParallelFor and ParallelForWithCosts: exact coverage at every
-  // thread count, on one shared pool.
+  // ParallelFor: exact coverage at every thread count, on one shared
+  // pool, below kMinParallelIterations (inline) and above it (grains).
   {
     auto pool = std::make_shared<dpc::ThreadPool>(4);
     for (const int threads : {1, 2, 4}) {
       const dpc::ExecutionContext ctx(threads, pool);
       CHECK_EQ(ctx.threads(), threads);
-
-      std::vector<int> seen(10000, 0);
-      dpc::ParallelFor(ctx, 10000, [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) seen[static_cast<size_t>(i)]++;
-      });
-      for (const int s : seen) CHECK_EQ(s, 1);
-
-      std::vector<double> costs(500);
-      for (size_t i = 0; i < costs.size(); ++i) {
-        costs[i] = 1000.0 / static_cast<double>(1 + i);  // skewed
+      for (const int64_t n : {int64_t{500}, int64_t{10000}}) {
+        std::vector<int> seen(static_cast<size_t>(n), 0);
+        dpc::ParallelFor(ctx, n, [&](int64_t begin, int64_t end) {
+          for (int64_t i = begin; i < end; ++i) seen[static_cast<size_t>(i)]++;
+        });
+        for (const int s : seen) CHECK_EQ(s, 1);
       }
-      std::vector<int> item_seen(costs.size(), 0);
-      dpc::ParallelForWithCosts(ctx, costs, [&](int64_t item) {
-        item_seen[static_cast<size_t>(item)]++;
-      });
-      for (const int s : item_seen) CHECK_EQ(s, 1);
-    }
-  }
-
-  // ParallelForWithCosts runs the §4.5 LPT bins, each wholly on one
-  // thread in strictly ascending item order. The costs are skewed and
-  // unsorted, so LPT's cost order differs from item order and the bins
-  // interleave. Each thread logs the items it runs in sequence; a pool
-  // worker may run several bins back to back, so its log must split into
-  // whole LPT bins, each one ascending.
-  {
-    auto pool = std::make_shared<dpc::ThreadPool>(4);
-    std::vector<double> costs(2000);
-    for (size_t i = 0; i < costs.size(); ++i) {
-      costs[i] = (i % 64 == 5 ? 5000.0 : 1.0) + static_cast<double>((i * 7919) % 97);
-    }
-    for (const int threads : {2, 4}) {
-      const dpc::ExecutionContext ctx(threads, pool);
-      const dpc::Schedule lpt = dpc::LptSchedule(costs, threads);
-      std::vector<int> bin_of(costs.size(), -1);
-      for (int t = 0; t < lpt.num_bins(); ++t) {
-        for (const int64_t item : lpt.bins[static_cast<size_t>(t)]) {
-          bin_of[static_cast<size_t>(item)] = t;
-        }
-      }
-      std::mutex mu;
-      std::map<std::thread::id, std::vector<int64_t>> log;
-      dpc::ParallelForWithCosts(ctx, costs, [&](int64_t item) {
-        const std::lock_guard<std::mutex> lock(mu);
-        log[std::this_thread::get_id()].push_back(item);
-      });
-      std::vector<int> bin_runs(static_cast<size_t>(threads), 0);
-      size_t logged = 0;
-      for (const auto& [thread, items] : log) {
-        (void)thread;
-        logged += items.size();
-        for (size_t k = 0; k < items.size(); ++k) {
-          const int bin = bin_of[static_cast<size_t>(items[k])];
-          if (k > 0 && bin_of[static_cast<size_t>(items[k - 1])] == bin) {
-            CHECK(items[k - 1] < items[k]);
-          } else {
-            ++bin_runs[static_cast<size_t>(bin)];
-          }
-        }
-      }
-      CHECK_EQ(logged, costs.size());
-      for (const int runs : bin_runs) CHECK_EQ(runs, 1);  // one run per bin
     }
   }
 
@@ -158,8 +100,8 @@ int main() {
   }
 
   // Mid-loop cancellation (amortized ShouldStop polling): a cancel fired
-  // from inside the loop stops both loop shapes well before full
-  // coverage, even on the serial path.
+  // from inside the loop stops ParallelFor well before full coverage,
+  // even on the serial path.
   {
     auto pool = std::make_shared<dpc::ThreadPool>(2);
     const int64_t n = int64_t{1} << 20;
@@ -174,23 +116,14 @@ int main() {
       CHECK(visited.load() < n / 2);  // stopped mid-phase, not at the end
 
       // The cancel is confined to ctx's stop state: a fresh-stop-state
-      // sibling still covers every item.
-      std::vector<double> costs(8192, 1.0);
-      std::atomic<int64_t> items{0};
-      dpc::ParallelForWithCosts(ctx.WithFreshStopState(), costs,
-                                [&](int64_t) { items.fetch_add(1); });
-      CHECK_EQ(items.load(), static_cast<int64_t>(costs.size()));
+      // sibling still covers every index.
+      std::atomic<int64_t> covered{0};
+      dpc::ParallelFor(ctx.WithFreshStopState(), n,
+                       [&](int64_t begin, int64_t end) {
+                         covered.fetch_add(end - begin);
+                       });
+      CHECK_EQ(covered.load(), n);
     }
-    // ParallelForWithCosts stops between items once the context says so.
-    const dpc::ExecutionContext ctx(2, pool);
-    std::vector<double> costs(8192, 1.0);
-    std::atomic<int64_t> items{0};
-    dpc::ParallelForWithCosts(ctx, costs, [&](int64_t) {
-      items.fetch_add(1);
-      ctx.RequestCancel();
-    });
-    CHECK(items.load() > 0);
-    CHECK(items.load() < static_cast<int64_t>(costs.size()));
   }
 
   // WithFreshStopState: derived per-request contexts share the pool but

@@ -1,7 +1,7 @@
 // The serve/ subsystem: dataset fingerprint stability, the two-tier
 // SolutionCache (solution-tier keying, cost-scaled eviction determinism,
 // byte-budget accounting, label memoization, demotion/promotion against
-// a backing store), LPT-profile-aware shard width planning,
+// a backing store), scalar shard width planning,
 // admission-queue priority order, end-to-end serving (responses
 // bit-identical to direct solve), the re-threshold / decision-graph fast
 // path (zero recompute, asserted via server stats), mixed deadlines,
