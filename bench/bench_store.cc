@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
     serve::ClusterServer server(options);
     server.datasets().Register(w.name, w.points);
     const auto warm_begin = std::chrono::steady_clock::now();
-    std::vector<std::shared_ptr<const DpcResult>> warm;
+    std::vector<std::shared_ptr<const Labeling>> warm;
     for (const ThresholdSpec& spec : sweep) {
       const auto r = server.Submit(make_request(spec)).get();
       if (!r.status.ok()) {

@@ -20,10 +20,13 @@ struct ClusterSummary {
   std::vector<int64_t> cluster_size;
 };
 
-inline ClusterSummary Summarize(const DpcResult& result) {
+/// Reads only `label` and `centers`, so it takes a DpcResult or a
+/// served Labeling alike.
+template <typename Result>
+ClusterSummary Summarize(const Result& result) {
   ClusterSummary s;
   s.num_points = static_cast<int64_t>(result.label.size());
-  s.num_clusters = result.num_clusters();
+  s.num_clusters = static_cast<int64_t>(result.centers.size());
   s.cluster_size.assign(static_cast<size_t>(std::max<int64_t>(s.num_clusters, 0)), 0);
   for (const int64_t label : result.label) {
     if (label == kNoise) {

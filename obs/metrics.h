@@ -1,8 +1,9 @@
 // obs/ — the dependency-free telemetry layer of the serving stack:
-// a process-local MetricRegistry of named counters, gauges, and
-// log-bucketed histograms, built for the two consumers the repo already
-// has: the `dpc_server` `metrics` command (Prometheus text / JSON, see
-// obs/export.h) and bench_serving's p50/p99/p999 recorder.
+// a process-local MetricRegistry of named counters, log-bucketed
+// histograms and scrape-time collectors (which emit every gauge), built
+// for the two consumers the repo already has: the `dpc_server` `metrics`
+// command (Prometheus text / JSON, see obs/export.h) and bench_serving's
+// p50/p99/p999 recorder.
 //
 // Design constraints, in order:
 //
@@ -17,10 +18,6 @@
 //                   is a pure function of the counts array: two
 //                   snapshots with equal counts report equal quantiles,
 //                   across machines and runs.
-//   mergeability  — HistogramSnapshot::Merge is elementwise addition,
-//                   valid because every histogram shares the one bounds
-//                   table; shard-local recorders can be combined into a
-//                   fleet view without approximation beyond bucketing.
 //   coherence     — registries accept COLLECTORS: callbacks that emit
 //                   samples at scrape time, so a subsystem with its own
 //                   lock (SolutionCache, SolutionStore) can publish a
@@ -29,7 +26,7 @@
 //                   hits + misses == lookups hold in every scrape.
 //
 // Registered metric objects live as long as the registry; counter() /
-// gauge() / histogram() return stable references a hot loop can cache.
+// histogram() return stable references a hot loop can cache.
 #ifndef DPC_OBS_METRICS_H_
 #define DPC_OBS_METRICS_H_
 
@@ -58,17 +55,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
-};
-
-/// Point-in-time signed value (queue depths, occupancy).
-class Gauge {
- public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
 };
 
 /// The shared bucket ladder: bounds[i] = kSub[i mod 4] * 2^(i div 4) ns,
@@ -167,15 +153,6 @@ struct HistogramSnapshot {
     }
     return std::numeric_limits<double>::infinity();  // unreachable
   }
-
-  /// Elementwise addition — valid across any two histograms because all
-  /// share HistogramBuckets' single bounds table (shard-local recorders
-  /// merge into a global view).
-  void Merge(const HistogramSnapshot& other) {
-    for (size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
-    count += other.count;
-    sum += other.sum;
-  }
 };
 
 /// Log-bucketed distribution recorder. Observe is lock-free: one binary
@@ -261,12 +238,6 @@ class MetricRegistry {
     if (slot == nullptr) slot = std::make_unique<Counter>();
     return *slot;
   }
-  Gauge& gauge(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::unique_ptr<Gauge>& slot = gauges_[name];
-    if (slot == nullptr) slot = std::make_unique<Gauge>();
-    return *slot;
-  }
   Histogram& histogram(const std::string& name) {
     std::lock_guard<std::mutex> lock(mu_);
     std::unique_ptr<Histogram>& slot = histograms_[name];
@@ -287,14 +258,10 @@ class MetricRegistry {
     std::vector<Collector> collectors;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      samples.reserve(counters_.size() + gauges_.size() + histograms_.size());
+      samples.reserve(counters_.size() + histograms_.size());
       for (const auto& [name, counter] : counters_) {
         samples.push_back(MetricSample::FromCounter(
             name, static_cast<double>(counter->value())));
-      }
-      for (const auto& [name, gauge] : gauges_) {
-        samples.push_back(
-            MetricSample::FromGauge(name, static_cast<double>(gauge->value())));
       }
       for (const auto& [name, histogram] : histograms_) {
         samples.push_back(
@@ -311,19 +278,9 @@ class MetricRegistry {
     return samples;
   }
 
-  /// The process-wide registry for callers without a natural owner
-  /// (benchmarks, ad-hoc tools). The serving layer deliberately owns its
-  /// OWN registry per ClusterServer so tests and side-by-side servers
-  /// never share counters.
-  static MetricRegistry& Default() {
-    static MetricRegistry* registry = new MetricRegistry();
-    return *registry;
-  }
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::vector<Collector> collectors_;
 };

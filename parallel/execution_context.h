@@ -40,52 +40,13 @@ class ExecutionContext {
   /// Parallelism degree (>= 1).
   int threads() const { return threads_; }
   ThreadPool& pool() const { return *pool_; }
-  const std::shared_ptr<ThreadPool>& shared_pool() const { return pool_; }
-
-  /// Copies sharing the pool and cancel flag, with one knob changed.
-  ExecutionContext WithThreads(int num_threads) const {
-    ExecutionContext copy = *this;
-    copy.threads_ = ResolveThreads(num_threads);
-    return copy;
-  }
-  /// A copy running on a different ThreadPool (null selects the shared
-  /// process-wide pool), same policy and stop state. This is how a shard
-  /// executor points one request at its leased slice of the machine.
-  ExecutionContext WithPool(std::shared_ptr<ThreadPool> pool) const {
-    ExecutionContext copy = *this;
-    copy.pool_ = pool != nullptr ? std::move(pool) : SharedDefaultPool();
-    return copy;
-  }
-  /// A copy sharing the pool and policy but with FRESH stop state: a
-  /// deadline or cancel set on the derived context does not reach this
-  /// one (and vice versa). This is how a serving layer derives one
-  /// per-request context after another over a single shared pool.
-  ///
-  /// Budgets re-arm: when this context's deadline came from
-  /// set_deadline_after(budget), the copy gets the FULL budget measured
-  /// from ITS creation — not the parent's partially-burned clock — so a
-  /// shard sub-context spawned late in a run still has its whole budget
-  /// ahead of it. Absolute deadlines (set_deadline) are not inherited.
-  ExecutionContext WithFreshStopState() const {
-    ExecutionContext copy = *this;
-    const int64_t budget =
-        stop_->budget_ticks.load(std::memory_order_acquire);
-    copy.stop_ = std::make_shared<StopState>();
-    if (budget >= 0) {
-      copy.stop_->budget_ticks.store(budget, std::memory_order_relaxed);
-      copy.set_deadline(std::chrono::steady_clock::now() +
-                        std::chrono::steady_clock::duration(budget));
-    }
-    return copy;
-  }
 
   // --- tracing ---------------------------------------------------------
   // A context optionally carries a trace and the span id instrumentation
-  // should parent under. Both travel with copies (WithThreads / WithPool
-  // / WithFreshStopState preserve them), so a span opened on a worker
-  // thread lands under the request's root span with no thread-local
-  // state. The default is NO trace: ctx.Span(...) then constructs a
-  // disabled ScopedSpan — no clock read, no allocation (the
+  // should parent under. Both travel with copies, so a span opened on a
+  // worker thread lands under the request's root span with no
+  // thread-local state. The default is NO trace: ctx.Span(...) then
+  // constructs a disabled ScopedSpan — no clock read, no allocation (the
   // zero-cost-off contract tests/obs_test.cc asserts).
 
   /// A copy carrying `trace` (may be null = tracing off) with child
@@ -117,20 +78,11 @@ class ExecutionContext {
     stop_->deadline_ns.store(deadline.time_since_epoch().count(),
                              std::memory_order_release);
   }
-  /// Relative budget: arms a deadline now + budget AND records the
-  /// budget itself so WithFreshStopState copies can re-arm a full one.
-  void set_deadline_after(std::chrono::steady_clock::duration budget) const {
-    stop_->budget_ticks.store(budget.count(), std::memory_order_release);
-    set_deadline(std::chrono::steady_clock::now() + budget);
-  }
   void RequestCancel() const {
     stop_->cancel.store(true, std::memory_order_release);
   }
-  bool cancel_requested() const {
-    return stop_->cancel.load(std::memory_order_acquire);
-  }
   bool ShouldStop() const {
-    if (cancel_requested()) return true;
+    if (stop_->cancel.load(std::memory_order_acquire)) return true;
     const int64_t deadline_ns =
         stop_->deadline_ns.load(std::memory_order_acquire);
     return deadline_ns != StopState::kNoDeadline &&
@@ -152,13 +104,8 @@ class ExecutionContext {
   struct StopState {
     static constexpr int64_t kNoDeadline =
         std::numeric_limits<int64_t>::min();
-    static constexpr int64_t kNoBudget = -1;
     std::atomic<bool> cancel{false};
     std::atomic<int64_t> deadline_ns{kNoDeadline};  ///< steady_clock ticks
-    /// The relative budget behind deadline_ns when it was set via
-    /// set_deadline_after (steady_clock ticks); kNoBudget for absolute
-    /// deadlines. WithFreshStopState re-arms copies from this.
-    std::atomic<int64_t> budget_ticks{kNoBudget};
   };
 
   int threads_ = 1;

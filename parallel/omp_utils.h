@@ -1,5 +1,5 @@
-// Thread-count and affinity helpers for the parallel/ layer. The name
-// keeps the paper's OpenMP vocabulary (the reference implementation is
+// Thread-count helpers for the parallel/ layer. The name keeps the
+// paper's OpenMP vocabulary (the reference implementation is
 // OpenMP-based: omp_get_num_procs, omp_set_num_threads); this library is
 // std::thread-only, so these are the equivalents the rest of parallel/
 // and the benches build on.
@@ -7,11 +7,6 @@
 #define DPC_PARALLEL_OMP_UTILS_H_
 
 #include <thread>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace dpc {
 
@@ -24,22 +19,6 @@ inline int HardwareThreads() {
 /// 0 (or negative) requests all hardware threads.
 inline int ResolveThreads(int requested) {
   return requested > 0 ? requested : HardwareThreads();
-}
-
-/// Pins the calling thread to one CPU. Returns false where unsupported
-/// (non-Linux) or when the kernel rejects the mask; callers treat
-/// pinning as a hint, never a requirement.
-inline bool PinCurrentThreadToCpu(int cpu) {
-#if defined(__linux__)
-  if (cpu < 0) return false;
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  CPU_SET(static_cast<unsigned>(cpu % HardwareThreads()), &mask);
-  return pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
 }
 
 }  // namespace dpc

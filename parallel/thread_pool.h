@@ -32,16 +32,12 @@ namespace dpc {
 
 class ThreadPool {
  public:
-  /// num_threads <= 0 means all hardware threads. pin_threads pins each
-  /// worker to one CPU (best-effort, Linux only).
-  explicit ThreadPool(int num_threads = 0, bool pin_threads = false)
+  /// num_threads <= 0 means all hardware threads.
+  explicit ThreadPool(int num_threads = 0)
       : size_(ResolveThreads(num_threads)) {
     workers_.reserve(static_cast<size_t>(size_ - 1));
     for (int t = 1; t < size_; ++t) {
-      workers_.emplace_back([this, t, pin_threads] {
-        if (pin_threads) PinCurrentThreadToCpu(t);
-        WorkerLoop();
-      });
+      workers_.emplace_back([this] { WorkerLoop(); });
     }
   }
 

@@ -19,7 +19,6 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "core/dpc.h"
 #include "core/status.h"
@@ -68,14 +67,6 @@ class DatasetRegistry {
   bool Unregister(const std::string& name) {
     std::lock_guard<std::mutex> lock(mu_);
     return datasets_.erase(name) > 0;
-  }
-
-  std::vector<std::string> Names() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> names;
-    names.reserve(datasets_.size());
-    for (const auto& [name, entry] : datasets_) names.push_back(name);
-    return names;
   }
 
   size_t size() const {

@@ -21,13 +21,14 @@
 //                  as kRethreshold.
 //
 // Lifecycle (kCluster): ClusterServer::Submit validates and enqueues the
-// request with an admission timestamp; the scheduler batches it;
-// execution either answers from the solution cache or derives a
-// fresh-stop-state ExecutionContext (deadline armed) over the server's
-// shared pool and runs the algorithm's compute phase. The response
-// carries a Status — kDeadlineExceeded both for requests that expired in
-// the queue and for runs interrupted mid-phase — and, on success, a
-// shared immutable DpcResult.
+// request with an admission timestamp on the one AdmissionQueue
+// (serve/scheduler.h); an executor lane pops it and either answers from
+// the solution cache or leases a shard of the thread budget, builds a
+// new ExecutionContext on the leased pool (deadline armed) and runs the
+// algorithm's compute phase. The response carries a Status —
+// kDeadlineExceeded both for requests that expired in the queue and for
+// runs interrupted mid-phase — and, on success, a shared immutable
+// Labeling.
 #ifndef DPC_SERVE_REQUEST_H_
 #define DPC_SERVE_REQUEST_H_
 
@@ -83,8 +84,8 @@ struct ClusterRequest {
   /// rejected without ever touching the pool. (kRethreshold/kGraph are
   /// answered at submit and cannot expire.)
   std::chrono::steady_clock::duration deadline{};
-  /// Higher-priority requests run earlier within a batch window; ties
-  /// keep submission order.
+  /// Higher-priority requests are popped first; ties keep submission
+  /// order.
   int priority = 0;
 
   Status Validate() const {
@@ -107,9 +108,10 @@ struct ClusterRequest {
 struct ClusterResponse {
   Status status;
   /// Set iff status.ok() and the request labels points (kCluster /
-  /// kRethreshold). Shared and immutable: cache hits, coalesced identical
-  /// requests, and repeated thresholds alias the same DpcResult.
-  std::shared_ptr<const DpcResult> result;
+  /// kRethreshold): labels and centers only — rho/delta/dependency stay
+  /// in the cached solution. Shared and immutable: cache hits, coalesced
+  /// identical requests, and repeated thresholds alias the same Labeling.
+  std::shared_ptr<const Labeling> result;
   /// kGraph only: the top-k gamma points, gamma descending.
   std::vector<GammaEntry> graph;
   /// True when the response never ran the algorithm: the solution tier

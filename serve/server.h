@@ -94,9 +94,6 @@ struct ServerOptions {
   /// Ceiling on the store's log file; 0 = unbounded. Enforced by
   /// oldest-first eviction + compaction (store/solution_store.h).
   uint64_t disk_budget_bytes = 0;
-  /// Bound on memoized labelings per cached solution (each memo carries
-  /// full DpcResult copies — see serve/solution_cache.h).
-  size_t labelings_per_solution = 16;
 };
 
 /// Monotonic counters, snapshotted by stats(). Since PR 9 these are
@@ -135,12 +132,10 @@ class ClusterServer {
                    ? options_.max_concurrent
                    : std::clamp(shard_pool_.total() / 2, 1, 4)),
         store_(OpenStore(options_)),
-        cache_(options_.memory_budget_bytes, options_.labelings_per_solution,
-               store_.get()) {
-    // The server's own registry (NOT obs::MetricRegistry::Default()):
-    // tests and side-by-side servers must never share counters. The
-    // references are cached once here; every hot-path increment after
-    // this is a relaxed atomic op, no registry lock.
+        cache_(options_.memory_budget_bytes, store_.get()) {
+    // The server's own registry: tests and side-by-side servers never
+    // share counters. The references are cached once here; every hot-path
+    // increment after this is a relaxed atomic op, no registry lock.
     submitted_ = &metrics_.counter("dpc_requests_total");
     completed_ = &metrics_.counter("dpc_requests_completed_total");
     cache_hits_ = &metrics_.counter("dpc_cache_hits_total");
@@ -545,7 +540,7 @@ class ClusterServer {
     // memory-speed workload.
     {
       obs::ScopedSpan probe(trace.get(), "cache-probe", request_span.id());
-      if (std::shared_ptr<const DpcResult> cached =
+      if (std::shared_ptr<const Labeling> cached =
               cache_.Finalize(key, threshold)) {
         completed_->Inc();
         cache_hits_->Inc();
@@ -584,7 +579,7 @@ class ClusterServer {
         twin.wait();
       }
       twin_span.End();
-      if (std::shared_ptr<const DpcResult> cached =
+      if (std::shared_ptr<const Labeling> cached =
               cache_.Finalize(key, threshold)) {
         completed_->Inc();
         cache_hits_->Inc();
@@ -675,13 +670,13 @@ class ClusterServer {
       cache_.Insert(key, shared, shared->compute_cost_seconds);
     }
     // Label through the cache so this first threshold is memoized and
-    // later identical requests alias the same immutable result; the
+    // later identical requests alias the same immutable labeling; the
     // fallback covers a disabled (capacity 0) cache.
     obs::ScopedSpan finalize_span(trace.get(), "finalize", request_span_id);
     response.result = cache_.Finalize(key, threshold);
     if (response.result == nullptr) {
       response.result =
-          std::make_shared<const DpcResult>(FinalizeSolution(*shared, threshold));
+          std::make_shared<const Labeling>(LabelSolution(*shared, threshold));
     }
     finalize_span.End();
     completed_->Inc();

@@ -6,17 +6,20 @@
 //       canonicalized per-algorithm options, and ComputeParams (d_cut,
 //       epsilon). Threshold knobs are deliberately NOT in the key — one
 //       cached solution answers every (rho_min, delta_min).
-//   label tier — per-solution memo of finalized DpcResults keyed by
-//       ThresholdSpec, so repeated thresholds alias one immutable result
-//       and even a fresh threshold costs only an O(n) LabelSolution pass.
+//   label tier — per-solution memo of Labelings (labels + centers, no
+//       copy of the solution) keyed by ThresholdSpec, so repeated
+//       thresholds alias one immutable labeling and even a fresh
+//       threshold costs only an O(n) LabelSolution pass.
 //
 // This is what turns the decision-graph exploration workload (many
 // thresholds against few compute configurations — the paper's Figure 1
 // workflow) from N recomputes into one compute plus N O(n) finalizes.
 //
 // The memory tier is BYTE-budgeted: an entry is charged its exact
-// serialized size (store/solution_format.h SerializedSolutionBytes) and
-// bytes_in_use() never exceeds memory_budget_bytes. Eviction is
+// serialized size (store/solution_format.h SerializedSolutionBytes) plus
+// the vector capacity of each memoized labeling, and bytes_in_use()
+// never exceeds memory_budget_bytes. A labeling that would overflow the
+// budget is served unmemoized; it never evicts a solution. Eviction is
 // GreedyDual-Size: each entry holds a credit of (global inflation L +
 // compute cost / serialized bytes); hits refresh the credit; the victim
 // is the minimum-credit entry and its credit becomes the new L. An
@@ -113,22 +116,17 @@ class SolutionCache {
     uint64_t budget_bytes = 0;
   };
 
+  /// Bound on each entry's label memo (LRU within the entry).
+  static constexpr size_t kLabelingsPerSolution = 16;
+
   /// memory_budget_bytes bounds the sum of resident entries' serialized
-  /// sizes; 0 disables the memory tier (every Lookup misses, Insert only
-  /// writes through to the store, if any). labelings_per_solution bounds
-  /// each entry's label memo (LRU within the entry) — each memoized
-  /// DpcResult carries its own copies of rho/delta/dependency (the
-  /// response contract), so this bound is the per-solution memory
-  /// multiplier on top of the byte budget. `store` (optional, unowned)
-  /// is the durable tier behind this one.
+  /// sizes and their memoized labelings; 0 disables the memory tier
+  /// (every Lookup misses, Insert only writes through to the store, if
+  /// any). `store` (optional, unowned) is the durable tier behind this
+  /// one.
   explicit SolutionCache(size_t memory_budget_bytes,
-                         size_t labelings_per_solution = 16,
                          store::SolutionStore* store = nullptr)
-      : memory_budget_bytes_(memory_budget_bytes),
-        labelings_per_solution_(labelings_per_solution > 0
-                                    ? labelings_per_solution
-                                    : 1),
-        store_(store) {}
+      : memory_budget_bytes_(memory_budget_bytes), store_(store) {}
 
   size_t memory_budget_bytes() const { return memory_budget_bytes_; }
   bool enabled() const { return memory_budget_bytes_ > 0; }
@@ -151,14 +149,14 @@ class SolutionCache {
     return Promote(key);
   }
 
-  /// Two-tier read: the finalized result for (key, spec), or null when
-  /// both the memory tier and the store miss. A solution hit with a
-  /// label-tier miss runs the O(n) finalize — never the algorithm —
-  /// OUTSIDE the cache lock (a large-solution labeling must not convoy
-  /// every other client on mu_), then memoizes under a double-checked
-  /// re-lock so identical thresholds alias one immutable DpcResult.
-  std::shared_ptr<const DpcResult> Finalize(const std::string& key,
-                                            const ThresholdSpec& spec) {
+  /// Two-tier read: the labeling for (key, spec), or null when both the
+  /// memory tier and the store miss. A solution hit with a label-tier
+  /// miss runs the O(n) LabelSolution — never the algorithm — OUTSIDE
+  /// the cache lock (a large-solution labeling must not convoy every
+  /// other client on mu_), then memoizes under a double-checked re-lock
+  /// so identical thresholds alias one immutable Labeling.
+  std::shared_ptr<const Labeling> Finalize(const std::string& key,
+                                           const ThresholdSpec& spec) {
     const std::string threshold_key = MakeThresholdKey(spec);
     std::shared_ptr<const DpcSolution> solution;
     {
@@ -178,27 +176,35 @@ class SolutionCache {
       solution = Promote(key);  // the warm-miss path: store, not recompute
       if (solution == nullptr) return nullptr;
     }
-    auto result =
-        std::make_shared<const DpcResult>(FinalizeSolution(*solution, spec));
+    auto labeling =
+        std::make_shared<const Labeling>(LabelSolution(*solution, spec));
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.finalizations;
     const auto it = index_.find(key);
     if (it == index_.end() || it->second.solution != solution) {
       // Evicted or replaced while labeling (or the promotion didn't fit):
-      // the result is still correct for the solution we read, just not
+      // the labeling is still correct for the solution we read, just not
       // memoizable against the key.
-      return result;
+      return labeling;
     }
-    if (auto memo = FindLabeling(&it->second, threshold_key)) {
-      // Raced with another finalizer: alias the first-memoized result so
-      // repeated thresholds stay pointer-identical.
+    Entry& entry = it->second;
+    if (auto memo = FindLabeling(&entry, threshold_key)) {
+      // Raced with another finalizer: alias the first-memoized labeling
+      // so repeated thresholds stay pointer-identical.
       return memo;
     }
-    it->second.labelings.emplace_front(threshold_key, result);
-    if (it->second.labelings.size() > labelings_per_solution_) {
-      it->second.labelings.pop_back();
-    }
-    return result;
+    // Memoize only if the labeling fits the budget, counting the LRU memo
+    // it displaces at the bound; a memo never evicts a solution.
+    const size_t bytes = LabelingBytes(*labeling);
+    const bool full = entry.labelings.size() >= kLabelingsPerSolution;
+    const size_t freed = full ? LabelingBytes(*entry.labelings.back().second)
+                              : 0;
+    if (bytes_in_use_ - freed + bytes > memory_budget_bytes_) return labeling;
+    if (full) entry.labelings.pop_back();
+    entry.labelings.emplace_front(threshold_key, labeling);
+    entry.label_bytes = entry.label_bytes - freed + bytes;
+    bytes_in_use_ = bytes_in_use_ - freed + bytes;
+    return labeling;
   }
 
   /// Caches the solution under key with the given eviction cost
@@ -206,8 +212,8 @@ class SolutionCache {
   /// the store first (durability does not depend on residency), then
   /// admits the entry to memory, evicting minimum-credit entries until
   /// its serialized size fits the byte budget. Re-inserting an existing
-  /// key refreshes its value, cost, and credit, and drops its stale
-  /// label memo.
+  /// key refreshes its value, cost, and credit, and drops (and uncharges)
+  /// its stale label memo.
   void Insert(const std::string& key,
               std::shared_ptr<const DpcSolution> solution, double cost) {
     if (cost < 0.0) cost = 0.0;
@@ -222,21 +228,14 @@ class SolutionCache {
     InsertLocked(key, std::move(solution), cost, bytes);
   }
 
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    index_.clear();
-    bytes_in_use_ = 0;
-    inflation_ = 0.0;
-    seq_ = 0;
-  }
-
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return index_.size();
   }
 
-  /// Sum of resident entries' serialized sizes; <= memory_budget_bytes()
-  /// at all times (the acceptance invariant serve_test asserts).
+  /// Sum of resident entries' serialized sizes and memoized labelings;
+  /// <= memory_budget_bytes() at all times (the invariant serve_test
+  /// asserts).
   size_t bytes_in_use() const {
     std::lock_guard<std::mutex> lock(mu_);
     return bytes_in_use_;
@@ -277,15 +276,22 @@ class SolutionCache {
  private:
   struct Entry {
     std::shared_ptr<const DpcSolution> solution;
-    double cost = 0.0;     ///< compute cost backing the credit refreshes
-    size_t bytes = 0;      ///< serialized size — the budget charge
-    double credit = 0.0;   ///< GreedyDual-Size: inflation + cost / bytes
+    double cost = 0.0;       ///< compute cost backing the credit refreshes
+    size_t bytes = 0;        ///< serialized size — the credit's denominator
+    size_t label_bytes = 0;  ///< LabelingBytes summed over `labelings`
+    double credit = 0.0;     ///< GreedyDual-Size: inflation + cost / bytes
     uint64_t touch_seq = 0;  ///< recency, the deterministic tie-break
     /// Label memo, most recently used first, bounded by
-    /// labelings_per_solution_.
-    std::list<std::pair<std::string, std::shared_ptr<const DpcResult>>>
+    /// kLabelingsPerSolution.
+    std::list<std::pair<std::string, std::shared_ptr<const Labeling>>>
         labelings;
   };
+
+  /// A memoized labeling's charge: the capacity of its two vectors.
+  static size_t LabelingBytes(const Labeling& labeling) {
+    return labeling.label.capacity() * sizeof(int64_t) +
+           labeling.centers.capacity() * sizeof(PointId);
+  }
 
   static double CreditFor(double inflation, double cost, size_t bytes) {
     return inflation + cost / static_cast<double>(bytes > 0 ? bytes : 1);
@@ -333,7 +339,7 @@ class SolutionCache {
       // Re-insert: drop the old incarnation (stale labelings included)
       // and admit the new one through the same budget gate.
       existed = true;
-      bytes_in_use_ -= it->second.bytes;
+      bytes_in_use_ -= it->second.bytes + it->second.label_bytes;
       index_.erase(it);
     }
     if (bytes > memory_budget_bytes_) return false;
@@ -354,7 +360,7 @@ class SolutionCache {
 
   /// The memoized labeling for threshold_key (refreshed to most recent),
   /// or null. Caller holds mu_.
-  std::shared_ptr<const DpcResult> FindLabeling(
+  std::shared_ptr<const Labeling> FindLabeling(
       Entry* entry, const std::string& threshold_key) {
     for (auto it = entry->labelings.begin(); it != entry->labelings.end();
          ++it) {
@@ -396,14 +402,13 @@ class SolutionCache {
       }
     }
     inflation_ = victim->second.credit;
-    bytes_in_use_ -= victim->second.bytes;
+    bytes_in_use_ -= victim->second.bytes + victim->second.label_bytes;
     index_.erase(victim);
     ++stats_.evictions;
     if (store_ != nullptr) ++stats_.demotions;
   }
 
   const size_t memory_budget_bytes_;
-  const size_t labelings_per_solution_;
   store::SolutionStore* const store_;  ///< durable tier; unowned, may be null
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> index_;

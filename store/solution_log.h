@@ -10,12 +10,12 @@
 //           checksum u64 = FNV-1a over type..payload (everything after
 //                          the record magic, before the checksum)
 //
-// Appends are buffered and flushed to the OS every group_commit_appends
-// records (group commit): a kill -9 between flushes loses at most one
-// group, never corrupts earlier records. The default group of 1 makes
-// every append process-crash durable the moment Append returns (the page
+// Every append is flushed to the OS before Append returns, so a record
+// is process-crash durable the moment Append reports success (the page
 // cache survives the process; fsync-against-power-loss is the OS's job
-// on close and is deliberately not on the serving path).
+// on close and is deliberately not on the serving path). An append whose
+// write or flush fails reports IoError and leaves the log ending at the
+// previous record.
 //
 // Open() replays the file front to back. The first record that fails any
 // check — short read, bad magic, absurd length, checksum mismatch — ends
@@ -66,31 +66,26 @@ class SolutionLog {
   SolutionLog& operator=(const SolutionLog&) = delete;
 
   ~SolutionLog() {
-    if (file_ != nullptr) {
-      std::fflush(file_);
-      std::fclose(file_);
-    }
+    if (file_ != nullptr) std::fclose(file_);
   }
 
   /// Opens (creating if absent) the log at `path`, replays every valid
   /// record into *replayed, and truncates any torn tail.
   static StatusOr<std::unique_ptr<SolutionLog>> Open(
-      const std::string& path, size_t group_commit_appends,
-      std::vector<LogRecord>* replayed) {
+      const std::string& path, std::vector<LogRecord>* replayed) {
     std::FILE* f = std::fopen(path.c_str(), "r+b");
     const bool fresh = f == nullptr;
     if (fresh) f = std::fopen(path.c_str(), "w+b");
     if (f == nullptr) {
       return Status::IoError("cannot open solution log: " + path);
     }
-    std::unique_ptr<SolutionLog> log(
-        new SolutionLog(path, f, group_commit_appends));
+    std::unique_ptr<SolutionLog> log(new SolutionLog(path, f));
     if (fresh) {
       if (std::fwrite(kLogMagic, 1, sizeof(kLogMagic), f) !=
-          sizeof(kLogMagic)) {
+              sizeof(kLogMagic) ||
+          std::fflush(f) != 0) {
         return Status::IoError("cannot write solution log header: " + path);
       }
-      std::fflush(f);
       log->end_offset_ = sizeof(kLogMagic);
       replayed->clear();
       return log;
@@ -100,10 +95,9 @@ class SolutionLog {
     return log;
   }
 
-  /// Appends one record and returns the byte offset of its payload.
-  /// Flushes every group_commit_appends-th append; call Commit() to
-  /// force the pending group out early (e.g. before handing a response
-  /// to a client).
+  /// Appends and flushes one record and returns the byte offset of its
+  /// payload. A failed write or flush returns IoError and the log still
+  /// ends at the previous record.
   StatusOr<uint64_t> Append(uint8_t type, const std::string& key,
                             const std::string& payload) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -128,29 +122,23 @@ class SolutionLog {
         Fnv1aBytes(rec.data() + sizeof(kRecordMagic),
                    rec.size() - sizeof(kRecordMagic));
     AppendRaw(checksum, &rec);
-    if (std::fwrite(rec.data(), 1, rec.size(), file_) != rec.size()) {
+    if (std::fwrite(rec.data(), 1, rec.size(), file_) != rec.size() ||
+        std::fflush(file_) != 0) {
+      // end_offset_ stays put: the next append overwrites the partial
+      // record, and replay cuts off any torn tail it leaves.
+      std::clearerr(file_);
       return Status::IoError("solution log append failed");
     }
     const uint64_t payload_offset =
         end_offset_ + kRecordHeadBytes + key.size();
     end_offset_ += rec.size();
-    if (++pending_appends_ >= group_commit_appends_) CommitLocked();
     return payload_offset;
   }
 
-  /// Flushes any pending group to the OS.
-  Status Commit() {
-    std::lock_guard<std::mutex> lock(mu_);
-    CommitLocked();
-    return Status::Ok();
-  }
-
   /// Reads `bytes` payload bytes at `offset` (an offset Append or Open
-  /// returned). Safe against in-flight groups: the write buffer is
-  /// flushed before reading.
+  /// returned).
   Status ReadPayload(uint64_t offset, uint64_t bytes, std::string* out) {
     std::lock_guard<std::mutex> lock(mu_);
-    CommitLocked();
     if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
       return Status::IoError("solution log seek failed");
     }
@@ -162,7 +150,7 @@ class SolutionLog {
     return Status::Ok();
   }
 
-  /// Total file size in bytes (header + all records, committed or not).
+  /// Total file size in bytes (header + all records).
   uint64_t size_bytes() const {
     std::lock_guard<std::mutex> lock(mu_);
     return end_offset_;
@@ -182,21 +170,12 @@ class SolutionLog {
   static constexpr uint64_t kRecordHeadBytes =
       sizeof(uint32_t) + sizeof(uint8_t) + sizeof(uint32_t) + sizeof(uint64_t);
 
-  SolutionLog(std::string path, std::FILE* file, size_t group_commit_appends)
-      : path_(std::move(path)),
-        file_(file),
-        group_commit_appends_(group_commit_appends == 0
-                                  ? 1
-                                  : group_commit_appends) {}
+  SolutionLog(std::string path, std::FILE* file)
+      : path_(std::move(path)), file_(file) {}
 
   template <typename T>
   static void AppendRaw(const T& v, std::string* out) {
     out->append(reinterpret_cast<const char*>(&v), sizeof(T));
-  }
-
-  void CommitLocked() {
-    if (pending_appends_ > 0) std::fflush(file_);
-    pending_appends_ = 0;
   }
 
   /// Front-to-back replay; stops at the first invalid record and
@@ -262,10 +241,8 @@ class SolutionLog {
 
   const std::string path_;
   std::FILE* file_ = nullptr;
-  const size_t group_commit_appends_;
   mutable std::mutex mu_;
   uint64_t end_offset_ = 0;
-  size_t pending_appends_ = 0;
 };
 
 }  // namespace dpc::store

@@ -46,8 +46,6 @@ struct SolutionStoreOptions {
   /// Log-size ceiling; 0 = unbounded. Enforced by oldest-first eviction
   /// plus compaction whenever an append pushes the file past it.
   uint64_t disk_budget_bytes = 0;
-  /// Appends per group commit; 1 (default) flushes every append.
-  size_t group_commit_appends = 1;
 };
 
 class SolutionStore {
@@ -71,7 +69,7 @@ class SolutionStore {
   static StatusOr<std::unique_ptr<SolutionStore>> Open(
       const std::string& path, const SolutionStoreOptions& options = {}) {
     std::vector<LogRecord> records;
-    auto log = SolutionLog::Open(path, options.group_commit_appends, &records);
+    auto log = SolutionLog::Open(path, &records);
     if (!log.ok()) return log.status();
     std::unique_ptr<SolutionStore> s(
         new SolutionStore(path, options, std::move(log).value()));
@@ -87,7 +85,7 @@ class SolutionStore {
   }
 
   /// Durably records `solution` under `key` (write-through: the record is
-  /// in the OS page cache when this returns under the default group of 1).
+  /// in the OS page cache when this returns Ok).
   Status Put(const std::string& key, const DpcSolution& solution) {
     std::string payload;
     EncodeSolution(solution, &payload);
@@ -138,9 +136,6 @@ class SolutionStore {
     ++erases_;
     return Status::Ok();
   }
-
-  /// Forces any pending group commit to the OS.
-  Status Flush() { return log_->Commit(); }
 
   /// Rewrites the log keeping only live records (newest version of each
   /// directory key; tombstoned, superseded and budget-evicted records
@@ -221,15 +216,12 @@ class SolutionStore {
     if (!failed.ok()) return failed;
     {
       std::vector<LogRecord> none;
-      auto tmp = SolutionLog::Open(tmp_path, /*group_commit_appends=*/
-                                   live.size() + 1, &none);
+      auto tmp = SolutionLog::Open(tmp_path, &none);
       if (!tmp.ok()) return tmp.status();
       for (const auto& [key, payload] : live) {
         auto offset = tmp.value()->Append(kRecordPut, key, payload);
         if (!offset.ok()) return offset.status();
       }
-      Status commit = tmp.value()->Commit();
-      if (!commit.ok()) return commit;
       // tmp's FILE closes here, before the rename.
     }
     log_.reset();  // close the old log before renaming over it
@@ -238,8 +230,7 @@ class SolutionStore {
                              path_);
     }
     std::vector<LogRecord> records;
-    auto reopened =
-        SolutionLog::Open(path_, options_.group_commit_appends, &records);
+    auto reopened = SolutionLog::Open(path_, &records);
     if (!reopened.ok()) return reopened.status();
     log_ = std::move(reopened).value();
     Directory fresh;

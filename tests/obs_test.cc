@@ -4,7 +4,6 @@
 //   determinism    — the bucket ladder is a fixed table (exact octave
 //                    doubling, platform-independent), Percentile is a
 //                    pure function of the counts array.
-//   mergeability   — Merge(a, b) == the histogram of the union.
 //   concurrency    — counters/histograms/registries/traces survive
 //                    threaded hammering with exact totals (the TSan CI
 //                    job re-runs this binary under `-L obs`).
@@ -148,29 +147,6 @@ void TestPercentileMath() {
   CHECK(std::isinf(overflow.Snapshot().Percentile(99.0)));
 }
 
-void TestMerge() {
-  // Merge of shard-local recorders == the histogram of the union.
-  Histogram a;
-  Histogram b;
-  Histogram combined;
-  for (int i = 1; i <= 500; ++i) {
-    const double va = static_cast<double>(i) * 1e-4;
-    const double vb = static_cast<double>(i) * 7e-3;
-    a.Observe(va);
-    b.Observe(vb);
-    combined.Observe(va);
-    combined.Observe(vb);
-  }
-  HistogramSnapshot merged = a.Snapshot();
-  merged.Merge(b.Snapshot());
-  const HistogramSnapshot expect = combined.Snapshot();
-  CHECK(merged.counts == expect.counts);
-  CHECK_EQ(merged.count, expect.count);
-  CHECK_NEAR(merged.sum, expect.sum, 1e-12);
-  CHECK_EQ(merged.Percentile(50.0), expect.Percentile(50.0));
-  CHECK_EQ(merged.Percentile(99.9), expect.Percentile(99.9));
-}
-
 void TestRegistry() {
   MetricRegistry registry;
   // Get-or-create returns stable references: same name, same object.
@@ -181,12 +157,13 @@ void TestRegistry() {
   c2.Inc(2);
   CHECK_EQ(c1.value(), uint64_t{3});
 
-  registry.gauge("depth").Set(-7);
   registry.histogram("latency").Observe(0.25);
 
-  // Collectors publish at scrape time (the coherent-snapshot mechanism).
+  // Collectors publish at scrape time (the coherent-snapshot mechanism);
+  // they are where every gauge comes from.
   registry.AddCollector([](std::vector<MetricSample>* out) {
     out->push_back(MetricSample::FromGauge("collected", 42.0));
+    out->push_back(MetricSample::FromGauge("depth", -7.0));
   });
 
   const std::vector<MetricSample> samples = registry.Snapshot();
@@ -310,8 +287,8 @@ void TestExecutionContextPropagation() {
   const dpc::ExecutionContext traced = ctx.WithTrace(trace, 77);
   CHECK(traced.trace() == trace.get());
   CHECK_EQ(traced.span_parent(), uint64_t{77});
-  // Copies keep the trace; derived contexts (thread overrides) too.
-  const dpc::ExecutionContext derived = traced.WithThreads(2);
+  // Copies keep the trace.
+  const dpc::ExecutionContext derived = traced;
   {
     ScopedSpan span = derived.Span("phase");
     CHECK(span.enabled());
@@ -344,7 +321,9 @@ void TestChromeJson() {
 void TestExport() {
   MetricRegistry registry;
   registry.counter("dpc_requests_total").Inc(3);
-  registry.gauge("dpc_queue_depth").Set(2);
+  registry.AddCollector([](std::vector<MetricSample>* out) {
+    out->push_back(MetricSample::FromGauge("dpc_queue_depth", 2.0));
+  });
   Histogram& hist = registry.histogram("dpc_request_latency_seconds");
   hist.Observe(0.010);
   hist.Observe(0.020);
@@ -403,7 +382,6 @@ void TestDisabledPathAllocatesNothing() {
 int main() {
   TestBucketBounds();
   TestPercentileMath();
-  TestMerge();
   TestRegistry();
   TestRegistryConcurrency();
   TestSpanParenting();

@@ -60,14 +60,13 @@ int main() {
   }
 
   // Default-constructed contexts share one process-wide pool (pool
-  // reuse is the point of the redesign), and WithThreads copies keep
-  // sharing it.
+  // reuse is the point of the redesign), and copies keep sharing it.
   {
     const dpc::ExecutionContext a;
     const dpc::ExecutionContext b;
-    CHECK(a.shared_pool().get() == b.shared_pool().get());
-    CHECK(a.WithThreads(2).shared_pool().get() == a.shared_pool().get());
-    CHECK_EQ(a.WithThreads(2).threads(), 2);
+    const dpc::ExecutionContext copy = a;
+    CHECK(&a.pool() == &b.pool());
+    CHECK(&copy.pool() == &a.pool());
     // Default policy: all hardware threads.
     CHECK_EQ(a.threads(), dpc::HardwareThreads());
   }
@@ -76,7 +75,7 @@ int main() {
   // copy, so RequestCancel on the caller's context must reach it).
   {
     const dpc::ExecutionContext ctx(2);
-    const dpc::ExecutionContext copy = ctx.WithThreads(4);
+    const dpc::ExecutionContext copy = ctx;
     CHECK(!ctx.ShouldStop());
     ctx.RequestCancel();
     CHECK(ctx.ShouldStop());
@@ -88,14 +87,15 @@ int main() {
   // the cancel flag, so bounding an already-running clone works).
   {
     dpc::ExecutionContext ctx;
-    const dpc::ExecutionContext copy = ctx.WithThreads(2);
+    const dpc::ExecutionContext copy = ctx;
     CHECK(!copy.ShouldStop());
     ctx.set_deadline(std::chrono::steady_clock::now() -
                      std::chrono::seconds(1));
     CHECK(ctx.ShouldStop());
     CHECK(copy.ShouldStop());
     dpc::ExecutionContext fresh;
-    fresh.set_deadline_after(std::chrono::hours(1));
+    fresh.set_deadline(std::chrono::steady_clock::now() +
+                       std::chrono::hours(1));
     CHECK(!fresh.ShouldStop());
   }
 
@@ -115,56 +115,15 @@ int main() {
       CHECK(visited.load() > 0);
       CHECK(visited.load() < n / 2);  // stopped mid-phase, not at the end
 
-      // The cancel is confined to ctx's stop state: a fresh-stop-state
-      // sibling still covers every index.
+      // The cancel is confined to ctx's stop state: a new context on the
+      // same pool still covers every index.
       std::atomic<int64_t> covered{0};
-      dpc::ParallelFor(ctx.WithFreshStopState(), n,
+      dpc::ParallelFor(dpc::ExecutionContext(threads, pool), n,
                        [&](int64_t begin, int64_t end) {
                          covered.fetch_add(end - begin);
                        });
       CHECK_EQ(covered.load(), n);
     }
-  }
-
-  // WithFreshStopState: derived per-request contexts share the pool but
-  // not the stop state, in both directions.
-  {
-    const dpc::ExecutionContext base(2);
-    const dpc::ExecutionContext derived = base.WithFreshStopState();
-    CHECK(base.shared_pool().get() == derived.shared_pool().get());
-    derived.RequestCancel();
-    CHECK(derived.ShouldStop());
-    CHECK(!base.ShouldStop());
-    const dpc::ExecutionContext derived2 = base.WithFreshStopState();
-    base.RequestCancel();
-    CHECK(base.ShouldStop());
-    CHECK(!derived2.ShouldStop());
-  }
-
-  // Budget re-arm (regression): a deadline armed as a RELATIVE budget via
-  // set_deadline_after re-arms IN FULL on every WithFreshStopState copy,
-  // measured from the copy's creation. Before the fix, a sub-context
-  // derived after the parent's budget had burned inherited a dead clock
-  // and stopped instantly — a shard spawned late in a request got zero
-  // time. Absolute set_deadline deadlines are NOT inherited.
-  {
-    dpc::ExecutionContext base(2);
-    base.set_deadline_after(std::chrono::milliseconds(150));
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    CHECK(base.ShouldStop());  // parent budget burned
-    const dpc::ExecutionContext derived = base.WithFreshStopState();
-    CHECK(!derived.ShouldStop());  // full budget, fresh clock
-    const dpc::ExecutionContext grandchild = derived.WithFreshStopState();
-    CHECK(!grandchild.ShouldStop());
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    CHECK(derived.ShouldStop());     // the re-armed budget still expires
-    CHECK(grandchild.ShouldStop());  // and re-arms transitively
-
-    dpc::ExecutionContext absolute(2);
-    absolute.set_deadline(std::chrono::steady_clock::now() -
-                          std::chrono::seconds(1));
-    CHECK(absolute.ShouldStop());
-    CHECK(!absolute.WithFreshStopState().ShouldStop());
   }
 
   // A cancelled run stops at the first phase boundary — for every

@@ -151,7 +151,7 @@ void TestSolutionCacheTwoTier() {
   CHECK(r2.get() == r1.get());
   const auto r3 = cache.Finalize("a", Spec(2.0, 20.0));
   CHECK(r3->label == (std::vector<int64_t>{0, 0, 0, dpc::kNoise}));
-  CHECK_EQ(r3->num_clusters(), 1);
+  CHECK_EQ(r3->centers.size(), 1u);
 
   const auto stats = cache.stats();
   CHECK_EQ(stats.finalizations, 2u);
@@ -163,15 +163,19 @@ void TestSolutionCacheTwoTier() {
   CHECK(r4.get() != r1.get());
   CHECK(r4->label == r1->label);
 
-  // The per-entry memo is bounded: with a bound of 2, sweeping 3
-  // thresholds evicts the least recently used labeling.
-  dpc::serve::SolutionCache bounded(2 * TinyBytes(), 2);
+  // The per-entry memo is bounded: sweeping kLabelingsPerSolution + 1
+  // thresholds evicts the least recently used labeling. The budget has
+  // room for the solution and a full memo.
+  constexpr size_t kBound = dpc::serve::SolutionCache::kLabelingsPerSolution;
+  dpc::serve::SolutionCache bounded(2 * TinyBytes() + kBound * 64);
   bounded.Insert("a", TinySolution(), 1.0);
-  (void)bounded.Finalize("a", Spec(2.0, 5.0));
-  (void)bounded.Finalize("a", Spec(2.0, 20.0));
-  (void)bounded.Finalize("a", Spec(2.0, 30.0));  // evicts the 5.0 memo
-  (void)bounded.Finalize("a", Spec(2.0, 5.0));   // recomputed
-  CHECK_EQ(bounded.stats().finalizations, 4u);
+  for (size_t i = 0; i <= kBound; ++i) {  // the last evicts the 5.0 memo
+    (void)bounded.Finalize("a", Spec(2.0, 5.0 + static_cast<double>(i)));
+  }
+  (void)bounded.Finalize("a", Spec(2.0, 6.0));  // still memoized
+  CHECK_EQ(bounded.stats().label_hits, 1u);
+  (void)bounded.Finalize("a", Spec(2.0, 5.0));  // recomputed
+  CHECK_EQ(bounded.stats().finalizations, kBound + 2);
 
   // A zero byte budget disables caching entirely.
   dpc::serve::SolutionCache off(0);
@@ -252,6 +256,36 @@ void TestSolutionCacheByteBudget() {
   // Re-inserting an existing key replaces its charge, not doubles it.
   cache.Insert("k15", TinySolution(), 99.0);
   CHECK_EQ(cache.bytes_in_use(), 2 * tiny);
+
+  // Memoized labelings are charged to the same budget. An insert storm
+  // with a Finalize sweep after each insert memoizes while there is room
+  // and serves the rest unmemoized: bytes_in_use never exceeds the
+  // budget, and a memo never evicts a solution.
+  dpc::serve::SolutionCache memos(2 * tiny + tiny / 2);
+  bool memo_charged = false;
+  for (int i = 0; i < 16; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    memos.Insert(key, TinySolution(), 1.0 + i);
+    for (int t = 0; t < 8; ++t) {
+      CHECK(memos.Finalize(key, Spec(2.0, 1.0 + t)) != nullptr);
+      CHECK(memos.bytes_in_use() <= memos.memory_budget_bytes());
+      CHECK(memos.Lookup(key) != nullptr);
+      memo_charged |= memos.bytes_in_use() > memos.size() * tiny;
+    }
+  }
+  CHECK(memo_charged);
+  // Eviction releases each memo's charge with its entry: two expensive
+  // newcomers evict every memo-holding entry, leaving exactly their own
+  // serialized bytes.
+  memos.Insert("x", TinySolution(), 1000.0);
+  memos.Insert("y", TinySolution(), 1000.0);
+  CHECK_EQ(memos.size(), 2u);
+  CHECK_EQ(memos.bytes_in_use(), 2 * tiny);
+  // Re-insert releases the replaced entry's memo charge too.
+  CHECK(memos.Finalize("x", Spec(2.0, 5.0)) != nullptr);
+  CHECK(memos.bytes_in_use() > 2 * tiny);
+  memos.Insert("x", TinySolution(), 1000.0);
+  CHECK_EQ(memos.bytes_in_use(), 2 * tiny);
 }
 
 /// The cache as the warm tier over a SolutionStore: eviction demotes (the
@@ -266,8 +300,7 @@ void TestCacheStoreDemotePromote() {
   CHECK(store.ok());
   const size_t tiny = TinyBytes();
   {
-    dpc::serve::SolutionCache cache(2 * tiny + tiny / 2, 4,
-                                    store.value().get());
+    dpc::serve::SolutionCache cache(2 * tiny + tiny / 2, store.value().get());
     cache.Insert("a", TinySolution(), 1.0);
     cache.Insert("b", TinySolution(), 2.0);
     cache.Insert("c", TinySolution(), 3.0);  // evicts "a" -> demotion
@@ -425,7 +458,9 @@ void TestServerEndToEnd() {
   const dpc::DpcResult direct = DirectSolve(*algo.value(), points, params);
   CHECK(dpc::test::BitIdenticalLabels(first.result->label, direct.label));
   CHECK(first.result->centers == direct.centers);
-  CHECK(first.result->dependency == direct.dependency);
+  const std::string key = dpc::serve::MakeSolutionKey(
+      dpc::FingerprintPoints(points), "ex-dpc", {}, params.compute());
+  CHECK(server.cache().Lookup(key)->dependency == direct.dependency);
 
   // THE TWO-TIER PAYOFF: same compute configuration, new thresholds ->
   // still a cache hit (finalize-only, zero algorithm work), labels

@@ -2,12 +2,14 @@
 // roundtrip, size formula, checksum-first rejection of damage), the
 // append-only log (replay, torn-tail truncation, mid-log corruption,
 // header mismatch), the directory's byte accounting, SolutionStore
-// end-to-end (put/fetch/erase/reopen, damaged records going cold,
-// compaction, disk-budget eviction), and the tentpole's
-// acceptance test: a server restarted over the same log answers a
+// end-to-end (put/fetch/erase/reopen, failed appends failing the put,
+// damaged records going cold, compaction, disk-budget eviction), and the
+// warm-restart test: a server restarted over the same log answers a
 // re-threshold WARM — zero recomputes, bit-identical labels.
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -131,7 +133,7 @@ void TestLogAppendReplay() {
   uint64_t off2 = 0;
   {
     std::vector<dpc::store::LogRecord> replayed;
-    auto log = dpc::store::SolutionLog::Open(path, 1, &replayed);
+    auto log = dpc::store::SolutionLog::Open(path, &replayed);
     CHECK(log.ok());
     CHECK(replayed.empty());
     auto a1 = log.value()->Append(dpc::store::kRecordPut, "k1", p1);
@@ -154,7 +156,7 @@ void TestLogAppendReplay() {
   }
   // Reopen: every record replays with the same offsets, types and keys.
   std::vector<dpc::store::LogRecord> replayed;
-  auto log = dpc::store::SolutionLog::Open(path, 1, &replayed);
+  auto log = dpc::store::SolutionLog::Open(path, &replayed);
   CHECK(log.ok());
   CHECK_EQ(replayed.size(), 3u);
   CHECK_EQ(replayed[0].type, dpc::store::kRecordPut);
@@ -187,7 +189,7 @@ void TestLogTornTail() {
   std::remove(path.c_str());
   {
     std::vector<dpc::store::LogRecord> replayed;
-    auto log = dpc::store::SolutionLog::Open(path, 1, &replayed);
+    auto log = dpc::store::SolutionLog::Open(path, &replayed);
     CHECK(log.ok());
     CHECK(log.value()->Append(dpc::store::kRecordPut, "a", "first").ok());
     CHECK(log.value()->Append(dpc::store::kRecordPut, "b", "second").ok());
@@ -198,7 +200,7 @@ void TestLogTornTail() {
   TruncateFile(path, FileSize(path) - 3);
   {
     std::vector<dpc::store::LogRecord> replayed;
-    auto log = dpc::store::SolutionLog::Open(path, 1, &replayed);
+    auto log = dpc::store::SolutionLog::Open(path, &replayed);
     CHECK(log.ok());
     CHECK_EQ(replayed.size(), 2u);
     CHECK(replayed[1].key == "b");
@@ -206,7 +208,7 @@ void TestLogTornTail() {
     CHECK(log.value()->Append(dpc::store::kRecordPut, "d", "fourth").ok());
   }
   std::vector<dpc::store::LogRecord> replayed;
-  auto log = dpc::store::SolutionLog::Open(path, 1, &replayed);
+  auto log = dpc::store::SolutionLog::Open(path, &replayed);
   CHECK(log.ok());
   CHECK_EQ(replayed.size(), 3u);
   CHECK(replayed[2].key == "d");
@@ -219,7 +221,7 @@ void TestLogCorruptMiddle() {
   long second_start = 0;
   {
     std::vector<dpc::store::LogRecord> replayed;
-    auto log = dpc::store::SolutionLog::Open(path, 1, &replayed);
+    auto log = dpc::store::SolutionLog::Open(path, &replayed);
     CHECK(log.ok());
     CHECK(log.value()->Append(dpc::store::kRecordPut, "a", "first").ok());
     second_start = static_cast<long>(log.value()->size_bytes());
@@ -238,7 +240,7 @@ void TestLogCorruptMiddle() {
     std::fclose(f);
   }
   std::vector<dpc::store::LogRecord> replayed;
-  auto log = dpc::store::SolutionLog::Open(path, 1, &replayed);
+  auto log = dpc::store::SolutionLog::Open(path, &replayed);
   CHECK(log.ok());
   CHECK_EQ(replayed.size(), 1u);
   CHECK(replayed[0].key == "a");
@@ -255,7 +257,7 @@ void TestLogBadHeader() {
     std::fclose(f);
   }
   std::vector<dpc::store::LogRecord> replayed;
-  auto log = dpc::store::SolutionLog::Open(path, 1, &replayed);
+  auto log = dpc::store::SolutionLog::Open(path, &replayed);
   CHECK(!log.ok());
   CHECK(log.status().code() == dpc::StatusCode::kIoError);
   // The store surfaces the same failure (the server then runs storeless).
@@ -322,6 +324,45 @@ void TestStoreRoundtripAndReopen() {
   std::remove(path.c_str());
 }
 
+// A failed flush fails the append, so Put never reports Ok for a record
+// that did not reach the file. With the file-size limit just above the
+// log, Put must fail and the store must count no bytes for it; once the
+// limit is restored the same key appends cleanly and survives a reopen.
+void TestStoreFailedFlushFailsPut() {
+  const std::string path = TmpPath("fsize.log");
+  std::remove(path.c_str());
+  const dpc::DpcSolution s1 = MakeSolution(8, 1.0);
+  const dpc::DpcSolution s2 = MakeSolution(64, 2.0);
+  {
+    auto store = dpc::store::SolutionStore::Open(path);
+    CHECK(store.ok());
+    CHECK(store.value()->Put("k1", s1).ok());
+    const uint64_t before = store.value()->stats().log_bytes;
+    // Writes past the limit then fail with EFBIG instead of raising
+    // SIGXFSZ.
+    void (*old_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit old_limit;
+    CHECK_EQ(getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+    rlimit low = old_limit;
+    low.rlim_cur = static_cast<rlim_t>(before + 16);
+    CHECK_EQ(setrlimit(RLIMIT_FSIZE, &low), 0);
+    const dpc::Status put = store.value()->Put("k2", s2);
+    CHECK_EQ(setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+    std::signal(SIGXFSZ, old_handler);
+    CHECK(!put.ok());
+    CHECK_EQ(store.value()->stats().log_bytes, before);
+    CHECK(!store.value()->Contains("k2"));
+    CHECK(store.value()->Put("k2", s2).ok());
+  }
+  auto store = dpc::store::SolutionStore::Open(path);
+  CHECK(store.ok());
+  CHECK_EQ(store.value()->stats().live_solutions, 2u);
+  const auto fetched = store.value()->Fetch("k2");
+  CHECK(fetched != nullptr);
+  CheckSolutionsBitIdentical(s2, *fetched);
+  std::remove(path.c_str());
+}
+
 void TestStoreDamagedPayloadGoesCold() {
   const std::string path = TmpPath("damaged.log");
   std::remove(path.c_str());
@@ -343,7 +384,7 @@ void TestStoreDamagedPayloadGoesCold() {
                     reinterpret_cast<const char*>(&checksum),
                     sizeof(checksum));
     std::vector<dpc::store::LogRecord> replayed;
-    auto log = dpc::store::SolutionLog::Open(path, 1, &replayed);
+    auto log = dpc::store::SolutionLog::Open(path, &replayed);
     CHECK(log.ok());
     CHECK(log.value()->Append(dpc::store::kRecordPut, "vnext", payload).ok());
   }
@@ -506,6 +547,7 @@ int main() {
   TestLogBadHeader();
   TestDirectory();
   TestStoreRoundtripAndReopen();
+  TestStoreFailedFlushFailsPut();
   TestStoreDamagedPayloadGoesCold();
   TestStoreCompaction();
   TestStoreDiskBudget();
