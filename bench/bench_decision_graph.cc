@@ -20,13 +20,11 @@ int main() {
   const eval::BenchConfig cfg = eval::LoadBenchConfig();
   bench::PrintBanner("Figure 1", "decision graph of S2", cfg);
 
-  bench::Workload w = bench::SxWorkload(cfg, 2);
-  w.params.delta_min = w.params.d_cut * 1.01;  // permissive; graph first
+  const bench::Workload w = bench::SxWorkload(cfg, 2);
 
   const DpcSolution solution =
       ExDpc().Solve(w.points, w.params.compute(), ExecutionContext(cfg.max_threads));
-  DpcResult r = FinalizeSolution(solution, w.params.threshold());
-  const auto graph = BuildDecisionGraph(r);
+  const auto graph = BuildDecisionGraph(solution);
 
   eval::Table table({"rank", "rho", "delta"});
   // Rank among non-noise candidates (what the analyst looks at).
@@ -48,10 +46,10 @@ int main() {
   std::printf("expected shape: 15 candidates tower above the rest "
               "(the dataset has 15 Gaussian clusters)\n");
 
-  const double suggested = SuggestDeltaMinForK(r, w.params, 15);
+  const double suggested = SuggestDeltaMinForK(solution, w.params, 15);
   ThresholdSpec final_spec = w.params.threshold();
   final_spec.delta_min = suggested;
-  r = FinalizeSolution(solution, final_spec);
+  const Labeling r = LabelSolution(solution, final_spec);
   std::printf("clusters at the suggested threshold (%.1f): %lld\n", suggested,
               static_cast<long long>(r.num_clusters()));
 

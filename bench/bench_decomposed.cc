@@ -31,11 +31,11 @@ int main() {
                                       static_cast<double>(run.n_used))
                                : 1.0;
       table.AddRow({bench::AlgoName(id),
-                    bench::FmtSeconds(run.result.stats.build_seconds * ratio,
+                    bench::FmtSeconds(run.solution.stats.build_seconds * ratio,
                                       run.extrapolated),
-                    bench::FmtSeconds(run.result.stats.rho_seconds * ratio,
+                    bench::FmtSeconds(run.solution.stats.rho_seconds * ratio,
                                       run.extrapolated),
-                    bench::FmtSeconds(run.result.stats.delta_seconds * ratio,
+                    bench::FmtSeconds(run.solution.stats.delta_seconds * ratio,
                                       run.extrapolated),
                     bench::FmtSeconds(run.seconds, run.extrapolated)});
     }

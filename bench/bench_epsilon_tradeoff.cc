@@ -35,16 +35,18 @@ namespace {
 
 constexpr int kRepeats = 3;
 
-/// Median over kRepeats solves of the solve's total seconds; the last
-/// solve's labels land in *out.
+/// Median over kRepeats solves of the solve's total seconds (the label
+/// pass is not timed); the last solve's labels land in *out.
 double MedianSolveSeconds(dpc::DpcAlgorithm& algo, const dpc::PointSet& points,
                           const dpc::DpcParams& p, const dpc::ExecutionContext& ctx,
-                          dpc::DpcResult* out) {
+                          dpc::Labeling* out) {
   std::vector<double> seconds;
+  dpc::DpcSolution solution;
   for (int r = 0; r < kRepeats; ++r) {
-    *out = dpc::FinalizeSolution(algo.Solve(points, p.compute(), ctx), p.threshold());
-    seconds.push_back(out->stats.total_seconds);
+    solution = algo.Solve(points, p.compute(), ctx);
+    seconds.push_back(solution.stats.total_seconds);
   }
+  *out = dpc::LabelSolution(solution, p.threshold());
   std::sort(seconds.begin(), seconds.end());
   return seconds[seconds.size() / 2];
 }
@@ -75,9 +77,9 @@ int main(int argc, char** argv) {
     const Labeling ground = LabelSolution(
         ExDpc().Solve(target.points, params.compute(), ctx), params.threshold());
     ApproxDpc approx;
-    DpcResult approx_result;
+    Labeling approx_labels;
     const double approx_s =
-        MedianSolveSeconds(approx, target.points, params, ctx, &approx_result);
+        MedianSolveSeconds(approx, target.points, params, ctx, &approx_labels);
 
     std::printf("%s (n=%lld, Approx-DPC %.3f s)\n", name,
                 static_cast<long long>(target.points.size()), approx_s);
@@ -88,7 +90,7 @@ int main(int argc, char** argv) {
       DpcParams p = params;
       p.epsilon = eps;
       SApproxDpc s_approx;
-      DpcResult r;
+      Labeling r;
       seconds.push_back(MedianSolveSeconds(s_approx, target.points, p, ctx, &r));
       rand_index.push_back(eval::RandIndex(r.label, ground.label));
       cells.push_back(

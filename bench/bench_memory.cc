@@ -25,7 +25,8 @@ int main() {
     std::vector<std::string> cells = {bench::AlgoName(id)};
     for (const auto& w : workloads) {
       const auto run = bench::RunTimed(id, w, cfg, cfg.max_threads);
-      double mb = static_cast<double>(run.result.stats.index_memory_bytes) / (1024.0 * 1024.0);
+      double mb =
+          static_cast<double>(run.solution.stats.index_memory_bytes) / (1024.0 * 1024.0);
       if (run.extrapolated) {
         // Index memory scales ~linearly with n.
         mb *= static_cast<double>(w.points.size()) / static_cast<double>(run.n_used);

@@ -51,7 +51,7 @@ int main() {
       for (const int t : threads) {
         const auto run = bench::RunTimed(id, w, cfg, t);
         cells.push_back(bench::FmtSeconds(run.seconds, run.extrapolated));
-        last_delta = run.result.stats.delta_seconds;
+        last_delta = run.solution.stats.delta_seconds;
       }
       cells.push_back(StrFormat("%.3f", last_delta));
       table.AddRow(cells);

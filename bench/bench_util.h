@@ -189,10 +189,11 @@ inline bool IsQuadratic(AlgoId id) {
 /// Runs `algo` on (a possibly sub-sampled copy of) the workload; for
 /// quadratic algorithms the input is capped at cfg.QuadraticCap() and the
 /// measured time is scaled by (n/capped)^2 to give an honest estimate —
-/// the printout marks such rows with '~'. Returns the measured result and
-/// sets *estimated when extrapolation happened.
+/// the printout marks such rows with '~'. The time is the solve's
+/// (solution.stats.total_seconds); the O(n) label pass is not in it.
 struct TimedRun {
-  DpcResult result;
+  DpcSolution solution;
+  Labeling labeling;
   double seconds = 0.0;
   bool extrapolated = false;
   PointId n_used = 0;
@@ -206,23 +207,21 @@ inline TimedRun RunTimed(AlgoId id, const Workload& w, const eval::BenchConfig& 
   // default); `threads` only caps the parallelism degree per run.
   const ExecutionContext ctx(threads);
   const PointId n = w.points.size();
-  auto algo = MakeAlgo(id);
-  if (IsQuadratic(id) && n > cfg.QuadraticCap()) {
-    const PointId cap = cfg.QuadraticCap();
-    const PointSet sub = w.points.Sample(static_cast<double>(cap) / static_cast<double>(n),
-                                         /*seed=*/97);
-    out.result = FinalizeSolution(algo->Solve(sub, params.compute(), ctx),
-                                  params.threshold());
-    const double ratio = static_cast<double>(n) / static_cast<double>(sub.size());
-    out.seconds = out.result.stats.total_seconds * ratio * ratio;
-    out.extrapolated = true;
-    out.n_used = sub.size();
-  } else {
-    out.result = FinalizeSolution(algo->Solve(w.points, params.compute(), ctx),
-                                  params.threshold());
-    out.seconds = out.result.stats.total_seconds;
-    out.n_used = n;
-  }
+  out.extrapolated = IsQuadratic(id) && n > cfg.QuadraticCap();
+  const PointSet sub =
+      out.extrapolated
+          ? w.points.Sample(static_cast<double>(cfg.QuadraticCap()) /
+                                static_cast<double>(n),
+                            /*seed=*/97)
+          : PointSet(w.points.dim());
+  const PointSet& input = out.extrapolated ? sub : w.points;
+  out.solution = MakeAlgo(id)->Solve(input, params.compute(), ctx);
+  out.labeling = LabelSolution(out.solution, params.threshold());
+  out.n_used = input.size();
+  const double ratio =
+      out.extrapolated ? static_cast<double>(n) / static_cast<double>(out.n_used)
+                       : 1.0;
+  out.seconds = out.solution.stats.total_seconds * ratio * ratio;
   return out;
 }
 

@@ -28,10 +28,10 @@ int main() {
   bench::Workload w = bench::SynWorkload(cfg);
   const ExecutionContext ctx(cfg.max_threads);
   auto cluster = [&](DpcAlgorithm&& algo, const DpcParams& params) {
-    return FinalizeSolution(algo.Solve(w.points, params.compute(), ctx),
-                            params.threshold());
+    return LabelSolution(algo.Solve(w.points, params.compute(), ctx),
+                         params.threshold());
   };
-  const DpcResult ground = cluster(ExDpc(), w.params);
+  const Labeling ground = cluster(ExDpc(), w.params);
   std::printf("Syn: n=%lld, Ex-DPC finds %lld clusters (ground truth for this figure)\n\n",
               static_cast<long long>(w.points.size()),
               static_cast<long long>(ground.num_clusters()));
@@ -47,7 +47,7 @@ int main() {
   table.AddRow({"Ex-DPC", std::to_string(ground.num_clusters()), "0", "1.0000",
                 "fig6_ex_dpc.csv"});
 
-  auto report = [&](const char* name, const DpcResult& r, const std::string& csv) {
+  auto report = [&](const char* name, const Labeling& r, const std::string& csv) {
     int64_t diff = 0;
     for (size_t i = 0; i < r.label.size(); ++i) diff += (r.label[i] != ground.label[i]);
     (void)data::SaveLabeledCsv(w.points, r.label, csv);

@@ -1,8 +1,8 @@
 // Decision-graph utilities (paper Figure 1): the (rho, delta) scatter on
 // which users pick centers visually, plus headless threshold helpers so
-// pipelines can reproduce the visual selection. Re-thresholding finalizes
-// the same DpcSolution again (FinalizeSolution) — no re-clustering
-// needed.
+// pipelines can reproduce the visual selection. Everything here reads a
+// DpcSolution's rho and delta only, so it needs no labels; re-thresholding
+// runs LabelSolution on the same solution again — no re-clustering needed.
 #ifndef DPC_CORE_DECISION_GRAPH_H_
 #define DPC_CORE_DECISION_GRAPH_H_
 
@@ -30,12 +30,13 @@ using DecisionPoint = DecisionGraphEntry;
 
 /// The full decision graph, sorted by delta descending (rho breaks ties)
 /// so the candidate centers top the list.
-inline std::vector<DecisionGraphEntry> BuildDecisionGraph(const DpcResult& result) {
+inline std::vector<DecisionGraphEntry> BuildDecisionGraph(
+    const DpcSolution& solution) {
   std::vector<DecisionGraphEntry> graph;
-  graph.reserve(result.rho.size());
-  for (size_t i = 0; i < result.rho.size(); ++i) {
-    graph.push_back(DecisionGraphEntry{static_cast<PointId>(i), result.rho[i],
-                                       result.delta[i]});
+  graph.reserve(solution.rho.size());
+  for (size_t i = 0; i < solution.rho.size(); ++i) {
+    graph.push_back(DecisionGraphEntry{static_cast<PointId>(i), solution.rho[i],
+                                       solution.delta[i]});
   }
   std::sort(graph.begin(), graph.end(),
             [](const DecisionGraphEntry& a, const DecisionGraphEntry& b) {
@@ -107,12 +108,12 @@ namespace internal {
 
 /// Deltas of center-eligible points (rho >= rho_min), sorted descending;
 /// +inf (the global peak) is kept — comparisons against it behave.
-inline std::vector<double> EligibleDeltasDesc(const DpcResult& result,
+inline std::vector<double> EligibleDeltasDesc(const DpcSolution& solution,
                                               const DpcParams& params) {
   std::vector<double> deltas;
-  deltas.reserve(result.rho.size());
-  for (size_t i = 0; i < result.rho.size(); ++i) {
-    if (result.rho[i] >= params.rho_min) deltas.push_back(result.delta[i]);
+  deltas.reserve(solution.rho.size());
+  for (size_t i = 0; i < solution.rho.size(); ++i) {
+    if (solution.rho[i] >= params.rho_min) deltas.push_back(solution.delta[i]);
   }
   std::sort(deltas.begin(), deltas.end(), std::greater<double>());
   return deltas;
@@ -122,15 +123,15 @@ inline std::vector<double> EligibleDeltasDesc(const DpcResult& result,
 
 /// A delta_min that selects exactly k centers (the k eligible points with
 /// the largest delta): the midpoint of the gap below the k-th delta.
-inline double SuggestDeltaMinForK(const DpcResult& result, const DpcParams& params,
-                                  int k) {
+inline double SuggestDeltaMinForK(const DpcSolution& solution,
+                                  const DpcParams& params, int k) {
   // Never suggest a threshold at or below d_cut: grid-based algorithms
   // approximate non-peak deltas by distances <= d_cut (cell diameter), so
   // a lower threshold would mint centers Ex-DPC could never produce. When
   // fewer than k eligible points sit above d_cut, the clamp wins and the
   // selection yields as many centers as honestly exist.
   const double floor = params.d_cut * (1.0 + 1e-9);
-  const std::vector<double> deltas = internal::EligibleDeltasDesc(result, params);
+  const std::vector<double> deltas = internal::EligibleDeltasDesc(solution, params);
   const size_t kk = static_cast<size_t>(k > 0 ? k : 1);
   if (deltas.empty()) return params.d_cut * 1.5;
   if (kk >= deltas.size()) {
@@ -149,8 +150,9 @@ inline double SuggestDeltaMinForK(const DpcResult& result, const DpcParams& para
 /// the "visual gap" a human would pick on Figure 1(b). Only the top of
 /// the graph is scanned; +inf entries count as just above the largest
 /// finite delta.
-inline double SuggestDeltaMinByGap(const DpcResult& result, const DpcParams& params) {
-  std::vector<double> deltas = internal::EligibleDeltasDesc(result, params);
+inline double SuggestDeltaMinByGap(const DpcSolution& solution,
+                                   const DpcParams& params) {
+  std::vector<double> deltas = internal::EligibleDeltasDesc(solution, params);
   if (deltas.size() < 2) return params.d_cut * 1.5;
   double max_finite = params.d_cut;
   for (const double d : deltas) {

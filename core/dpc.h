@@ -19,14 +19,15 @@
 //               is a DpcSolution, the reusable artifact of this phase.
 //   threshold — center selection + label propagation from a
 //               ThresholdSpec (rho_min, delta_min). A pure O(n) pass
-//               over a solution (LabelSolution / FinalizeSolution), so
-//               decision-graph exploration — many thresholds against one
-//               compute — never re-runs the expensive phase.
+//               over a solution (LabelSolution) that yields a Labeling,
+//               so decision-graph exploration — many thresholds against
+//               one compute — never re-runs the expensive phase.
 //
 // Clustering is always the two calls in sequence: Solve(points,
-// params.compute(), ctx), then FinalizeSolution / LabelSolution with
-// params.threshold(). Re-thresholding keeps the solution and repeats
-// only the second call.
+// params.compute(), ctx), then LabelSolution with params.threshold().
+// The caller keeps both results: the DpcSolution (rho/delta/dependency)
+// and the Labeling (labels + centers). Re-thresholding keeps the
+// solution and repeats only the second call.
 //
 // Ties in rho are broken by point id (smaller id counts as denser), which
 // makes every phase — and therefore every label — deterministic for a
@@ -53,7 +54,7 @@ namespace dpc {
 
 using PointId = int64_t;
 
-/// Label values with special meaning in DpcResult::label.
+/// Label values with special meaning in Labeling::label.
 inline constexpr int64_t kNoise = -1;
 inline constexpr int64_t kUnassigned = -2;
 
@@ -159,9 +160,6 @@ struct ComputeParams {
 struct ThresholdSpec {
   double rho_min = 0.0;    ///< points below this density are noise
   double delta_min = 0.0;  ///< center threshold on the decision graph (> d_cut)
-  /// Also derive the cluster core/halo split downstream (core/halo.h) —
-  /// carried here so tools can treat it as part of the labeling request.
-  bool halo = false;
 
   /// d_cut is the compute-phase radius the thresholds must respect:
   /// grid-based algorithms guarantee exact centers only above the cell
@@ -191,9 +189,7 @@ struct DpcParams {
   /// The compute-phase projection of these params.
   ComputeParams compute() const { return ComputeParams{d_cut, epsilon}; }
   /// The threshold-phase projection of these params.
-  ThresholdSpec threshold() const {
-    return ThresholdSpec{rho_min, delta_min, false};
-  }
+  ThresholdSpec threshold() const { return ThresholdSpec{rho_min, delta_min}; }
 
   Status Validate() const {
     if (const Status s = compute().Validate(); !s.ok()) return s;
@@ -206,7 +202,6 @@ struct DpcStats {
   double build_seconds = 0.0;  ///< index (kd-tree / grid) construction
   double rho_seconds = 0.0;    ///< local-density phase
   double delta_seconds = 0.0;  ///< dependent-distance phase
-  double label_seconds = 0.0;  ///< center selection + label propagation
   double total_seconds = 0.0;
   size_t index_memory_bytes = 0;
   /// True when the run stopped early because the ExecutionContext's
@@ -260,8 +255,8 @@ inline std::vector<PointId> DensityOrder(const std::vector<double>& rho) {
 /// The compute phase's reusable artifact: everything the expensive
 /// phases produced, plus the metadata that identifies which (points,
 /// algorithm, compute params) it answers for and what it cost. Any
-/// ThresholdSpec can be applied to it with LabelSolution /
-/// FinalizeSolution at O(n) — the paper's decision-graph workflow.
+/// ThresholdSpec can be applied to it with LabelSolution at O(n) — the
+/// paper's decision-graph workflow.
 struct DpcSolution {
   std::string algorithm;            ///< producing DpcAlgorithm::name()
   uint64_t points_fingerprint = 0;  ///< FingerprintPoints of the input
@@ -274,7 +269,7 @@ struct DpcSolution {
   /// re-threshold is a sort-free O(n) pass. Empty for interrupted solves.
   std::vector<PointId> density_order;
 
-  DpcStats stats;  ///< compute phases only; label_seconds stays 0
+  DpcStats stats;  ///< compute phases only
   /// Wall cost of producing this solution (build + rho + delta) — what a
   /// cache gives back per hit, and what cost-aware eviction weighs.
   double compute_cost_seconds = 0.0;
@@ -283,27 +278,16 @@ struct DpcSolution {
   bool interrupted() const { return stats.interrupted; }
 };
 
-/// Full clustering output: a solution's rho/delta/dependency plus the
-/// labels and centers of one threshold (FinalizeSolution). To re-threshold,
-/// keep the DpcSolution and finalize it again — the decision-graph
-/// workflow of the paper's Figure 1.
-struct DpcResult {
-  std::vector<int64_t> label;      ///< cluster id, kNoise, or kUnassigned
-  std::vector<double> rho;         ///< local density per point
-  std::vector<double> delta;       ///< dependent distance (+inf for the peak)
-  std::vector<PointId> dependency; ///< nearest denser neighbor (-1 for the peak)
-  std::vector<PointId> centers;    ///< point id of each cluster center
-  DpcStats stats;
+/// The threshold phase's output (LabelSolution): labels and centers of
+/// one ThresholdSpec over a DpcSolution the caller keeps. To re-threshold,
+/// keep the solution and label it again — the decision-graph workflow of
+/// the paper's Figure 1.
+struct Labeling {
+  std::vector<int64_t> label;    ///< cluster id, kNoise, or kUnassigned
+  std::vector<PointId> centers;  ///< point id of each cluster center
 
   int64_t num_clusters() const { return static_cast<int64_t>(centers.size()); }
   bool is_noise(PointId i) const { return label[static_cast<size_t>(i)] == kNoise; }
-};
-
-/// Labels + centers alone — what the threshold phase produces when the
-/// caller already holds the solution (serving-layer label memos).
-struct Labeling {
-  std::vector<int64_t> label;
-  std::vector<PointId> centers;
 };
 
 namespace internal {
@@ -393,7 +377,9 @@ inline void RecordSolvePhaseSpans(obs::Trace* trace, uint64_t parent,
 
 /// The threshold phase over a solution: labels + centers at O(n) (the
 /// solution's precomputed density order makes it sort-free). For an
-/// interrupted solution every label is kUnassigned.
+/// interrupted solution every label is kUnassigned. Every finished
+/// solution carries its full density order: Solve stamps it, and
+/// store::DecodeSolution refuses a record without it.
 inline Labeling LabelSolution(const DpcSolution& solution,
                               const ThresholdSpec& spec) {
   Labeling out;
@@ -401,36 +387,10 @@ inline Labeling LabelSolution(const DpcSolution& solution,
     out.label.assign(solution.rho.size(), kUnassigned);
     return out;
   }
-  if (solution.density_order.size() == solution.rho.size()) {
-    internal::LabelWithOrder(solution.rho, solution.delta, solution.dependency,
-                             solution.density_order, spec, &out.label,
-                             &out.centers);
-  } else {
-    internal::LabelWithOrder(solution.rho, solution.delta, solution.dependency,
-                             DensityOrder(solution.rho), spec, &out.label,
-                             &out.centers);
-  }
+  internal::LabelWithOrder(solution.rho, solution.delta, solution.dependency,
+                           solution.density_order, spec, &out.label,
+                           &out.centers);
   return out;
-}
-
-/// A full DpcResult assembled from a solution and a threshold. Label time
-/// is measured into stats.label_seconds / total_seconds.
-inline DpcResult FinalizeSolution(const DpcSolution& solution,
-                                  const ThresholdSpec& spec) {
-  DpcResult result;
-  result.rho = solution.rho;
-  result.delta = solution.delta;
-  result.dependency = solution.dependency;
-  result.stats = solution.stats;
-  internal::WallTimer timer;
-  Labeling labeling = LabelSolution(solution, spec);
-  result.label = std::move(labeling.label);
-  result.centers = std::move(labeling.centers);
-  if (!solution.interrupted()) {
-    result.stats.label_seconds = timer.Seconds();
-    result.stats.total_seconds += result.stats.label_seconds;
-  }
-  return result;
 }
 
 class DpcAlgorithm {

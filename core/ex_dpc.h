@@ -9,7 +9,7 @@
 //
 // Labeling is NOT part of the algorithm: SolveImpl produces the
 // DpcSolution and any ThresholdSpec is applied downstream
-// (FinalizeSolution / LabelSolution).
+// (LabelSolution).
 //
 // The kd-tree is built on the solve's pool (KdTree::Build(points, exec),
 // the same tree as a serial build). Both per-point phases are

@@ -20,10 +20,12 @@ struct HaloResult {
   std::vector<uint8_t> in_halo;         ///< per point (noise is never halo)
 };
 
-inline HaloResult ComputeHalo(const PointSet& points, const DpcResult& result,
-                              double d_cut) {
+/// The core/halo split of `labeling`'s clusters, with the border region
+/// drawn at the solution's own d_cut.
+inline HaloResult ComputeHalo(const PointSet& points, const DpcSolution& solution,
+                              const Labeling& labeling) {
   HaloResult out;
-  const size_t k = static_cast<size_t>(result.num_clusters());
+  const size_t k = static_cast<size_t>(labeling.num_clusters());
   const PointId n = points.size();
   out.halo_size.assign(k, 0);
   out.border_density.assign(k, 0.0);
@@ -34,26 +36,26 @@ inline HaloResult ComputeHalo(const PointSet& points, const DpcResult& result,
   tree.Build(points);
   std::vector<PointId> neighbors;
   for (PointId i = 0; i < n; ++i) {
-    const int64_t c = result.label[static_cast<size_t>(i)];
+    const int64_t c = labeling.label[static_cast<size_t>(i)];
     if (c < 0) continue;
     neighbors.clear();
-    tree.RangeReport(points[i], d_cut, &neighbors);
+    tree.RangeReport(points[i], solution.compute.d_cut, &neighbors);
     for (const PointId j : neighbors) {
-      const int64_t cj = result.label[static_cast<size_t>(j)];
+      const int64_t cj = labeling.label[static_cast<size_t>(j)];
       if (cj >= 0 && cj != c) {
         // i sits in the border region of its cluster.
         auto& bd = out.border_density[static_cast<size_t>(c)];
-        if (result.rho[static_cast<size_t>(i)] > bd) {
-          bd = result.rho[static_cast<size_t>(i)];
+        if (solution.rho[static_cast<size_t>(i)] > bd) {
+          bd = solution.rho[static_cast<size_t>(i)];
         }
         break;
       }
     }
   }
   for (PointId i = 0; i < n; ++i) {
-    const int64_t c = result.label[static_cast<size_t>(i)];
+    const int64_t c = labeling.label[static_cast<size_t>(i)];
     if (c < 0) continue;
-    if (result.rho[static_cast<size_t>(i)] <
+    if (solution.rho[static_cast<size_t>(i)] <
         out.border_density[static_cast<size_t>(c)]) {
       out.in_halo[static_cast<size_t>(i)] = 1;
       ++out.halo_size[static_cast<size_t>(c)];

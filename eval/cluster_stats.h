@@ -20,15 +20,12 @@ struct ClusterSummary {
   std::vector<int64_t> cluster_size;
 };
 
-/// Reads only `label` and `centers`, so it takes a DpcResult or a
-/// served Labeling alike.
-template <typename Result>
-ClusterSummary Summarize(const Result& result) {
+inline ClusterSummary Summarize(const Labeling& labeling) {
   ClusterSummary s;
-  s.num_points = static_cast<int64_t>(result.label.size());
-  s.num_clusters = static_cast<int64_t>(result.centers.size());
-  s.cluster_size.assign(static_cast<size_t>(std::max<int64_t>(s.num_clusters, 0)), 0);
-  for (const int64_t label : result.label) {
+  s.num_points = static_cast<int64_t>(labeling.label.size());
+  s.num_clusters = labeling.num_clusters();
+  s.cluster_size.assign(static_cast<size_t>(s.num_clusters), 0);
+  for (const int64_t label : labeling.label) {
     if (label == kNoise) {
       ++s.num_noise;
     } else if (label < 0) {

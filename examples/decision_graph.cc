@@ -2,10 +2,10 @@
 //
 // DPC's selling point: users pick cluster centers *visually*. This
 // example builds an S2-like dataset (15 Gaussian clusters), solves it
-// once with Ex-DPC, labels it at a permissive threshold, prints the top
-// of the decision graph — where exactly 15 points tower above everything
-// else — and shows how the automatic threshold helpers recover the same
-// selection headlessly, re-labeling the one solution without re-solving.
+// once with Ex-DPC, prints the top of its decision graph — where exactly
+// 15 points tower above everything else — and shows how the automatic
+// threshold helpers recover the same selection headlessly, then labels
+// the one solution at the suggested threshold without re-solving.
 //
 // Build & run:  ./build/examples/decision_graph [output.csv]
 #include <cmath>
@@ -33,13 +33,11 @@ int main(int argc, char** argv) {
   dpc::DpcParams params;
   params.d_cut = 1200.0;
   params.rho_min = 4.0;
-  params.delta_min = params.d_cut * 1.01;  // permissive: graph first, centers later
 
   const dpc::DpcSolution solution =
       dpc::ExDpc().Solve(points, params.compute(), dpc::ExecutionContext());
-  dpc::DpcResult result = dpc::FinalizeSolution(solution, params.threshold());
 
-  const auto graph = dpc::BuildDecisionGraph(result);
+  const auto graph = dpc::BuildDecisionGraph(solution);
   std::printf("Decision graph (top 20 of %zu points by dependent distance):\n",
               graph.size());
   std::printf("%-8s %-12s %-12s\n", "id", "rho", "delta");
@@ -51,18 +49,18 @@ int main(int argc, char** argv) {
               "onward collapses to ~d_cut: the visual gap of Figure 1(b).\n\n");
 
   // Headless selection: ask for exactly 15 centers, or find the knee.
-  const double for_k = dpc::SuggestDeltaMinForK(result, params, 15);
-  const double by_gap = dpc::SuggestDeltaMinByGap(result, params);
+  const double for_k = dpc::SuggestDeltaMinForK(solution, params, 15);
+  const double by_gap = dpc::SuggestDeltaMinByGap(solution, params);
   std::printf("suggested delta_min for k=15 : %.1f\n", for_k);
   std::printf("suggested delta_min by gap   : %.1f\n", by_gap);
 
   dpc::ThresholdSpec final_spec = params.threshold();
   final_spec.delta_min = for_k;
-  result = dpc::FinalizeSolution(solution, final_spec);
+  const dpc::Labeling labeling = dpc::LabelSolution(solution, final_spec);
   std::printf("clusters at suggested threshold: %lld\n",
-              static_cast<long long>(result.num_clusters()));
+              static_cast<long long>(labeling.num_clusters()));
   std::printf("Rand index vs generating mixture: %.4f\n",
-              dpc::eval::RandIndex(result.label, truth));
+              dpc::eval::RandIndex(labeling.label, truth));
 
   if (argc > 1) {
     const std::string path = argv[1];

@@ -306,29 +306,27 @@ int main(int argc, char** argv) {
   const dpc::ExecutionContext ctx(args.threads);
   const dpc::DpcSolution solution =
       algo.value()->Solve(points, params.compute(), ctx);
-  dpc::DpcResult result = dpc::FinalizeSolution(solution, params.threshold());
-
   if (auto_threshold) {
     const double suggested = args.k > 0
-                                 ? dpc::SuggestDeltaMinForK(result, params, args.k)
-                                 : dpc::SuggestDeltaMinByGap(result, params);
+                                 ? dpc::SuggestDeltaMinForK(solution, params, args.k)
+                                 : dpc::SuggestDeltaMinByGap(solution, params);
     params.delta_min = suggested;
-    result = dpc::FinalizeSolution(solution, params.threshold());
     std::printf("auto delta_min = %.6g (%s)\n", suggested,
                 args.k > 0 ? "for requested k" : "largest decision-graph gap");
   }
+  const dpc::Labeling labeling = dpc::LabelSolution(solution, params.threshold());
 
-  const auto summary = dpc::eval::Summarize(result);
+  const auto summary = dpc::eval::Summarize(labeling);
   std::printf("%s on %lld points (d=%d): %s\n", std::string(algo.value()->name()).c_str(),
               static_cast<long long>(points.size()), points.dim(),
               dpc::eval::ToString(summary).c_str());
   std::printf("time: total %.3fs (build %.3f, rho %.3f, delta %.3f)\n",
-              result.stats.total_seconds, result.stats.build_seconds,
-              result.stats.rho_seconds, result.stats.delta_seconds);
+              solution.stats.total_seconds, solution.stats.build_seconds,
+              solution.stats.rho_seconds, solution.stats.delta_seconds);
 
   if (args.halo) {
-    const dpc::HaloResult halo = dpc::ComputeHalo(points, result, params.d_cut);
-    for (int64_t c = 0; c < result.num_clusters(); ++c) {
+    const dpc::HaloResult halo = dpc::ComputeHalo(points, solution, labeling);
+    for (int64_t c = 0; c < labeling.num_clusters(); ++c) {
       std::printf("cluster %lld: halo %lld points (border density %.1f)\n",
                   static_cast<long long>(c),
                   static_cast<long long>(halo.halo_size[static_cast<size_t>(c)]),
@@ -337,12 +335,12 @@ int main(int argc, char** argv) {
   }
 
   if (!args.output.empty()) {
-    const dpc::Status s = dpc::data::SaveLabeledCsv(points, result.label, args.output);
+    const dpc::Status s = dpc::data::SaveLabeledCsv(points, labeling.label, args.output);
     std::printf("labels -> %s (%s)\n", args.output.c_str(), s.ToString().c_str());
   }
   if (!args.decision_graph.empty()) {
-    const dpc::Status s =
-        dpc::WriteDecisionGraphCsv(dpc::BuildDecisionGraph(result), args.decision_graph);
+    const dpc::Status s = dpc::WriteDecisionGraphCsv(dpc::BuildDecisionGraph(solution),
+                                                     args.decision_graph);
     std::printf("decision graph -> %s (%s)\n", args.decision_graph.c_str(),
                 s.ToString().c_str());
   }

@@ -34,10 +34,10 @@ int main() {
   params.rho_min = 5.0;
   params.delta_min = 8000.0;
 
-  // 3. Solve, then finalize. Solve runs the expensive rho/delta phases
-  // under params.compute(); FinalizeSolution derives centers and labels
-  // from params.threshold() in O(n), so a different threshold only needs
-  // another FinalizeSolution on the same solution. The ExecutionContext
+  // 3. Solve, then label. Solve runs the expensive rho/delta phases under
+  // params.compute(); LabelSolution derives centers and labels from
+  // params.threshold() in O(n), so a different threshold only needs
+  // another LabelSolution on the same solution. The ExecutionContext
   // carries the execution policy: which thread pool to run on (default:
   // one persistent process-wide pool, reused across runs) and how many
   // threads (0 = all). Every parallel loop, grid cells included, hands
@@ -45,27 +45,26 @@ int main() {
   const dpc::ExecutionContext ctx;
   dpc::ApproxDpc algo;
   const dpc::DpcSolution solution = algo.Solve(points, params.compute(), ctx);
-  const dpc::DpcResult result = dpc::FinalizeSolution(solution, params.threshold());
+  const dpc::Labeling labeling = dpc::LabelSolution(solution, params.threshold());
 
   // 4. Report.
-  const dpc::eval::ClusterSummary summary = dpc::eval::Summarize(result);
+  const dpc::eval::ClusterSummary summary = dpc::eval::Summarize(labeling);
   std::printf("algorithm      : %s\n", std::string(algo.name()).c_str());
   std::printf("points         : %lld\n", static_cast<long long>(summary.num_points));
   std::printf("clusters found : %lld\n", static_cast<long long>(summary.num_clusters));
   std::printf("noise points   : %lld\n", static_cast<long long>(summary.num_noise));
   std::printf("largest cluster: %lld points\n",
               static_cast<long long>(summary.largest_cluster));
-  std::printf("phases [s]     : build=%.3f rho=%.3f delta=%.3f label=%.3f (total %.3f)\n",
-              result.stats.build_seconds, result.stats.rho_seconds,
-              result.stats.delta_seconds, result.stats.label_seconds,
-              result.stats.total_seconds);
+  std::printf("phases [s]     : build=%.3f rho=%.3f delta=%.3f (total %.3f)\n",
+              solution.stats.build_seconds, solution.stats.rho_seconds,
+              solution.stats.delta_seconds, solution.stats.total_seconds);
   std::printf("index memory   : %.1f MB\n",
-              static_cast<double>(result.stats.index_memory_bytes) / (1024.0 * 1024.0));
+              static_cast<double>(solution.stats.index_memory_bytes) / (1024.0 * 1024.0));
 
   // Every point knows its cluster id (or -1 for noise):
   std::printf("first 5 labels : ");
   for (int i = 0; i < 5; ++i) {
-    std::printf("%lld ", static_cast<long long>(result.label[static_cast<size_t>(i)]));
+    std::printf("%lld ", static_cast<long long>(labeling.label[static_cast<size_t>(i)]));
   }
   std::printf("\n");
   return 0;

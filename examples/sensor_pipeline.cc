@@ -33,23 +33,23 @@ int main() {
   const dpc::ExecutionContext ctx;  // all hardware threads
 
   // Exact reference for quality scoring.
-  const dpc::DpcResult ground = dpc::FinalizeSolution(
-      dpc::ExDpc().Solve(feed, params.compute(), ctx), params.threshold());
+  const dpc::DpcSolution exact = dpc::ExDpc().Solve(feed, params.compute(), ctx);
+  const dpc::Labeling ground = dpc::LabelSolution(exact, params.threshold());
   std::printf("exact reference (Ex-DPC): %lld clusters, %.2f s\n\n",
-              static_cast<long long>(ground.num_clusters()), ground.stats.total_seconds);
+              static_cast<long long>(ground.num_clusters()), exact.stats.total_seconds);
 
   std::printf("%-6s %-10s %-10s %-10s %-10s\n", "eps", "clusters", "noise",
               "time[s]", "RandIdx");
   for (const double eps : {0.2, 0.4, 0.6, 0.8, 1.0}) {
     dpc::DpcParams p = params;
     p.epsilon = eps;
-    const dpc::DpcResult r = dpc::FinalizeSolution(
-        dpc::SApproxDpc().Solve(feed, p.compute(), ctx), p.threshold());
+    const dpc::DpcSolution solution = dpc::SApproxDpc().Solve(feed, p.compute(), ctx);
+    const dpc::Labeling r = dpc::LabelSolution(solution, p.threshold());
     const auto s = dpc::eval::Summarize(r);
     std::printf("%-6.1f %-10lld %-10lld %-10.3f %-10.4f\n", eps,
                 static_cast<long long>(s.num_clusters),
                 static_cast<long long>(s.num_noise + s.num_unassigned),
-                r.stats.total_seconds,
+                solution.stats.total_seconds,
                 dpc::eval::RandIndex(r.label, ground.label));
   }
 
@@ -60,6 +60,6 @@ int main() {
               static_cast<long long>(summary.num_points),
               100.0 * static_cast<double>(summary.num_noise) /
                   static_cast<double>(summary.num_points));
-  std::printf("use DpcResult::is_noise to route them to an alerting pipeline.\n");
+  std::printf("use Labeling::is_noise to route them to an alerting pipeline.\n");
   return 0;
 }

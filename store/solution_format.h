@@ -11,6 +11,10 @@
 //   delta:         count i64 + count f64
 //   dependency:    count i64 + count i64
 //   density_order: count i64 + count i64   (empty for interrupted solves)
+//
+// DecodeSolution refuses a record whose ids leave [-1, n) (dependency)
+// or [0, n) (density_order), or whose density order is not n long (0 for
+// an interrupted solve): a decoded solution is safe to label.
 //   checksum u64 = FNV-1a over every preceding byte
 //
 // The checksum makes a record self-verifying independent of the log's
@@ -175,11 +179,26 @@ inline StatusOr<DpcSolution> DecodeSolution(const char* data, size_t size) {
       !r.ReadArray(&s.density_order) || r.left() != 0) {
     return Status::InvalidArgument("solution record truncated");
   }
-  if (s.delta.size() != s.rho.size() || s.dependency.size() != s.rho.size() ||
-      (!s.density_order.empty() && s.density_order.size() != s.rho.size())) {
+  s.stats.interrupted = (flags & internal::kFlagInterrupted) != 0;
+  const size_t n = s.rho.size();
+  if (s.delta.size() != n || s.dependency.size() != n ||
+      s.density_order.size() != (s.interrupted() ? 0 : n)) {
     return Status::InvalidArgument("solution record arrays disagree on n");
   }
-  s.stats.interrupted = (flags & internal::kFlagInterrupted) != 0;
+  // Labeling indexes by these ids, so a record whose checksum holds but
+  // whose ids point outside the solution is refused here, not read out
+  // of bounds later.
+  const auto n_ids = static_cast<PointId>(n);
+  for (const PointId dep : s.dependency) {
+    if (dep < -1 || dep >= n_ids) {
+      return Status::InvalidArgument("solution record dependency out of range");
+    }
+  }
+  for (const PointId id : s.density_order) {
+    if (id < 0 || id >= n_ids) {
+      return Status::InvalidArgument("solution record density order out of range");
+    }
+  }
   return s;
 }
 

@@ -28,25 +28,21 @@ int main() {
   params.d_cut = 1500.0;
   params.rho_min = 5.0;
   params.delta_min = 8000.0;
-  auto cluster = [&](dpc::DpcAlgorithm&& algo) {
-    return dpc::FinalizeSolution(
-        algo.Solve(points, params.compute(), dpc::ExecutionContext()),
-        params.threshold());
-  };
-
-  const dpc::DpcResult ex = cluster(dpc::ExDpc());
-  const dpc::DpcResult ap = cluster(dpc::ApproxDpc());
+  dpc::ExDpc ex_dpc;
+  dpc::ApproxDpc approx_dpc;
+  const dpc::test::Clustering ex = dpc::test::Cluster(ex_dpc, points, params);
+  const dpc::test::Clustering ap = dpc::test::Cluster(approx_dpc, points, params);
 
   // rho is exact in both algorithms — Approx-DPC's joint range search
   // (§4.2) reproduces Ex-DPC's per-point counts — so it must agree bitwise.
-  CHECK(ex.rho == ap.rho);
+  CHECK(ex.solution.rho == ap.solution.rho);
 
   // Approx-DPC's headline property: the same centers as Ex-DPC.
-  CHECK(ex.centers == ap.centers);
-  CHECK(ex.num_clusters() >= 8);  // 8 planted blobs; overlap may split ties
+  CHECK(ex.labeling.centers == ap.labeling.centers);
+  CHECK(ex.labeling.num_clusters() >= 8);  // 8 planted blobs; overlap may split ties
 
   // Non-center deltas are approximate, but labels must agree strongly.
-  const double rand = dpc::eval::RandIndex(ap.label, ex.label);
+  const double rand = dpc::eval::RandIndex(ap.labeling.label, ex.labeling.label);
   std::printf("rand index approx vs exact: %.5f\n", rand);
   CHECK(rand >= 0.95);
 
@@ -110,15 +106,17 @@ int main() {
 
   // Structural invariants: every non-noise point reaches its cluster via
   // a denser dependency, and noise is exactly the sub-rho_min set.
-  for (size_t i = 0; i < ap.label.size(); ++i) {
-    if (ap.rho[i] < params.rho_min) {
-      CHECK_EQ(ap.label[i], dpc::kNoise);
+  const std::vector<double>& rho = ap.solution.rho;
+  const std::vector<int64_t>& label = ap.labeling.label;
+  for (size_t i = 0; i < label.size(); ++i) {
+    if (rho[i] < params.rho_min) {
+      CHECK_EQ(label[i], dpc::kNoise);
       continue;
     }
-    CHECK(ap.label[i] >= 0);
-    const dpc::PointId dep = ap.dependency[i];
+    CHECK(label[i] >= 0);
+    const dpc::PointId dep = ap.solution.dependency[i];
     if (dep >= 0) {
-      CHECK(dpc::DenserThan(ap.rho[static_cast<size_t>(dep)], dep, ap.rho[i],
+      CHECK(dpc::DenserThan(rho[static_cast<size_t>(dep)], dep, rho[i],
                             static_cast<dpc::PointId>(i)));
     }
   }
@@ -136,13 +134,10 @@ int main() {
     dpc::DpcParams huge_params;
     huge_params.d_cut = 1.0;
     huge_params.delta_min = 2.0;
-    auto cluster_huge = [&](dpc::DpcAlgorithm&& algo) {
-      return dpc::FinalizeSolution(
-          algo.Solve(huge, huge_params.compute(), dpc::ExecutionContext()),
-          huge_params.threshold());
-    };
-    const dpc::DpcResult ex_huge = cluster_huge(dpc::ExDpc());
-    const dpc::DpcResult ap_huge = cluster_huge(dpc::ApproxDpc());
+    const dpc::Labeling ex_huge =
+        dpc::test::Cluster(ex_dpc, huge, huge_params).labeling;
+    const dpc::Labeling ap_huge =
+        dpc::test::Cluster(approx_dpc, huge, huge_params).labeling;
     CHECK_EQ(ex_huge.centers.size(), size_t{2});
     CHECK(ap_huge.centers == ex_huge.centers);
   }

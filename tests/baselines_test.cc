@@ -31,41 +31,39 @@ int main() {
   params.rho_min = 5.0;
   params.delta_min = 10000.0;
   auto cluster = [&](dpc::DpcAlgorithm&& algo) {
-    return dpc::FinalizeSolution(
-        algo.Solve(points, params.compute(), dpc::ExecutionContext(2)),
-        params.threshold());
+    return dpc::test::Cluster(algo, points, params, dpc::ExecutionContext(2));
   };
 
-  const dpc::DpcResult ground = cluster(dpc::ExDpc());
-  CHECK(ground.num_clusters() >= 2);
+  const dpc::test::Clustering ground = cluster(dpc::ExDpc());
+  CHECK(ground.labeling.num_clusters() >= 2);
 
   // Scan: ground truth by construction — must agree with Ex-DPC exactly.
-  const dpc::DpcResult scan_result = cluster(dpc::ScanDpc());
-  CHECK(scan_result.rho == ground.rho);
-  CHECK(scan_result.label == ground.label);
-  CHECK(scan_result.centers == ground.centers);
-  for (size_t i = 0; i < ground.delta.size(); ++i) {
-    if (std::isinf(ground.delta[i])) {
-      CHECK(std::isinf(scan_result.delta[i]));  // the global density peak
+  const dpc::test::Clustering scan = cluster(dpc::ScanDpc());
+  CHECK(scan.solution.rho == ground.solution.rho);
+  CHECK(scan.labeling.label == ground.labeling.label);
+  CHECK(scan.labeling.centers == ground.labeling.centers);
+  for (size_t i = 0; i < ground.solution.delta.size(); ++i) {
+    if (std::isinf(ground.solution.delta[i])) {
+      CHECK(std::isinf(scan.solution.delta[i]));  // the global density peak
     } else {
-      CHECK_NEAR(scan_result.delta[i], ground.delta[i], 1e-9);
+      CHECK_NEAR(scan.solution.delta[i], ground.solution.delta[i], 1e-9);
     }
   }
 
   // R-tree + Scan: identical counting, identical dependent pass.
-  const dpc::DpcResult rtree_result = cluster(dpc::RtreeScanDpc());
-  CHECK(rtree_result.rho == scan_result.rho);
-  CHECK(rtree_result.label == scan_result.label);
-  CHECK(rtree_result.centers == scan_result.centers);
+  const dpc::test::Clustering rtree = cluster(dpc::RtreeScanDpc());
+  CHECK(rtree.solution.rho == scan.solution.rho);
+  CHECK(rtree.labeling.label == scan.labeling.label);
+  CHECK(rtree.labeling.centers == scan.labeling.centers);
 
   // Approximate-density baselines: close, not exact.
-  const double ri_cfsfdp =
-      dpc::eval::RandIndex(cluster(dpc::CfsfdpA()).label, ground.label);
+  const double ri_cfsfdp = dpc::eval::RandIndex(
+      cluster(dpc::CfsfdpA()).labeling.label, ground.labeling.label);
   std::printf("CFSFDP-A Rand index vs Ex-DPC: %.4f\n", ri_cfsfdp);
   CHECK(ri_cfsfdp >= 0.90);
 
-  const double ri_lsh =
-      dpc::eval::RandIndex(cluster(dpc::LshDdp()).label, ground.label);
+  const double ri_lsh = dpc::eval::RandIndex(
+      cluster(dpc::LshDdp()).labeling.label, ground.labeling.label);
   std::printf("LSH-DDP Rand index vs Ex-DPC: %.4f\n", ri_lsh);
   CHECK(ri_lsh >= 0.90);
 

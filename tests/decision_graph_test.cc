@@ -1,5 +1,5 @@
 // Decision-graph helpers: the graph is delta-sorted, SuggestDeltaMinForK
-// re-thresholds one solution to exactly k clusters via FinalizeSolution,
+// re-thresholds one solution to exactly k clusters via LabelSolution,
 // the gap heuristic finds the planted k on separated data, and the CSV
 // writer produces a parseable file.
 #include <cstdio>
@@ -25,13 +25,11 @@ int main() {
   dpc::DpcParams params;
   params.d_cut = 1200.0;
   params.rho_min = 4.0;
-  params.delta_min = params.d_cut * 1.0001;  // permissive: threshold later
 
   const dpc::DpcSolution solution =
       dpc::ExDpc().Solve(points, params.compute(), dpc::ExecutionContext());
-  dpc::DpcResult result = dpc::FinalizeSolution(solution, params.threshold());
 
-  const auto graph = dpc::BuildDecisionGraph(result);
+  const auto graph = dpc::BuildDecisionGraph(solution);
   CHECK_EQ(static_cast<dpc::PointId>(graph.size()), points.size());
   for (size_t i = 1; i < graph.size(); ++i) {
     CHECK(graph[i - 1].delta >= graph[i].delta);
@@ -40,10 +38,9 @@ int main() {
   // Exactly-k selection while k honest centers exist.
   for (const int k : {3, 6, 9}) {
     dpc::ThresholdSpec spec = params.threshold();
-    spec.delta_min = dpc::SuggestDeltaMinForK(result, params, k);
+    spec.delta_min = dpc::SuggestDeltaMinForK(solution, params, k);
     CHECK(spec.delta_min > params.d_cut);
-    result = dpc::FinalizeSolution(solution, spec);
-    CHECK_EQ(result.num_clusters(), k);
+    CHECK_EQ(dpc::LabelSolution(solution, spec).num_clusters(), k);
   }
 
   // Asking for more centers than separable clusters must not push the
@@ -51,24 +48,24 @@ int main() {
   // deltas as centers) — it yields the honest count instead.
   {
     dpc::ThresholdSpec spec = params.threshold();
-    spec.delta_min = dpc::SuggestDeltaMinForK(result, params, 500);
+    spec.delta_min = dpc::SuggestDeltaMinForK(solution, params, 500);
     CHECK(spec.delta_min > params.d_cut);
-    result = dpc::FinalizeSolution(solution, spec);
-    CHECK(result.num_clusters() <= 500);
-    CHECK(result.num_clusters() >= 9);
+    const dpc::Labeling labeling = dpc::LabelSolution(solution, spec);
+    CHECK(labeling.num_clusters() <= 500);
+    CHECK(labeling.num_clusters() >= 9);
   }
 
   // The gap heuristic lands on the planted cluster count.
   dpc::ThresholdSpec gap_spec = params.threshold();
-  gap_spec.delta_min = dpc::SuggestDeltaMinByGap(result, params);
-  result = dpc::FinalizeSolution(solution, gap_spec);
-  CHECK_EQ(result.num_clusters(), 9);
+  gap_spec.delta_min = dpc::SuggestDeltaMinByGap(solution, params);
+  const dpc::Labeling labeling = dpc::LabelSolution(solution, gap_spec);
+  CHECK_EQ(labeling.num_clusters(), 9);
 
   // Halo: sizes bounded by cluster membership, noise never in a halo.
-  const dpc::HaloResult halo = dpc::ComputeHalo(points, result, params.d_cut);
-  CHECK_EQ(static_cast<int64_t>(halo.halo_size.size()), result.num_clusters());
-  for (size_t i = 0; i < result.label.size(); ++i) {
-    if (result.label[i] < 0) CHECK(halo.in_halo[i] == 0);
+  const dpc::HaloResult halo = dpc::ComputeHalo(points, solution, labeling);
+  CHECK_EQ(static_cast<int64_t>(halo.halo_size.size()), labeling.num_clusters());
+  for (size_t i = 0; i < labeling.label.size(); ++i) {
+    if (labeling.label[i] < 0) CHECK(halo.in_halo[i] == 0);
   }
 
   // Registry round-trip plus a precise error for unknown names (full

@@ -28,6 +28,9 @@
 
 namespace {
 
+using dpc::test::Cluster;
+using dpc::test::Clustering;
+
 /// True when `algo`'s grid for `compute` has enough cells that ParallelFor
 /// hands its cell loop to the pool instead of running it inline.
 bool CellLoopRunsOnPool(const dpc::ApproxDpc& algo, const dpc::PointSet& points,
@@ -204,14 +207,6 @@ void CheckGoldenTable() {
   CHECK(ok);
 }
 
-/// One clustering: the compute phase under `ctx`, then the threshold.
-dpc::DpcResult Cluster(dpc::DpcAlgorithm& algo, const dpc::PointSet& points,
-                       const dpc::DpcParams& params,
-                       const dpc::ExecutionContext& ctx) {
-  return dpc::FinalizeSolution(algo.Solve(points, params.compute(), ctx),
-                               params.threshold());
-}
-
 }  // namespace
 
 int main() {
@@ -260,15 +255,15 @@ int main() {
       }
 
       const dpc::ExecutionContext one(1);
-      const dpc::DpcResult serial = Cluster(algo, points, p, one);
-      const dpc::DpcResult serial2 = Cluster(algo, points, p, one);
+      const Clustering serial = Cluster(algo, points, p, one);
+      const Clustering serial2 = Cluster(algo, points, p, one);
       dpc::test::AssertSolutionsEqual(serial, serial2);
 
-      const dpc::DpcResult parallel =
+      const Clustering parallel =
           Cluster(algo, points, p, dpc::ExecutionContext(4));
       dpc::test::AssertSolutionsEqual(serial, parallel);
 
-      CHECK(serial.num_clusters() > 0);
+      CHECK(serial.labeling.num_clusters() > 0);
     }
   }
 
@@ -287,24 +282,24 @@ int main() {
          {static_cast<dpc::DpcAlgorithm*>(&lsh_ddp),
           static_cast<dpc::DpcAlgorithm*>(&s_approx),
           static_cast<dpc::DpcAlgorithm*>(&cfsfdp_a)}) {
-      const dpc::DpcResult serial =
+      const Clustering serial =
           Cluster(*algo, points, p, dpc::ExecutionContext(1));
       for (const int threads : {2, 8}) {
         dpc::test::AssertSolutionsEqual(
             serial, Cluster(*algo, points, p, dpc::ExecutionContext(threads)));
       }
-      CHECK(serial.num_clusters() > 0);
+      CHECK(serial.labeling.num_clusters() > 0);
     }
 
     p.d_cut = kPoolCellsDCut;
     CHECK(CellLoopRunsOnPool(s_approx, points, p.compute()));
-    const dpc::DpcResult serial =
+    const Clustering serial =
         Cluster(s_approx, points, p, dpc::ExecutionContext(1));
     for (const int threads : {2, 4, 8}) {
       dpc::test::AssertSolutionsEqual(
           serial, Cluster(s_approx, points, p, dpc::ExecutionContext(threads)));
     }
-    CHECK(serial.num_clusters() > 0);
+    CHECK(serial.labeling.num_clusters() > 0);
   }
 
   // Thread sweep: every registered algorithm at {1, 2, 8} threads, all
@@ -324,8 +319,8 @@ int main() {
       auto algo = dpc::MakeAlgorithmByName(name);
       CHECK(algo.ok());
       const dpc::ExecutionContext base(1, pool);
-      const dpc::DpcResult baseline = Cluster(*algo.value(), pts, p, base);
-      CHECK(baseline.num_clusters() > 0);
+      const Clustering baseline = Cluster(*algo.value(), pts, p, base);
+      CHECK(baseline.labeling.num_clusters() > 0);
       for (const int threads : {1, 2, 8}) {
         const dpc::ExecutionContext ctx(threads, pool);
         dpc::test::AssertSolutionsEqual(baseline,
@@ -355,11 +350,11 @@ int main() {
       auto algo = dpc::MakeAlgorithmByName(name);
       CHECK(algo.ok());
       CHECK_EQ(Cluster(*algo.value(), empty, p, dpc::ExecutionContext(2))
-                   .label.size(),
+                   .labeling.label.size(),
                0u);
-      const dpc::DpcResult serial =
+      const Clustering serial =
           Cluster(*algo.value(), blob, p, dpc::ExecutionContext(1));
-      CHECK_EQ(serial.label.size(), static_cast<size_t>(blob.size()));
+      CHECK_EQ(serial.labeling.label.size(), static_cast<size_t>(blob.size()));
       for (const int threads : {2, 8}) {
         dpc::test::AssertSolutionsEqual(
             serial,

@@ -31,10 +31,9 @@ void TestAgainstBruteForce() {
   params.rho_min = 2.0;
   params.delta_min = 20000.0;
 
-  const dpc::DpcResult result = dpc::FinalizeSolution(
-      dpc::ExDpc().Solve(points, params.compute(), dpc::ExecutionContext(2)),
-      params.threshold());
-  CHECK_EQ(static_cast<dpc::PointId>(result.label.size()), n);
+  const dpc::DpcSolution solution =
+      dpc::ExDpc().Solve(points, params.compute(), dpc::ExecutionContext(2));
+  CHECK_EQ(solution.size(), n);
 
   for (dpc::PointId i = 0; i < n; ++i) {
     dpc::PointId rho = 0;
@@ -44,14 +43,14 @@ void TestAgainstBruteForce() {
         ++rho;
       }
     }
-    CHECK_EQ(result.rho[static_cast<size_t>(i)], static_cast<double>(rho));
+    CHECK_EQ(solution.rho[static_cast<size_t>(i)], static_cast<double>(rho));
   }
   for (dpc::PointId i = 0; i < n; ++i) {
     double best = std::numeric_limits<double>::infinity();
     dpc::PointId best_id = -1;
     for (dpc::PointId j = 0; j < n; ++j) {
-      if (!dpc::DenserThan(result.rho[static_cast<size_t>(j)], j,
-                           result.rho[static_cast<size_t>(i)], i)) {
+      if (!dpc::DenserThan(solution.rho[static_cast<size_t>(j)], j,
+                           solution.rho[static_cast<size_t>(i)], i)) {
         continue;
       }
       const double d = dpc::Distance(points[i], points[j], dim);
@@ -60,11 +59,11 @@ void TestAgainstBruteForce() {
         best_id = j;
       }
     }
-    CHECK_EQ(result.dependency[static_cast<size_t>(i)], best_id);
+    CHECK_EQ(solution.dependency[static_cast<size_t>(i)], best_id);
     if (best_id >= 0) {
-      CHECK_NEAR(result.delta[static_cast<size_t>(i)], best, 1e-9 * (1.0 + best));
+      CHECK_NEAR(solution.delta[static_cast<size_t>(i)], best, 1e-9 * (1.0 + best));
     } else {
-      CHECK(std::isinf(result.delta[static_cast<size_t>(i)]));
+      CHECK(std::isinf(solution.delta[static_cast<size_t>(i)]));
     }
   }
 }
@@ -86,18 +85,17 @@ void TestRecoversPlantedClusters() {
   params.delta_min = 9000.0;
   CHECK(params.Validate().ok());
 
-  const dpc::DpcResult result = dpc::FinalizeSolution(
-      dpc::ExDpc().Solve(points, params.compute(), dpc::ExecutionContext()),
-      params.threshold());
+  dpc::ExDpc algo;
+  const auto [solution, labeling] = dpc::test::Cluster(algo, points, params);
 
-  CHECK_EQ(result.num_clusters(), 5);
-  const auto summary = dpc::eval::Summarize(result);
+  CHECK_EQ(labeling.num_clusters(), 5);
+  const auto summary = dpc::eval::Summarize(labeling);
   CHECK_EQ(summary.num_points, 6000);
   CHECK(summary.num_noise < 600);
   CHECK(summary.largest_cluster > 600);
-  CHECK(dpc::eval::AdjustedRandIndex(result.label, truth) > 0.95);
-  CHECK(result.stats.total_seconds >= 0.0);
-  CHECK(result.stats.index_memory_bytes > 0);
+  CHECK(dpc::eval::AdjustedRandIndex(labeling.label, truth) > 0.95);
+  CHECK(solution.stats.total_seconds >= 0.0);
+  CHECK(solution.stats.index_memory_bytes > 0);
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ int main() {
     params.d_cut = sensor.default_d_cut;
     params.rho_min = 4.0;
     params.delta_min = 5.0 * sensor.default_d_cut;
-    const dpc::DpcResult result = dpc::FinalizeSolution(
+    const dpc::Labeling result = dpc::LabelSolution(
         dpc::ApproxDpc().Solve(feed, params.compute(), dpc::ExecutionContext()),
         params.threshold());
     CHECK(result.num_clusters() >= 4);

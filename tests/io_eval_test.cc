@@ -132,10 +132,9 @@ void TestMetrics() {
   const std::vector<int64_t> across = {0, 1, 0, 1, 0, 1, 0, 1};
   CHECK(std::fabs(dpc::eval::AdjustedRandIndex(left, across)) < 0.2);
 
-  dpc::DpcResult result;
-  result.label = {0, 0, 1, 1, 1, dpc::kNoise, dpc::kUnassigned};
-  result.centers = {0, 2};
-  const auto summary = dpc::eval::Summarize(result);
+  const dpc::Labeling labeling{{0, 0, 1, 1, 1, dpc::kNoise, dpc::kUnassigned},
+                               {0, 2}};
+  const auto summary = dpc::eval::Summarize(labeling);
   CHECK_EQ(summary.num_points, 7);
   CHECK_EQ(summary.num_clusters, 2);
   CHECK_EQ(summary.num_noise, 1);

@@ -145,23 +145,20 @@ int main() {
       CHECK(algo.ok());
       dpc::ExecutionContext cancelled(2);
       cancelled.RequestCancel();
-      const dpc::DpcResult result = dpc::FinalizeSolution(
-          algo.value()->Solve(points, params.compute(), cancelled),
-          params.threshold());
-      CHECK(result.stats.interrupted);
-      CHECK_EQ(result.label.size(), static_cast<size_t>(points.size()));
-      for (const int64_t label : result.label) {
+      const auto [stopped, labeling] =
+          dpc::test::Cluster(*algo.value(), points, params, cancelled);
+      CHECK(stopped.interrupted());
+      CHECK_EQ(labeling.label.size(), static_cast<size_t>(points.size()));
+      for (const int64_t label : labeling.label) {
         CHECK_EQ(label, dpc::kUnassigned);
       }
-      CHECK_EQ(result.centers.size(), 0u);
+      CHECK_EQ(labeling.centers.size(), 0u);
 
       // The same run without cancellation completes normally.
-      const dpc::DpcResult ok = dpc::FinalizeSolution(
-          algo.value()->Solve(points, params.compute(),
-                              dpc::ExecutionContext(2)),
-          params.threshold());
-      CHECK(!ok.stats.interrupted);
-      CHECK(ok.num_clusters() > 0);
+      const dpc::test::Clustering ok = dpc::test::Cluster(
+          *algo.value(), points, params, dpc::ExecutionContext(2));
+      CHECK(!ok.solution.interrupted());
+      CHECK(ok.labeling.num_clusters() > 0);
     }
   }
 
@@ -204,11 +201,9 @@ int main() {
     params.delta_min = 9000.0;
     const dpc::ExecutionContext ctx(1);  // serial: one thread, 1024-slices
     dpc::ScanDpc algo;
-    dpc::DpcResult result;
-    std::thread worker([&] {
-      result = dpc::FinalizeSolution(algo.Solve(points, params.compute(), ctx),
-                                     params.threshold());
-    });
+    dpc::test::Clustering result;
+    std::thread worker(
+        [&] { result = dpc::test::Cluster(algo, points, params, ctx); });
     // Cancel early in the first slice; the run must come back within a
     // fraction of a slice, not after finishing it.
     std::this_thread::sleep_for(
@@ -220,8 +215,10 @@ int main() {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       cancelled_at)
             .count();
-    CHECK(result.stats.interrupted);
-    for (const int64_t label : result.label) CHECK_EQ(label, dpc::kUnassigned);
+    CHECK(result.solution.interrupted());
+    for (const int64_t label : result.labeling.label) {
+      CHECK_EQ(label, dpc::kUnassigned);
+    }
     CHECK(overshoot < slice_seconds * 0.5);
   }
 

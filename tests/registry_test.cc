@@ -23,9 +23,7 @@ int main() {
   params.rho_min = 2.0;
   params.delta_min = 15000.0;
   auto cluster = [&](dpc::DpcAlgorithm& algo) {
-    return dpc::FinalizeSolution(
-        algo.Solve(points, params.compute(), dpc::ExecutionContext(2)),
-        params.threshold());
+    return dpc::test::Cluster(algo, points, params, dpc::ExecutionContext(2));
   };
 
   // The paper's full menu; new algorithms join the loop below
@@ -40,18 +38,18 @@ int main() {
                    algo.status().ToString().c_str());
       return 1;
     }
-    const dpc::DpcResult result = cluster(*algo.value());
-    CHECK_EQ(result.label.size(), static_cast<size_t>(points.size()));
-    CHECK_EQ(result.rho.size(), static_cast<size_t>(points.size()));
-    CHECK_EQ(result.delta.size(), static_cast<size_t>(points.size()));
-    CHECK_EQ(result.dependency.size(), static_cast<size_t>(points.size()));
-    CHECK(result.num_clusters() >= 1);
-    for (const int64_t label : result.label) {
-      CHECK(label >= dpc::kUnassigned && label < result.num_clusters());
+    const auto [solution, labeling] = cluster(*algo.value());
+    CHECK_EQ(labeling.label.size(), static_cast<size_t>(points.size()));
+    CHECK_EQ(solution.rho.size(), static_cast<size_t>(points.size()));
+    CHECK_EQ(solution.delta.size(), static_cast<size_t>(points.size()));
+    CHECK_EQ(solution.dependency.size(), static_cast<size_t>(points.size()));
+    CHECK(labeling.num_clusters() >= 1);
+    for (const int64_t label : labeling.label) {
+      CHECK(label >= dpc::kUnassigned && label < labeling.num_clusters());
     }
     std::printf("%-12s -> %s, %lld clusters\n", name.c_str(),
                 std::string(algo.value()->name()).c_str(),
-                static_cast<long long>(result.num_clusters()));
+                static_cast<long long>(labeling.num_clusters()));
   }
 
   // Options-map construction: typed keys wire through; unknown
@@ -60,7 +58,7 @@ int main() {
     auto tuned = dpc::MakeAlgorithmByName(
         "lsh-ddp", {{"num_tables", "6"}, {"num_bits", "5"}});
     CHECK(tuned.ok());
-    const dpc::DpcResult r = cluster(*tuned.value());
+    const dpc::Labeling r = cluster(*tuned.value()).labeling;
     CHECK_EQ(r.label.size(), static_cast<size_t>(points.size()));
     CHECK(r.num_clusters() >= 1);
 

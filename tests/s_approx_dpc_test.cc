@@ -66,7 +66,7 @@ int main() {
   };
 
   const dpc::DpcSolution exact = solve(dpc::ExDpc(), 1.0, ctx);
-  const dpc::DpcResult ground = dpc::FinalizeSolution(exact, params.threshold());
+  const dpc::Labeling ground = dpc::LabelSolution(exact, params.threshold());
   CHECK(ground.num_clusters() >= 2);
 
   // Singleton collapse: duplicates share a cell, a rho and a peak, and
@@ -120,7 +120,7 @@ int main() {
     }
     // Every non-peak's delta is <= d_cut < delta_min, so every center is
     // a cell peak.
-    const dpc::DpcResult r = dpc::FinalizeSolution(s, p.threshold());
+    const dpc::Labeling r = dpc::LabelSolution(s, p.threshold());
     for (const dpc::PointId c : r.centers) {
       CHECK(is_peak[static_cast<size_t>(c)] != 0);
     }

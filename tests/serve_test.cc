@@ -55,14 +55,9 @@ dpc::DpcParams TestParams(double d_cut = 2000.0) {
   return params;
 }
 
-/// The serverless reference every served response must match: a direct
-/// solve on a default context, finalized at the request's thresholds.
-dpc::DpcResult DirectSolve(dpc::DpcAlgorithm& algo, const dpc::PointSet& points,
-                           const dpc::DpcParams& params) {
-  return dpc::FinalizeSolution(
-      algo.Solve(points, params.compute(), dpc::ExecutionContext()),
-      params.threshold());
-}
+// The serverless reference every served response must match: a direct
+// solve on a default context, labeled at the request's thresholds.
+using dpc::test::Cluster;
 
 void TestFingerprintAndRegistry() {
   const dpc::PointSet points = TestPoints();
@@ -455,12 +450,12 @@ void TestServerEndToEnd() {
 
   auto algo = dpc::MakeAlgorithmByName("ex-dpc");
   CHECK(algo.ok());
-  const dpc::DpcResult direct = DirectSolve(*algo.value(), points, params);
-  CHECK(dpc::test::BitIdenticalLabels(first.result->label, direct.label));
-  CHECK(first.result->centers == direct.centers);
+  const dpc::test::Clustering direct = Cluster(*algo.value(), points, params);
+  CHECK(dpc::test::BitIdenticalLabels(first.result->label, direct.labeling.label));
+  CHECK(first.result->centers == direct.labeling.centers);
   const std::string key = dpc::serve::MakeSolutionKey(
       dpc::FingerprintPoints(points), "ex-dpc", {}, params.compute());
-  CHECK(server.cache().Lookup(key)->dependency == direct.dependency);
+  CHECK(server.cache().Lookup(key)->dependency == direct.solution.dependency);
 
   // THE TWO-TIER PAYOFF: same compute configuration, new thresholds ->
   // still a cache hit (finalize-only, zero algorithm work), labels
@@ -474,7 +469,8 @@ void TestServerEndToEnd() {
   CHECK(r.cache_hit);
   CHECK_EQ(server.stats().recomputes, recomputes_before);
   CHECK(dpc::test::BitIdenticalLabels(
-      r.result->label, DirectSolve(*algo.value(), points, rethresholded.params).label));
+      r.result->label,
+      Cluster(*algo.value(), points, rethresholded.params).labeling.label));
 
   // A different COMPUTE configuration evicts the capacity-1 cache; the
   // original then recomputes (deterministically the same labels).
@@ -485,7 +481,7 @@ void TestServerEndToEnd() {
   const auto recomputed = server.Submit(request).get();
   CHECK(recomputed.status.ok());
   CHECK(!recomputed.cache_hit);
-  CHECK(dpc::test::BitIdenticalLabels(recomputed.result->label, direct.label));
+  CHECK(dpc::test::BitIdenticalLabels(recomputed.result->label, direct.labeling.label));
 
   const auto stats = server.stats();
   CHECK_EQ(stats.submitted, 5u);
@@ -534,7 +530,8 @@ void TestRethresholdAndGraphRequests() {
     CHECK(response.cache_hit);
     CHECK_EQ(response.run_seconds, 0.0);
     CHECK(dpc::test::BitIdenticalLabels(
-        response.result->label, DirectSolve(*algo.value(), points, re.params).label));
+        response.result->label,
+        Cluster(*algo.value(), points, re.params).labeling.label));
   }
   CHECK_EQ(server.stats().recomputes, recomputes);
   CHECK_EQ(server.stats().rethreshold_served, 3u);
@@ -548,7 +545,7 @@ void TestRethresholdAndGraphRequests() {
   CHECK(g.status.ok());
   CHECK(g.cache_hit);
   CHECK_EQ(g.graph.size(), 5u);
-  const dpc::DpcResult direct = DirectSolve(*algo.value(), points, params);
+  const dpc::DpcSolution direct = Cluster(*algo.value(), points, params).solution;
   const auto expected = dpc::TopGammaPoints(direct.rho, direct.delta, 5);
   for (size_t i = 0; i < expected.size(); ++i) {
     CHECK_EQ(g.graph[i].id, expected[i].id);
@@ -604,11 +601,11 @@ void TestMixedDeadlineBatch() {
   const auto r1 = f1.get();
   CHECK(r1.status.ok());
   CHECK(dpc::test::BitIdenticalLabels(
-      r1.result->label, DirectSolve(*algo.value(), points, healthy1.params).label));
+      r1.result->label, Cluster(*algo.value(), points, healthy1.params).labeling.label));
   const auto r2 = f2.get();
   CHECK(r2.status.ok());
   CHECK(dpc::test::BitIdenticalLabels(
-      r2.result->label, DirectSolve(*algo.value(), points, healthy2.params).label));
+      r2.result->label, Cluster(*algo.value(), points, healthy2.params).labeling.label));
 
   CHECK_EQ(server.stats().deadline_exceeded, 1u);
 }
@@ -748,7 +745,7 @@ void TestConcurrentSubmissions() {
   auto algo = dpc::MakeAlgorithmByName("ex-dpc");
   std::vector<std::vector<int64_t>> expected;
   for (const auto& params : configs) {
-    expected.push_back(DirectSolve(*algo.value(), points, params).label);
+    expected.push_back(Cluster(*algo.value(), points, params).labeling.label);
   }
 
   constexpr int kClients = 4;
@@ -809,7 +806,7 @@ void TestConcurrentExecutionOverlap() {
   auto algo = dpc::MakeAlgorithmByName("ex-dpc");
   std::vector<std::vector<int64_t>> expected;
   for (const auto& params : configs) {
-    expected.push_back(DirectSolve(*algo.value(), points, params).label);
+    expected.push_back(Cluster(*algo.value(), points, params).labeling.label);
   }
 
   std::vector<std::future<dpc::serve::ClusterResponse>> futures;
@@ -843,7 +840,7 @@ void TestConcurrentExecutionOverlap() {
   CHECK(r.status.ok());
   CHECK(r.cache_hit);
   CHECK(dpc::test::BitIdenticalLabels(
-      r.result->label, DirectSolve(*algo.value(), points, re.params).label));
+      r.result->label, Cluster(*algo.value(), points, re.params).labeling.label));
   dpc::serve::ClusterRequest graph = re;
   graph.kind = dpc::serve::RequestKind::kGraph;
   graph.params = configs[3];
@@ -919,7 +916,7 @@ void TestServerStoreStats() {
   CHECK(stats.store_bytes > 0u);
   auto algo = dpc::MakeAlgorithmByName("ex-dpc");
   CHECK(dpc::test::BitIdenticalLabels(
-      r.result->label, DirectSolve(*algo.value(), points, re.params).label));
+      r.result->label, Cluster(*algo.value(), points, re.params).labeling.label));
   std::remove(store_path.c_str());
 }
 

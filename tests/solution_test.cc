@@ -92,34 +92,25 @@ void TestOneSolutionMatchesFreshSolvesForAllAlgorithms() {
     CHECK(solution.density_order == SortedDensityOrder(solution.rho));
 
     // The acceptance invariant: across a (rho_min, delta_min) grid,
-    // finalizing the ONE solution is bit-identical to finalizing a fresh
+    // labeling the ONE solution is bit-identical to labeling a fresh
     // solve — labels, centers, rho, delta, dependency.
     for (const double rho_min : {0.0, 2.0, 8.0}) {
       for (const double delta_mult : {1.5, 3.0, 6.0}) {
         dpc::ThresholdSpec spec;
         spec.rho_min = rho_min;
         spec.delta_min = delta_mult * d_cut;
-        const dpc::DpcResult from_solution =
-            dpc::FinalizeSolution(solution, spec);
+        const dpc::test::Clustering from_solution{
+            solution, dpc::LabelSolution(solution, spec)};
 
         auto fresh_algo = dpc::MakeAlgorithmByName(name);
-        const dpc::DpcResult fresh = dpc::FinalizeSolution(
-            fresh_algo.value()->Solve(points, compute,
-                                      dpc::ExecutionContext(2)),
-            spec);
+        dpc::test::Clustering fresh;
+        fresh.solution = fresh_algo.value()->Solve(points, compute,
+                                                   dpc::ExecutionContext(2));
+        fresh.labeling = dpc::LabelSolution(fresh.solution, spec);
 
         dpc::test::AssertSolutionsEqual(from_solution, fresh);
       }
     }
-
-    // LabelSolution is the allocation-light sibling of FinalizeSolution.
-    dpc::ThresholdSpec spec;
-    spec.rho_min = 2.0;
-    spec.delta_min = 3.0 * d_cut;
-    const dpc::Labeling labeling = dpc::LabelSolution(solution, spec);
-    const dpc::DpcResult reference = dpc::FinalizeSolution(solution, spec);
-    CHECK(labeling.label == reference.label);
-    CHECK(labeling.centers == reference.centers);
   }
 }
 
@@ -136,13 +127,12 @@ void TestInterruptedSolve() {
   CHECK(solution.interrupted());
   CHECK(solution.density_order.empty());  // never built for a dead solve
 
-  // Finalizing an interrupted solution yields the interrupted result
-  // shape: every label kUnassigned, no centers.
+  // Labeling an interrupted solution yields the interrupted shape: every
+  // label kUnassigned, no centers.
   dpc::ThresholdSpec spec;
   spec.rho_min = 2.0;
   spec.delta_min = 9000.0;
-  const dpc::DpcResult result = dpc::FinalizeSolution(solution, spec);
-  CHECK(result.stats.interrupted);
+  const dpc::Labeling result = dpc::LabelSolution(solution, spec);
   CHECK_EQ(result.label.size(), static_cast<size_t>(points.size()));
   for (const int64_t label : result.label) CHECK_EQ(label, dpc::kUnassigned);
   CHECK_EQ(result.centers.size(), 0u);

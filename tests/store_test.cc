@@ -1,5 +1,6 @@
 // The store/ subsystem: versioned solution serialization (bit-exact
-// roundtrip, size formula, checksum-first rejection of damage), the
+// roundtrip, size formula, checksum-first rejection of damage, refusal
+// of out-of-range ids), the
 // append-only log (replay, torn-tail truncation, mid-log corruption,
 // header mismatch), the directory's byte accounting, SolutionStore
 // end-to-end (put/fetch/erase/reopen, failed appends failing the put,
@@ -121,6 +122,42 @@ void TestFormatRejectsDamage() {
   const auto refused = dpc::store::DecodeSolution(future);
   CHECK(!refused.ok());
   CHECK(refused.status().message().find("version") != std::string::npos);
+}
+
+/// Records whose checksum holds but whose ids would send labeling out of
+/// bounds: each is encoded as-is (the encoder trusts its input) and must
+/// decode to InvalidArgument.
+void TestFormatRejectsBadIds() {
+  const dpc::PointId n = 16;
+  std::vector<dpc::DpcSolution> bad;
+  for (const dpc::PointId dep :
+       {n, dpc::PointId{-2}, std::numeric_limits<dpc::PointId>::max()}) {
+    dpc::DpcSolution s = MakeSolution(n);
+    s.dependency[3] = dep;
+    bad.push_back(s);
+  }
+  for (const dpc::PointId id : {n, dpc::PointId{-1}}) {
+    dpc::DpcSolution s = MakeSolution(n);
+    s.density_order[5] = id;
+    bad.push_back(s);
+  }
+  {
+    dpc::DpcSolution s = MakeSolution(n);  // finished solve, no order
+    s.density_order.clear();
+    bad.push_back(s);
+  }
+  {
+    dpc::DpcSolution s = MakeSolution(n);  // interrupted solve with an order
+    s.stats.interrupted = true;
+    bad.push_back(s);
+  }
+  std::string buf;
+  for (const dpc::DpcSolution& s : bad) {
+    dpc::store::EncodeSolution(s, &buf);
+    const auto decoded = dpc::store::DecodeSolution(buf);
+    CHECK(!decoded.ok());
+    CHECK(decoded.status().code() == dpc::StatusCode::kInvalidArgument);
+  }
 }
 
 void TestLogAppendReplay() {
@@ -541,6 +578,7 @@ void TestServerRestartWarm() {
 int main() {
   TestFormatRoundtrip();
   TestFormatRejectsDamage();
+  TestFormatRejectsBadIds();
   TestLogAppendReplay();
   TestLogTornTail();
   TestLogCorruptMiddle();

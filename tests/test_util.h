@@ -1,7 +1,8 @@
 // Assertion macros for the dependency-free ctest units, plus the shared
-// bit-identity helpers (dpc::test) that every determinism-style test
-// compares results with. A failed CHECK prints the expression and
-// location and exits non-zero, which ctest reports as the test failure.
+// clustering and bit-identity helpers (dpc::test) that every
+// determinism-style test compares results with. A failed CHECK prints
+// the expression and location and exits non-zero, which ctest reports as
+// the test failure.
 #ifndef DPC_TESTS_TEST_UTIL_H_
 #define DPC_TESTS_TEST_UTIL_H_
 
@@ -50,6 +51,23 @@
 
 namespace dpc::test {
 
+/// One clustering as the library produces it: the compute phase's
+/// solution and one threshold's labeling of it.
+struct Clustering {
+  DpcSolution solution;
+  Labeling labeling;
+};
+
+/// Solve, then LabelSolution at params.threshold().
+inline Clustering Cluster(DpcAlgorithm& algo, const PointSet& points,
+                          const DpcParams& params,
+                          const ExecutionContext& ctx = ExecutionContext()) {
+  Clustering out;
+  out.solution = algo.Solve(points, params.compute(), ctx);
+  out.labeling = LabelSolution(out.solution, params.threshold());
+  return out;
+}
+
 /// Exact (bitwise) label equality — the form every determinism assertion
 /// in this suite means by "identical".
 inline bool BitIdenticalLabels(const std::vector<int64_t>& a,
@@ -57,20 +75,16 @@ inline bool BitIdenticalLabels(const std::vector<int64_t>& a,
   return a == b;
 }
 
-inline bool BitIdenticalLabels(const DpcResult& a, const DpcResult& b) {
-  return BitIdenticalLabels(a.label, b.label);
-}
-
-/// Asserts two results are bit-identical in every field the library's
+/// Asserts two clusterings are bit-identical in every field the library's
 /// determinism contract covers: labels, densities, dependent distances,
 /// dependency pointers, and centers. Exact double comparison is the
 /// point — "close" is a bug here.
-inline void AssertSolutionsEqual(const DpcResult& a, const DpcResult& b) {
-  CHECK(a.label == b.label);
-  CHECK(a.rho == b.rho);
-  CHECK(a.delta == b.delta);
-  CHECK(a.dependency == b.dependency);
-  CHECK(a.centers == b.centers);
+inline void AssertSolutionsEqual(const Clustering& a, const Clustering& b) {
+  CHECK(a.labeling.label == b.labeling.label);
+  CHECK(a.solution.rho == b.solution.rho);
+  CHECK(a.solution.delta == b.solution.delta);
+  CHECK(a.solution.dependency == b.solution.dependency);
+  CHECK(a.labeling.centers == b.labeling.centers);
 }
 
 }  // namespace dpc::test
