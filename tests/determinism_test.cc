@@ -8,7 +8,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,9 +15,9 @@
 #include "baselines/cfsfdp_a.h"
 #include "baselines/lsh_ddp.h"
 #include "core/approx_dpc.h"
-#include "core/rng.h"
 #include "core/ex_dpc.h"
 #include "core/registry.h"
+#include "core/rng.h"
 #include "core/s_approx_dpc.h"
 #include "data/generators.h"
 #include "index/grid.h"
