@@ -5,8 +5,10 @@
 //   * Scan: both phases huge; R-tree+Scan fixes rho but not delta,
 //   * CFSFDP-A: rho below Scan's but the same quadratic delta,
 //   * Ex-DPC: both phases small; delta no longer dominated by n^2,
-//   * Approx-DPC: rho below Ex-DPC's (joint range search) and delta tiny
-//     (O(1) approximations + small P'),
+//   * Approx-DPC: rho below Ex-DPC's (the paper's §4.2 joint range
+//     search) and delta tiny (O(1) approximations + small P'). Here both
+//     solves count rho the same way (ExDpc::ComputeExactRho), so their
+//     rho phases tie, Approx-DPC's plus its peak snap,
 //   * S-Approx-DPC: the smallest rho and delta.
 #include <cstdio>
 
@@ -43,7 +45,8 @@ int main() {
     std::printf("\n");
   }
   std::printf("expected shape (Table 6): Approx-DPC's rho < Ex-DPC's rho "
-              "(joint range search); Approx/S-Approx delta phases tiny; "
+              "(paper's joint range search; here both share one exact rho, "
+              "so they tie); Approx/S-Approx delta phases tiny; "
               "Scan-family delta quadratic.\n");
   return 0;
 }

@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
       const double s = SecondsPerOp([&] {
         const PointId q = static_cast<PointId>(
             rng.NextBounded(static_cast<uint64_t>(ps.size())));
-        Sink(tree.RangeCount(ps[q], radius, q));
+        Sink(tree.RangeCount(ps[q], radius) - 1);
       });
       const std::string name = StrFormat("kdtree_range_count_r%.0f", radius);
       json.BeginResult(name);
@@ -257,15 +257,17 @@ int main(int argc, char** argv) {
     const double s = SecondsPerOp([&] {
       const PointId q = static_cast<PointId>(
           rng.NextBounded(static_cast<uint64_t>(ps.size())));
-      Sink(tree.Nearest(ps[q], q));
+      Sink(tree.NearestAccepted(
+          ps[q], [q](PointId id) { return id != q; }, nullptr));
     });
     json.BeginResult("kdtree_nearest");
     emit("kdtree_nearest", "us_per_query", 1e6 * s, "%.2f");
   }
   {
     // Range counts at the Household shape the perfbench solve-household7d
-    // workload runs (100k 7-D points, d_cut 1000): the count-block
-    // traversal every Ex-DPC rho query takes.
+    // workload runs (100k 7-D points, d_cut 1000): one point's count-block
+    // traversal, the paper's per-point rho query. The solves count rho
+    // one joint traversal per leaf instead (ExDpc::ComputeExactRho).
     const PointSet ps = MakeData(100000);
     const KdTree tree(ps);
     for (const double radius : {500.0, 1000.0, 2000.0}) {
@@ -273,7 +275,7 @@ int main(int argc, char** argv) {
       const double s = SecondsPerOp([&] {
         const PointId q = static_cast<PointId>(
             rng.NextBounded(static_cast<uint64_t>(ps.size())));
-        Sink(tree.RangeCount(ps[q], radius, q));
+        Sink(tree.RangeCount(ps[q], radius) - 1);
       });
       const std::string name =
           StrFormat("kdtree_range_count_dim%d_r%.0f", ps.dim(), radius);
@@ -283,11 +285,9 @@ int main(int argc, char** argv) {
     // The nearest-denser search every Ex-DPC delta query runs
     // (ExDpc::ExactDeltaFor: NearestAccepted under DenserThan), over the
     // rho a d_cut = 1000 solve gives these points. Informational.
-    std::vector<double> rho(static_cast<size_t>(ps.size()));
-    for (PointId i = 0; i < ps.size(); ++i) {
-      rho[static_cast<size_t>(i)] =
-          static_cast<double>(tree.RangeCount(ps[i], 1000.0) - 1);
-    }
+    std::vector<double> rho;
+    ExDpc::ComputeExactRho(tree, 1000.0, ExecutionContext(cfg.max_threads),
+                           &rho);
     std::vector<double> delta(rho.size());
     std::vector<PointId> dependency(rho.size());
     Rng rng(5);

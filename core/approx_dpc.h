@@ -12,13 +12,11 @@
 //     paper's headline property: Approx-DPC returns the same centers as
 //     Ex-DPC.
 //
-// rho is exact: each grid cell runs ONE shared kd-tree traversal (§4.2
-// joint range search) that counts neighbors for all its members at once
-// — the values of Ex-DPC's per-point range counts, one traversal per cell
-// instead of one per point (ablation A of bench_ablation times the two).
-// Like Ex-DPC's counts, the traversal stops at count blocks
-// (index/kdtree.h): a fringe subtree of <= KdTree::kCountBlock points is
-// one kernel sweep per member.
+// rho is exact: ExDpc::ComputeExactRho, the same one joint count per
+// kd-tree leaf that Ex-DPC runs. Approx-DPC no longer runs the paper's
+// per-cell §4.2 joint range search; the counts are exact integers, so
+// its outputs are unchanged (ablation A of bench_ablation times per-point,
+// per-cell and per-leaf counting and checks they agree).
 //
 // One spatial order per solve: the kd-tree is built on the solve's pool
 // first, and the grid is then built on the pool in the tree's leaf order
@@ -49,10 +47,8 @@
 // member is the cell's peak); and the peaks' nearest-denser search
 // accepts cell peaks only. Approx-DPC ignores epsilon.
 //
-// Phase timers: the per-cell peak election and snap run inside the rho
-// loop (a cell's members all get their rho from that cell's own
-// traversal), so DpcStats::rho_seconds includes the snap, and
-// delta_seconds is the peaks' search alone.
+// Phase timers: DpcStats::rho_seconds covers rho and the cell loop's
+// peak election and snap, and delta_seconds is the peaks' search alone.
 #ifndef DPC_CORE_APPROX_DPC_H_
 #define DPC_CORE_APPROX_DPC_H_
 
@@ -108,8 +104,8 @@ inline PointId ElectCellPeak(const PointSet& points,
 
 /// ElectCellPeak over every grid cell, serially; returns the peaks
 /// indexed by CellId (the grid's first-touch order). SolveImpl runs
-/// ElectCellPeak inside its rho loop instead; this loop is the reference
-/// tests and ablation C rebuild the peaks with.
+/// ElectCellPeak inside its pool cell loop instead; this loop is the
+/// reference tests and ablation C rebuild the peaks with.
 inline std::vector<PointId> ElectCellPeaks(const PointSet& points,
                                            const UniformGrid& grid,
                                            const std::vector<double>& rho,
@@ -177,10 +173,9 @@ class ApproxDpc : public DpcAlgorithm {
     result.stats.index_memory_bytes = tree.MemoryBytes() + grid.MemoryBytes();
     result.stats.build_seconds = phase.Lap();
 
-    // rho, then the cell's peak election and snap right here: every
-    // member's rho comes from its own cell. Approx-DPC counts exactly,
-    // one joint count-block traversal per cell; S-Approx-DPC counts once
-    // per cell, for its smallest-id member.
+    // rho — exact for Approx-DPC, counted once per cell for S-Approx-DPC
+    // inside the cell loop — then each cell's peak election and snap.
+    if (!s_approx_) ExDpc::ComputeExactRho(tree, compute.d_cut, exec, &result.rho);
     std::vector<PointId> peaks(static_cast<size_t>(grid.num_cells()), PointId{-1});
     ParallelFor(exec, grid.num_cells(), [&](int64_t begin, int64_t end) {
       for (CellId cell = begin; cell < end; ++cell) {
@@ -191,30 +186,6 @@ class ApproxDpc : public DpcAlgorithm {
               tree.RangeCount(points[m], compute.d_cut) - 1);
           for (const PointId i : members) {
             result.rho[static_cast<size_t>(i)] = rho_m;
-          }
-        } else {
-          // Per-thread scratch (pool workers persist): the members' tight
-          // bounding box — lo then hi, dim doubles each — and the counts.
-          // Both are fully overwritten per cell.
-          static thread_local std::vector<double> box;
-          static thread_local std::vector<PointId> counts;
-          box.assign(static_cast<size_t>(2 * dim), 0.0);
-          double* lo = box.data();
-          double* hi = box.data() + dim;
-          for (int d = 0; d < dim; ++d) {
-            lo[d] = std::numeric_limits<double>::infinity();
-            hi[d] = -std::numeric_limits<double>::infinity();
-          }
-          for (const PointId i : members) {
-            for (int d = 0; d < dim; ++d) {
-              lo[d] = std::min(lo[d], points[i][d]);
-              hi[d] = std::max(hi[d], points[i][d]);
-            }
-          }
-          tree.JointRangeCount(lo, hi, members, compute.d_cut, &counts);
-          for (size_t k = 0; k < members.size(); ++k) {
-            result.rho[static_cast<size_t>(members[k])] =
-                static_cast<double>(counts[k] - 1);  // self excluded
           }
         }
         peaks[static_cast<size_t>(cell)] = ElectCellPeak(

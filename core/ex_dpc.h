@@ -1,8 +1,12 @@
 // Ex-DPC: the paper's exact kd-tree algorithm (§3).
 //
-//   rho   — exact range count on the kd-tree (self excluded); each count
-//           sweeps whole count blocks (index/kdtree.h) instead of
-//           descending to leaves.
+//   rho   — exact range counts on the kd-tree (self excluded), grouped
+//           one joint count per kd-tree leaf (ComputeExactRho): the
+//           leaf's points share one traversal, tested against the box the
+//           tree stores for the leaf. The paper counts per point (§3);
+//           the counts are exact integers, so both give the same rho.
+//           Each traversal sweeps whole count blocks (index/kdtree.h)
+//           instead of descending to leaves.
 //   delta — exact nearest-denser-neighbor search: a kd-tree NN query that
 //           only accepts candidates ranking denser under DenserThan().
 //           The globally densest point gets delta = +inf.
@@ -12,15 +16,16 @@
 // (LabelSolution).
 //
 // The kd-tree is built on the solve's pool (KdTree::Build(points, exec),
-// the same tree as a serial build). Both per-point phases are
-// embarrassingly parallel over the immutable tree and run in the tree's
-// leaf order, so consecutive queries start from the same nodes and sweep
-// the same count blocks: ParallelFor grains over leaf positions. Each
-// point's slot is written exactly once, so results are thread-count
-// independent. Ex-DPC builds no grid.
+// the same tree as a serial build). Both phases are embarrassingly
+// parallel over the immutable tree and run in the tree's leaf order, so
+// consecutive queries start from the same nodes and sweep the same count
+// blocks: ParallelFor grains over leaf positions. Each point's slot is
+// written exactly once, so results are thread-count independent. Ex-DPC
+// builds no grid.
 #ifndef DPC_CORE_EX_DPC_H_
 #define DPC_CORE_EX_DPC_H_
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -55,16 +60,8 @@ class ExDpc : public DpcAlgorithm {
     tree.Build(points, exec);
     result.stats.build_seconds = phase.Lap();
     result.stats.index_memory_bytes = tree.MemoryBytes();
-    const std::vector<PointId>& order = tree.leaf_order();
 
-    // rho: range count minus the point itself, swept in count blocks.
-    ParallelFor(exec, n, [&](PointId begin, PointId end) {
-      for (PointId pos = begin; pos < end; ++pos) {
-        const PointId i = order[static_cast<size_t>(pos)];
-        result.rho[static_cast<size_t>(i)] =
-            static_cast<double>(tree.RangeCount(points[i], compute.d_cut) - 1);
-      }
-    });
+    ComputeExactRho(tree, compute.d_cut, exec, &result.rho);
     result.stats.rho_seconds = phase.Lap();
     if (internal::Interrupted(exec, &result)) {
       result.stats.total_seconds = total.Seconds();
@@ -73,7 +70,7 @@ class ExDpc : public DpcAlgorithm {
 
     // delta: exact nearest denser neighbor.
     ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
-                       &result.dependency, &order);
+                       &result.dependency, &tree.leaf_order());
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
     result.stats.total_seconds = total.Seconds();
@@ -81,6 +78,35 @@ class ExDpc : public DpcAlgorithm {
   }
 
  public:
+  /// Exact rho for every indexed point: its range count within d_cut,
+  /// itself excluded. One KdTree::JointRangeCount per leaf, on the leaf's
+  /// run of leaf_order() and its stored box. The loop runs over leaf-order
+  /// positions, not leaves — a slice counts the leaves that begin inside
+  /// it — so it goes to the pool once there are enough points, however
+  /// few leaves they fill. Approx-DPC computes its rho here too.
+  static void ComputeExactRho(const KdTree& tree, double d_cut,
+                              const ExecutionContext& exec,
+                              std::vector<double>* rho) {
+    const std::vector<PointId>& order = tree.leaf_order();
+    const std::vector<KdTree::Leaf> leaves = tree.Leaves();
+    rho->resize(order.size());
+    ParallelFor(exec, tree.size(), [&](PointId begin, PointId end) {
+      auto leaf = std::lower_bound(
+          leaves.begin(), leaves.end(), begin,
+          [](const KdTree::Leaf& l, PointId pos) { return l.begin < pos; });
+      PointId counts[KdTree::kLeafSize];
+      for (; leaf != leaves.end() && leaf->begin < end; ++leaf) {
+        const PointId* queries = order.data() + leaf->begin;
+        const size_t count = static_cast<size_t>(leaf->end - leaf->begin);
+        tree.JointRangeCount(queries, count, leaf->box, d_cut, counts);
+        for (size_t k = 0; k < count; ++k) {
+          (*rho)[static_cast<size_t>(queries[k])] =
+              static_cast<double>(counts[k] - 1);  // self excluded
+        }
+      }
+    });
+  }
+
   /// Exact delta/dependency for one point: the nearest neighbor ranking
   /// denser under DenserThan, among the candidates `keep` accepts (every
   /// point by default; S-Approx-DPC passes its is-peak mask, so its cell

@@ -8,7 +8,8 @@
 //     fuller cells;
 //   * rho is counted once per cell: the cell's smallest-id member m runs
 //     one kd-tree RangeCount(m, d_cut) - 1 and every member takes that
-//     value. The range counts fall from one per point to one per cell;
+//     value: one range count per cell instead of an exact count for
+//     every point;
 //   * only cell peaks run the nearest-denser search, and only cell peaks
 //     are its candidates (an is-peak mask on the rho kd-tree).
 //

@@ -1,10 +1,15 @@
-// Bulk-loaded kd-tree (Ex-DPC's index, paper §3). Supports the three
+// Bulk-loaded kd-tree (Ex-DPC's index, paper §3). Supports the four
 // queries the algorithms need:
 //
 //   * RangeCount   — |ball(q, r)|, with whole-subtree accounting: a node
 //                    whose bounding box lies entirely inside the ball
 //                    contributes its subtree size without visiting points
 //                    (this is what makes the rho phase subquadratic).
+//   * JointRangeCount — the paper's §4.2 joint range search: RangeCount
+//                    for a group of indexed points in one shared
+//                    traversal, tested against the group's bounding box.
+//                    Exact rho (ExDpc::ComputeExactRho) runs it once per
+//                    leaf, on the leaf's run and stored box (Leaves()).
 //   * RangeReport  — ids inside ball(q, r).
 //   * NearestAccepted — nearest neighbor among points satisfying a caller
 //                    predicate; used for the delta phase, where the
@@ -17,9 +22,9 @@
 // every subtree's points occupy a contiguous run of SoA positions and
 // point scans run on the batched kernels of core/kernels.h instead of
 // per-point scalar distance calls. Results are bit-identical to the
-// scalar loops (see core/kernels.h). Ex-DPC and the grid solvers also
-// schedule their per-point loops in leaf order, so consecutive queries
-// touch the same nodes and SoA runs.
+// scalar loops (see core/kernels.h). The solves also schedule their
+// per-point loops in leaf order, so consecutive queries touch the same
+// nodes and SoA runs.
 //
 // Count blocks: the two range counts (RangeCount, JointRangeCount) stop
 // descending at any subtree of <= kCountBlock points and sweep its whole
@@ -97,13 +102,23 @@ class KdTree {
   /// the spatial order the solves schedule their per-point loops by.
   const std::vector<PointId>& leaf_order() const { return perm_; }
 
-  /// The [begin, end) run of leaf_order() each leaf owns, in leaf order.
-  std::vector<std::pair<PointId, PointId>> LeafSpans() const {
-    std::vector<std::pair<PointId, PointId>> spans;
+  /// One leaf: its [begin, end) run of leaf_order() and the bounding box
+  /// the tree stores for it (lo then hi, dim doubles each).
+  struct Leaf {
+    PointId begin;
+    PointId end;
+    const double* box;
+  };
+
+  /// Every leaf, in leaf order: their runs tile leaf_order().
+  std::vector<Leaf> Leaves() const {
+    std::vector<Leaf> leaves;
     for (const Node& node : nodes_) {
-      if (node.left < 0) spans.emplace_back(node.begin, node.end);
+      if (node.left < 0) {
+        leaves.push_back({node.begin, node.end, boxes_.data() + node.box});
+      }
     }
-    return spans;
+    return leaves;
   }
 
   /// Number of points within distance r of q (q itself included when it
@@ -115,41 +130,21 @@ class KdTree {
     return count;
   }
 
-  /// RangeCount with one id excluded from the tally — the usual spelling
-  /// when q is itself an indexed point.
-  PointId RangeCount(const double* q, double r, PointId exclude) const {
-    PointId count = RangeCount(q, r);
-    if (exclude >= 0 && exclude < size() &&
-        SquaredDistance(q, (*points_)[exclude], dim_) <= r * r) {
-      --count;
-    }
-    return count;
-  }
-
-  /// Nearest indexed point to q other than `exclude` (-1 accepts all);
-  /// *out_dist (optional) receives the distance.
-  PointId Nearest(const double* q, PointId exclude = -1,
-                  double* out_dist = nullptr) const {
-    return NearestAccepted(
-        q, [exclude](PointId id) { return id != exclude; }, out_dist);
-  }
-
-  /// The paper's §4.2 joint range search: counts, for every query id in
-  /// `queries` (members of the indexed set), the points within distance
-  /// r — one shared traversal per call instead of one per query. The
-  /// caller passes the queries' bounding box (lo/hi, dim doubles each;
-  /// for Approx-DPC, a grid cell's member box): subtrees entirely within
-  /// r of the whole box are counted wholesale for every query, subtrees
-  /// farther than r from the box are skipped for every query, and only
-  /// the fringe does per-pair work. (*counts)[k] receives
-  /// |ball(queries[k], r)|, the query point itself included — exactly
-  /// what per-point RangeCount would return.
-  void JointRangeCount(const double* lo, const double* hi,
-                       const std::vector<PointId>& queries, double r,
-                       std::vector<PointId>* counts) const {
-    counts->assign(queries.size(), 0);
-    if (nodes_.empty() || queries.empty()) return;
-    JointCountRec(0, lo, hi, queries, r * r, counts);
+  /// The paper's §4.2 joint range search: counts, for each of the `count`
+  /// ids at `queries` (members of the indexed set), the points within
+  /// distance r — one shared traversal for the group instead of one per
+  /// query. `box` (lo then hi, dim doubles each) must contain every
+  /// query; a leaf's run of leaf_order() and its stored box (Leaves())
+  /// are such a group. Subtrees entirely within r of the whole box are
+  /// counted wholesale for every query, subtrees farther than r from the
+  /// box are skipped for every query, and only the fringe does per-pair
+  /// work. counts[k] receives |ball(queries[k], r)|, the query point
+  /// itself included — exactly what RangeCount would return.
+  void JointRangeCount(const PointId* queries, size_t count, const double* box,
+                       double r, PointId* counts) const {
+    std::fill(counts, counts + count, PointId{0});
+    if (nodes_.empty() || count == 0) return;
+    JointCountRec(0, box, box + dim_, queries, count, r * r, counts);
   }
 
   /// Appends the ids of all points within distance r of q to *out.
@@ -399,27 +394,27 @@ class KdTree {
   }
 
   void JointCountRec(int32_t ni, const double* qlo, const double* qhi,
-                     const std::vector<PointId>& queries, double r_sq,
-                     std::vector<PointId>* counts) const {
+                     const PointId* queries, size_t count, double r_sq,
+                     PointId* counts) const {
     const Node& node = nodes_[static_cast<size_t>(ni)];
     if (MinSqBoxToBox(node, qlo, qhi) > r_sq) return;
     if (MaxSqBoxToBox(node, qlo, qhi) <= r_sq) {
       const PointId subtree = node.end - node.begin;
-      for (PointId& count : *counts) count += subtree;
+      for (size_t k = 0; k < count; ++k) counts[k] += subtree;
       return;
     }
     if (node.end - node.begin <= kCountBlock) {
       // Fringe count block: one kernel sweep over the subtree's
       // contiguous SoA run per query (the ball test is symmetric).
-      for (size_t k = 0; k < queries.size(); ++k) {
-        (*counts)[k] += kernels::RangeCountBatch(
+      for (size_t k = 0; k < count; ++k) {
+        counts[k] += kernels::RangeCountBatch(
             soa_, node.begin, node.end - node.begin, (*points_)[queries[k]],
             r_sq);
       }
       return;
     }
-    JointCountRec(node.left, qlo, qhi, queries, r_sq, counts);
-    JointCountRec(node.right, qlo, qhi, queries, r_sq, counts);
+    JointCountRec(node.left, qlo, qhi, queries, count, r_sq, counts);
+    JointCountRec(node.right, qlo, qhi, queries, count, r_sq, counts);
   }
 
   void CountRec(int32_t ni, const double* q, double r_sq, PointId* count) const {

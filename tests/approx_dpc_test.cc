@@ -33,8 +33,8 @@ int main() {
   const dpc::test::Clustering ex = dpc::test::Cluster(ex_dpc, points, params);
   const dpc::test::Clustering ap = dpc::test::Cluster(approx_dpc, points, params);
 
-  // rho is exact in both algorithms — Approx-DPC's joint range search
-  // (§4.2) reproduces Ex-DPC's per-point counts — so it must agree bitwise.
+  // rho is exact in both algorithms — both count it one joint traversal
+  // per kd-tree leaf (ExDpc::ComputeExactRho) — so it must agree bitwise.
   CHECK(ex.solution.rho == ap.solution.rho);
 
   // Approx-DPC's headline property: the same centers as Ex-DPC.

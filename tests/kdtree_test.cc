@@ -1,21 +1,25 @@
 // kd-tree vs brute force: range count, range report, and
 // nearest-accepted-neighbor on random point sets across dimensions; the
 // count-block traversals (RangeCount, JointRangeCount) around the block
-// size and on lattice points lying exactly on the ball boundary; the
-// nearest search's ties and seeded bounds on the same lattices; the
-// leaf order the solves schedule by; and the pool build, which must
-// reproduce the serial tree exactly.
+// size and on lattice points lying exactly on the ball boundary; exact
+// rho, one joint count per leaf (ExDpc::ComputeExactRho), for every point
+// at 1 and 4 threads; the nearest search's ties and seeded bounds on the
+// same lattices; the leaves and leaf order the solves schedule by; and
+// the pool build, which must reproduce the serial tree exactly.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <vector>
 
 #include "core/dpc.h"
+#include "core/ex_dpc.h"
 #include "core/rng.h"
 #include "index/kdtree.h"
 #include "parallel/execution_context.h"
+#include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "tests/test_util.h"
 
@@ -97,24 +101,23 @@ dpc::PointId BruteCount(const dpc::PointSet& points, const double* q,
   return count;
 }
 
-/// JointRangeCount over `queries`, given their tight member box the way
-/// Approx-DPC builds it for a grid cell, against per-query brute force.
+/// JointRangeCount over `queries`, given their tight bounding box, against
+/// per-query brute force.
 void CheckJoint(const dpc::KdTree& tree, const dpc::PointSet& points,
                 const std::vector<dpc::PointId>& queries, double r) {
-  const int dim = points.dim();
-  std::vector<double> lo(static_cast<size_t>(dim),
-                         std::numeric_limits<double>::infinity());
-  std::vector<double> hi(static_cast<size_t>(dim),
-                         -std::numeric_limits<double>::infinity());
+  const size_t dim = static_cast<size_t>(points.dim());
+  std::vector<double> box(2 * dim);  // lo then hi
+  std::fill(box.begin(), box.begin() + dim, std::numeric_limits<double>::infinity());
+  std::fill(box.begin() + dim, box.end(), -std::numeric_limits<double>::infinity());
   for (const dpc::PointId i : queries) {
-    for (int d = 0; d < dim; ++d) {
-      lo[static_cast<size_t>(d)] = std::min(lo[static_cast<size_t>(d)], points[i][d]);
-      hi[static_cast<size_t>(d)] = std::max(hi[static_cast<size_t>(d)], points[i][d]);
+    for (size_t d = 0; d < dim; ++d) {
+      box[d] = std::min(box[d], points[i][d]);
+      box[dim + d] = std::max(box[dim + d], points[i][d]);
     }
   }
-  std::vector<dpc::PointId> counts;
-  tree.JointRangeCount(lo.data(), hi.data(), queries, r, &counts);
-  CHECK_EQ(counts.size(), queries.size());
+  std::vector<dpc::PointId> counts(queries.size(), -1);
+  tree.JointRangeCount(queries.data(), queries.size(), box.data(), r,
+                       counts.data());
   for (size_t k = 0; k < queries.size(); ++k) {
     CHECK_EQ(counts[k], BruteCount(points, points[queries[k]], r));
   }
@@ -133,7 +136,6 @@ void CheckCounts(const dpc::KdTree& tree, const dpc::PointSet& points,
       const dpc::PointId i = static_cast<dpc::PointId>(rng.NextBelow(n));
       const dpc::PointId brute = BruteCount(points, points[i], r);
       CHECK_EQ(tree.RangeCount(points[i], r), brute);
-      CHECK_EQ(tree.RangeCount(points[i], r, i), brute - 1);
       for (int d = 0; d < dim; ++d) {
         q[static_cast<size_t>(d)] = points[i][d] + rng.Uniform(-0.5, 0.5);
       }
@@ -195,6 +197,10 @@ dpc::PointSet LatticePoints(int dim) {
   return points;
 }
 
+/// Integer radii for the lattices: r * r is exact and many lattice points
+/// sit exactly at distance r from one another.
+constexpr double kLatticeRadii[] = {1.0, 2.0, 3.0, 5.0, 10.0};
+
 /// Integer lattices with integer radii: r * r is exact and many points sit
 /// exactly at distance r, so a `<` where `<=` belongs (in a block sweep or
 /// a whole-subtree test) changes the counts.
@@ -204,7 +210,8 @@ void TestLatticeBoundary() {
     const dpc::PointId n = points.size();
     dpc::KdTree tree;
     tree.Build(points);
-    const std::vector<double> radii = {1.0, 2.0, 3.0, 5.0, 10.0};
+    const std::vector<double> radii(std::begin(kLatticeRadii),
+                                    std::end(kLatticeRadii));
     // The fixture is only meaningful if boundary points exist.
     dpc::PointId on_boundary = 0;
     for (const double r : radii) {
@@ -214,6 +221,52 @@ void TestLatticeBoundary() {
     }
     CHECK(on_boundary > 0);
     CheckCounts(tree, points, radii, 77 + static_cast<uint64_t>(dim));
+  }
+}
+
+/// ExDpc::ComputeExactRho against brute force for every point and each
+/// radius, at 1 and 4 threads. Each input holds enough points for
+/// ParallelFor to use the pool but too few leaves for that, so the loop
+/// over leaf-order positions runs pooled where a loop over leaves would
+/// run inline.
+void CheckExactRho(const dpc::PointSet& points,
+                   const std::vector<double>& radii) {
+  const dpc::PointId n = points.size();
+  dpc::KdTree tree;
+  tree.Build(points);
+  CHECK(n >= dpc::internal::kMinParallelIterations);
+  CHECK(static_cast<int64_t>(tree.Leaves().size()) <
+        dpc::internal::kMinParallelIterations);
+  std::vector<std::vector<double>> brute(
+      radii.size(), std::vector<double>(static_cast<size_t>(n), 0.0));
+  for (dpc::PointId i = 0; i < n; ++i) {
+    for (dpc::PointId j = 0; j < n; ++j) {
+      if (j == i) continue;
+      const double d_sq = dpc::SquaredDistance(points[i], points[j], points.dim());
+      for (size_t k = 0; k < radii.size(); ++k) {
+        if (d_sq <= radii[k] * radii[k]) ++brute[k][static_cast<size_t>(i)];
+      }
+    }
+  }
+  for (const int threads : {1, 4}) {
+    const dpc::ExecutionContext exec(threads,
+                                     std::make_shared<dpc::ThreadPool>(threads));
+    for (size_t k = 0; k < radii.size(); ++k) {
+      std::vector<double> rho;
+      dpc::ExDpc::ComputeExactRho(tree, radii[k], exec, &rho);
+      CHECK(rho == brute[k]);
+    }
+  }
+}
+
+/// Random points (3000 in 128 leaves) at the count-block radii, and the
+/// lattices at their boundary radii.
+void TestExactRho() {
+  for (const int dim : {2, 7}) {
+    CheckExactRho(RandomPoints(dim, 3000, 8800 + static_cast<uint64_t>(dim)),
+                  {5.0, 40.0, 150.0, 2000.0});
+    CheckExactRho(LatticePoints(dim),
+                  {std::begin(kLatticeRadii), std::end(kLatticeRadii)});
   }
 }
 
@@ -305,8 +358,10 @@ void TestLatticeNearest() {
 /// The leaf order is a permutation of [0, n), and the leaves' runs tile
 /// it: each leaf owns one contiguous [begin, end) of at most kLeafSize
 /// positions, in leaf order, and every position belongs to one leaf.
-void CheckLeafOrder(const dpc::KdTree& tree) {
+/// Each leaf's stored box is the tight box of its points.
+void CheckLeafOrder(const dpc::KdTree& tree, const dpc::PointSet& points) {
   const dpc::PointId n = tree.size();
+  const int dim = points.dim();
   const std::vector<dpc::PointId>& order = tree.leaf_order();
   CHECK_EQ(static_cast<dpc::PointId>(order.size()), n);
   std::vector<int> seen(static_cast<size_t>(n), 0);
@@ -316,22 +371,46 @@ void CheckLeafOrder(const dpc::KdTree& tree) {
   }
   for (const int count : seen) CHECK_EQ(count, 1);
   dpc::PointId next = 0;
-  for (const auto& [begin, end] : tree.LeafSpans()) {
-    CHECK_EQ(begin, next);
-    CHECK(end > begin && end - begin <= dpc::KdTree::kLeafSize);
-    next = end;
+  for (const dpc::KdTree::Leaf& leaf : tree.Leaves()) {
+    CHECK_EQ(leaf.begin, next);
+    CHECK(leaf.end > leaf.begin && leaf.end - leaf.begin <= dpc::KdTree::kLeafSize);
+    next = leaf.end;
+    for (int d = 0; d < dim; ++d) {
+      double lo = std::numeric_limits<double>::infinity();
+      double hi = -std::numeric_limits<double>::infinity();
+      for (dpc::PointId pos = leaf.begin; pos < leaf.end; ++pos) {
+        lo = std::min(lo, points[order[static_cast<size_t>(pos)]][d]);
+        hi = std::max(hi, points[order[static_cast<size_t>(pos)]][d]);
+      }
+      CHECK_EQ(leaf.box[d], lo);
+      CHECK_EQ(leaf.box[dim + d], hi);
+    }
   }
   CHECK_EQ(next, n);
 }
 
+/// The same leaves: equal runs and equal stored boxes.
+bool SameLeaves(const dpc::KdTree& a, const dpc::KdTree& b, int dim) {
+  const std::vector<dpc::KdTree::Leaf> la = a.Leaves();
+  const std::vector<dpc::KdTree::Leaf> lb = b.Leaves();
+  if (la.size() != lb.size()) return false;
+  for (size_t k = 0; k < la.size(); ++k) {
+    if (la[k].begin != lb[k].begin || la[k].end != lb[k].end ||
+        !std::equal(la[k].box, la[k].box + 2 * dim, lb[k].box)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// The pool build must be the serial tree node for node: same leaf
-/// order, same reports in the same order, same nearest answers, same
-/// memory.
+/// order, same leaves, same reports in the same order, same nearest
+/// answers, same memory.
 void CheckSameTree(const dpc::PointSet& points) {
   const int dim = points.dim();
   dpc::KdTree serial;
   serial.Build(points);
-  CheckLeafOrder(serial);
+  CheckLeafOrder(serial, points);
   for (const int threads : {1, 2, 3, 8}) {
     const dpc::ExecutionContext exec(threads,
                                      std::make_shared<dpc::ThreadPool>(threads));
@@ -339,9 +418,9 @@ void CheckSameTree(const dpc::PointSet& points) {
     pooled.Build(points, exec);
     CHECK_EQ(pooled.size(), serial.size());
     CHECK_EQ(pooled.MemoryBytes(), serial.MemoryBytes());
-    CheckLeafOrder(pooled);
+    CheckLeafOrder(pooled, points);
     CHECK(pooled.leaf_order() == serial.leaf_order());
-    CHECK(pooled.LeafSpans() == serial.LeafSpans());
+    CHECK(SameLeaves(pooled, serial, dim));
     if (points.size() == 0) continue;
     dpc::Rng rng(31 + static_cast<uint64_t>(threads));
     for (int trial = 0; trial < 200; ++trial) {
@@ -379,6 +458,7 @@ int main() {
   for (const int dim : {1, 2, 3, 5, 8}) TestDim(dim);
   TestCountBlocks();
   TestLatticeBoundary();
+  TestExactRho();
   TestLatticeNearest();
   TestPoolBuild();
 
@@ -388,6 +468,9 @@ int main() {
   tree.Build(empty);
   const double origin[2] = {0.0, 0.0};
   CHECK_EQ(tree.RangeCount(origin, 10.0), 0);
+  std::vector<double> rho;
+  dpc::ExDpc::ComputeExactRho(tree, 10.0, dpc::ExecutionContext(2), &rho);
+  CHECK(rho.empty());
 
   std::printf("kdtree_test OK\n");
   return 0;
