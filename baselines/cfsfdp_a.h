@@ -66,7 +66,6 @@ class CfsfdpA : public DpcAlgorithm {
                         std::numeric_limits<double>::infinity());
     result.dependency.assign(static_cast<size_t>(n), PointId{-1});
 
-    internal::WallTimer total;
     internal::WallTimer phase;
     const double sample_rate = options_.sample_rate;
     const uint64_t seed = static_cast<uint64_t>(options_.sample_seed);
@@ -114,16 +113,12 @@ class CfsfdpA : public DpcAlgorithm {
       }
     });
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
-      result.stats.total_seconds = total.Seconds();
-      return result;
-    }
+    if (internal::Interrupted(exec, &result)) return result;
 
     internal::QuadraticDeltas(points, soa, result.rho, exec, &result.delta,
                               &result.dependency);
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
-    result.stats.total_seconds = total.Seconds();
     return result;
   }
 

@@ -72,7 +72,6 @@ class LshDdp : public DpcAlgorithm {
                         std::numeric_limits<double>::infinity());
     result.dependency.assign(static_cast<size_t>(n), PointId{-1});
 
-    internal::WallTimer total;
     internal::WallTimer phase;
     LshParams lsh_params;
     lsh_params.num_tables = options_.num_tables;
@@ -125,10 +124,7 @@ class LshDdp : public DpcAlgorithm {
       }
     });
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
-      result.stats.total_seconds = total.Seconds();
-      return result;
-    }
+    if (internal::Interrupted(exec, &result)) return result;
 
     // Local delta; collect local maxima for the exact refinement round.
     std::vector<uint8_t> needs_refine(static_cast<size_t>(n), 0);
@@ -176,7 +172,6 @@ class LshDdp : public DpcAlgorithm {
                               &result.dependency, &refine);
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
-    result.stats.total_seconds = total.Seconds();
     return result;
   }
 

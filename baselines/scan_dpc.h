@@ -113,7 +113,6 @@ class ScanDpc : public DpcAlgorithm {
                         std::numeric_limits<double>::infinity());
     result.dependency.assign(static_cast<size_t>(n), PointId{-1});
 
-    internal::WallTimer total;
     internal::WallTimer phase;
     // No index — only the transposed hot-path view, charged like one.
     const PointSetSoA soa(points);
@@ -136,16 +135,12 @@ class ScanDpc : public DpcAlgorithm {
       }
     });
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
-      result.stats.total_seconds = total.Seconds();
-      return result;
-    }
+    if (internal::Interrupted(exec, &result)) return result;
 
     internal::QuadraticDeltas(points, soa, result.rho, exec, &result.delta,
                               &result.dependency);
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
-    result.stats.total_seconds = total.Seconds();
     return result;
   }
 };
@@ -164,7 +159,6 @@ class RtreeScanDpc : public DpcAlgorithm {
                         std::numeric_limits<double>::infinity());
     result.dependency.assign(static_cast<size_t>(n), PointId{-1});
 
-    internal::WallTimer total;
     internal::WallTimer phase;
     RTree tree(points);
     // Identity-order view for the quadratic dependent pass (the tree's
@@ -180,16 +174,12 @@ class RtreeScanDpc : public DpcAlgorithm {
       }
     });
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
-      result.stats.total_seconds = total.Seconds();
-      return result;
-    }
+    if (internal::Interrupted(exec, &result)) return result;
 
     internal::QuadraticDeltas(points, soa, result.rho, exec, &result.delta,
                               &result.dependency);
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
-    result.stats.total_seconds = total.Seconds();
     return result;
   }
 };

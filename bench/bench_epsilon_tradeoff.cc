@@ -44,7 +44,7 @@ double MedianSolveSeconds(dpc::DpcAlgorithm& algo, const dpc::PointSet& points,
   dpc::DpcSolution solution;
   for (int r = 0; r < kRepeats; ++r) {
     solution = algo.Solve(points, p.compute(), ctx);
-    seconds.push_back(solution.stats.total_seconds);
+    seconds.push_back(solution.compute_cost_seconds);
   }
   *out = dpc::LabelSolution(solution, p.threshold());
   std::sort(seconds.begin(), seconds.end());

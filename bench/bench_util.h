@@ -190,7 +190,7 @@ inline bool IsQuadratic(AlgoId id) {
 /// quadratic algorithms the input is capped at cfg.QuadraticCap() and the
 /// measured time is scaled by (n/capped)^2 to give an honest estimate —
 /// the printout marks such rows with '~'. The time is the solve's
-/// (solution.stats.total_seconds); the O(n) label pass is not in it.
+/// (solution.compute_cost_seconds); the O(n) label pass is not in it.
 struct TimedRun {
   DpcSolution solution;
   Labeling labeling;
@@ -221,7 +221,7 @@ inline TimedRun RunTimed(AlgoId id, const Workload& w, const eval::BenchConfig& 
   const double ratio =
       out.extrapolated ? static_cast<double>(n) / static_cast<double>(out.n_used)
                        : 1.0;
-  out.seconds = out.solution.stats.total_seconds * ratio * ratio;
+  out.seconds = out.solution.compute_cost_seconds * ratio * ratio;
   return out;
 }
 

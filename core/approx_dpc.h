@@ -161,7 +161,6 @@ class ApproxDpc : public DpcAlgorithm {
                         std::numeric_limits<double>::infinity());
     result.dependency.assign(static_cast<size_t>(n), PointId{-1});
 
-    internal::WallTimer total;
     internal::WallTimer phase;
     KdTree tree;
     tree.Build(points, exec);
@@ -193,10 +192,7 @@ class ApproxDpc : public DpcAlgorithm {
       }
     });
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
-      result.stats.total_seconds = total.Seconds();
-      return result;
-    }
+    if (internal::Interrupted(exec, &result)) return result;
 
     // delta: the peaks alone take the nearest-denser search on the rho
     // tree — over every point, or over the cell peaks for S-Approx-DPC.
@@ -214,7 +210,6 @@ class ApproxDpc : public DpcAlgorithm {
     }
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
-    result.stats.total_seconds = total.Seconds();
     return result;
   }
 

@@ -45,7 +45,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/hash.h"
 #include "core/rng.h"
 #include "core/status.h"
 #include "parallel/execution_context.h"
@@ -110,19 +109,6 @@ class PointSet {
   int dim_;
   std::vector<double> coords_;
 };
-
-/// Content hash of a point set: two sets fingerprint equal iff they hold
-/// the same coordinates in the same order at the same dimensionality.
-/// Identifies the input a DpcSolution was computed from — and keys the
-/// serving layer's caches — without retaining the points themselves.
-inline uint64_t FingerprintPoints(const PointSet& points) {
-  const int32_t dim = points.dim();
-  const int64_t n = points.size();
-  uint64_t h = Fnv1aBytes(&dim, sizeof(dim));
-  h = Fnv1aBytes(&n, sizeof(n), h);
-  return Fnv1aBytes(points.raw().data(), points.raw().size() * sizeof(double),
-                    h);
-}
 
 inline double SquaredDistance(const double* a, const double* b, int dim) {
   double s = 0.0;
@@ -202,7 +188,6 @@ struct DpcStats {
   double build_seconds = 0.0;  ///< index (kd-tree / grid) construction
   double rho_seconds = 0.0;    ///< local-density phase
   double delta_seconds = 0.0;  ///< dependent-distance phase
-  double total_seconds = 0.0;
   size_t index_memory_bytes = 0;
   /// True when the run stopped early because the ExecutionContext's
   /// deadline passed or RequestCancel() was called; every label is
@@ -253,13 +238,13 @@ inline std::vector<PointId> DensityOrder(const std::vector<double>& rho) {
 }
 
 /// The compute phase's reusable artifact: everything the expensive
-/// phases produced, plus the metadata that identifies which (points,
-/// algorithm, compute params) it answers for and what it cost. Any
-/// ThresholdSpec can be applied to it with LabelSolution at O(n) — the
-/// paper's decision-graph workflow.
+/// phases produced, plus the algorithm and compute params it ran under
+/// and what it cost. The input's identity is the caller's to keep (the
+/// serving layer keys its caches by the registry's content fingerprint).
+/// Any ThresholdSpec can be applied to it with LabelSolution at O(n) —
+/// the paper's decision-graph workflow.
 struct DpcSolution {
   std::string algorithm;            ///< producing DpcAlgorithm::name()
-  uint64_t points_fingerprint = 0;  ///< FingerprintPoints of the input
   ComputeParams compute;            ///< params the phases ran under
 
   std::vector<double> rho;          ///< local density per point
@@ -270,8 +255,9 @@ struct DpcSolution {
   std::vector<PointId> density_order;
 
   DpcStats stats;  ///< compute phases only
-  /// Wall cost of producing this solution (build + rho + delta) — what a
-  /// cache gives back per hit, and what cost-aware eviction weighs.
+  /// Wall cost of producing this solution (build + rho + delta, whose
+  /// laps tile the algorithm body) — what a cache gives back per hit,
+  /// and what cost-aware eviction weighs.
   double compute_cost_seconds = 0.0;
 
   PointId size() const { return static_cast<PointId>(rho.size()); }
@@ -323,10 +309,6 @@ inline void LabelWithOrder(const std::vector<double>& rho,
 class WallTimer {
  public:
   WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  double Seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-        .count();
-  }
   double Lap() {
     const auto now = std::chrono::steady_clock::now();
     const double s = std::chrono::duration<double>(now - start_).count();
@@ -401,21 +383,15 @@ class DpcAlgorithm {
   /// The compute phase: produces this algorithm's DpcSolution (rho /
   /// delta / dependency + metadata). The ExecutionContext carries the
   /// execution policy (thread pool, parallelism degree,
-  /// deadline/cancellation). Callers that already hold the
-  /// input's content fingerprint (the serving layer's dataset registry)
-  /// pass it to skip the O(n·dim) re-hash; 0 means "compute it here".
+  /// deadline/cancellation).
   DpcSolution Solve(const PointSet& points, const ComputeParams& compute,
-                    const ExecutionContext& ctx,
-                    uint64_t points_fingerprint = 0) {
+                    const ExecutionContext& ctx) {
     obs::Trace* const trace = ctx.trace();
     const uint64_t solve_start_ns = trace != nullptr ? obs::Trace::NowNs() : 0;
     DpcSolution solution = SolveImpl(points, compute, ctx);
     const uint64_t impl_end_ns = trace != nullptr ? obs::Trace::NowNs() : 0;
     solution.algorithm = std::string(name());
     solution.compute = compute;
-    solution.points_fingerprint = points_fingerprint != 0
-                                      ? points_fingerprint
-                                      : FingerprintPoints(points);
     solution.compute_cost_seconds = solution.stats.build_seconds +
                                     solution.stats.rho_seconds +
                                     solution.stats.delta_seconds;
@@ -425,9 +401,9 @@ class DpcAlgorithm {
     if (trace != nullptr) {
       internal::RecordSolvePhaseSpans(trace, ctx.span_parent(), solve_start_ns,
                                       solution.stats);
-      // The metadata stamping above (fingerprint hash when not provided,
-      // density-order sort) is real wall time too; spanning it keeps the
-      // children of a "solve" span summing to its wall.
+      // The stamping above (the density-order sort) is real wall time
+      // too; spanning it keeps the children of a "solve" span summing to
+      // its wall.
       trace->RecordComplete("solve/stamp", ctx.span_parent(), impl_end_ns,
                             obs::Trace::NowNs());
     }
@@ -437,7 +413,7 @@ class DpcAlgorithm {
  protected:
   /// Algorithm body: fill rho/delta/dependency and the phase stats
   /// (ctx.threads() is the resolved degree); Solve stamps the metadata
-  /// (name, fingerprint, compute params, cost, density order) afterward.
+  /// (name, compute params, cost, density order) afterward.
   virtual DpcSolution SolveImpl(const PointSet& points,
                                 const ComputeParams& compute,
                                 const ExecutionContext& ctx) = 0;

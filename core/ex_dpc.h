@@ -54,7 +54,6 @@ class ExDpc : public DpcAlgorithm {
                         std::numeric_limits<double>::infinity());
     result.dependency.assign(static_cast<size_t>(n), PointId{-1});
 
-    internal::WallTimer total;
     internal::WallTimer phase;
     KdTree tree;
     tree.Build(points, exec);
@@ -63,17 +62,13 @@ class ExDpc : public DpcAlgorithm {
 
     ComputeExactRho(tree, compute.d_cut, exec, &result.rho);
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
-      result.stats.total_seconds = total.Seconds();
-      return result;
-    }
+    if (internal::Interrupted(exec, &result)) return result;
 
     // delta: exact nearest denser neighbor.
     ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
                        &result.dependency, &tree.leaf_order());
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
-    result.stats.total_seconds = total.Seconds();
     return result;
   }
 

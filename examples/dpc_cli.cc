@@ -321,7 +321,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(points.size()), points.dim(),
               dpc::eval::ToString(summary).c_str());
   std::printf("time: total %.3fs (build %.3f, rho %.3f, delta %.3f)\n",
-              solution.stats.total_seconds, solution.stats.build_seconds,
+              solution.compute_cost_seconds, solution.stats.build_seconds,
               solution.stats.rho_seconds, solution.stats.delta_seconds);
 
   if (args.halo) {

@@ -57,7 +57,7 @@ int main() {
               static_cast<long long>(summary.largest_cluster));
   std::printf("phases [s]     : build=%.3f rho=%.3f delta=%.3f (total %.3f)\n",
               solution.stats.build_seconds, solution.stats.rho_seconds,
-              solution.stats.delta_seconds, solution.stats.total_seconds);
+              solution.stats.delta_seconds, solution.compute_cost_seconds);
   std::printf("index memory   : %.1f MB\n",
               static_cast<double>(solution.stats.index_memory_bytes) / (1024.0 * 1024.0));
 

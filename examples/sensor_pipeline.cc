@@ -36,7 +36,7 @@ int main() {
   const dpc::DpcSolution exact = dpc::ExDpc().Solve(feed, params.compute(), ctx);
   const dpc::Labeling ground = dpc::LabelSolution(exact, params.threshold());
   std::printf("exact reference (Ex-DPC): %lld clusters, %.2f s\n\n",
-              static_cast<long long>(ground.num_clusters()), exact.stats.total_seconds);
+              static_cast<long long>(ground.num_clusters()), exact.compute_cost_seconds);
 
   std::printf("%-6s %-10s %-10s %-10s %-10s\n", "eps", "clusters", "noise",
               "time[s]", "RandIdx");
@@ -49,7 +49,7 @@ int main() {
     std::printf("%-6.1f %-10lld %-10lld %-10.3f %-10.4f\n", eps,
                 static_cast<long long>(s.num_clusters),
                 static_cast<long long>(s.num_noise + s.num_unassigned),
-                solution.stats.total_seconds,
+                solution.compute_cost_seconds,
                 dpc::eval::RandIndex(r.label, ground.label));
   }
 

@@ -4,9 +4,9 @@
 // request keeps its points alive even if the handle is replaced or
 // unregistered mid-run.
 //
-// The fingerprint is a content hash (core/dpc.h FingerprintPoints —
-// FNV-1a over dim, cardinality, and the raw coordinate bytes), not a
-// handle hash: it keys the solution cache (serve/solution_cache.h), so
+// The fingerprint is a content hash (FingerprintPoints below — FNV-1a
+// over dim, cardinality, and the raw coordinate bytes), not a handle
+// hash: it keys the solution cache (serve/solution_cache.h), so
 // re-registering byte-identical points — or the same points under a
 // different name — keeps every cached solution valid, while any
 // coordinate change invalidates exactly the stale entries.
@@ -20,14 +20,26 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/hash.h"
 #include "core/dpc.h"
 #include "core/status.h"
 
-namespace dpc::serve {
+namespace dpc {
 
-/// The content hash lives in core now (it identifies DpcSolutions, not
-/// just registered datasets); re-exported here for serve/ callers.
-using dpc::FingerprintPoints;
+/// Content hash of a point set: two sets fingerprint equal iff they hold
+/// the same coordinates in the same order at the same dimensionality.
+/// Identifies a registered dataset — and keys the serving layer's caches
+/// and store — without retaining the points themselves.
+inline uint64_t FingerprintPoints(const PointSet& points) {
+  const int32_t dim = points.dim();
+  const int64_t n = points.size();
+  uint64_t h = Fnv1aBytes(&dim, sizeof(dim));
+  h = Fnv1aBytes(&n, sizeof(n), h);
+  return Fnv1aBytes(points.raw().data(), points.raw().size() * sizeof(double),
+                    h);
+}
+
+namespace serve {
 
 /// An immutable registered dataset. Held by shared_ptr: the registry owns
 /// one reference, every in-flight request that resolved the handle owns
@@ -80,6 +92,7 @@ class DatasetRegistry {
       datasets_;
 };
 
-}  // namespace dpc::serve
+}  // namespace serve
+}  // namespace dpc
 
 #endif  // DPC_SERVE_DATASET_REGISTRY_H_

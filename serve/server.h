@@ -643,9 +643,8 @@ class ClusterServer {
     obs::ScopedSpan solve_span(trace.get(), "solve", request_span_id);
     if (trace != nullptr) ctx = ctx.WithTrace(trace, solve_span.id());
     const auto run_start = std::chrono::steady_clock::now();
-    DpcSolution solution = algo.Solve(dataset.points,
-                                      s.request.params.compute(), ctx,
-                                      dataset.fingerprint);
+    DpcSolution solution =
+        algo.Solve(dataset.points, s.request.params.compute(), ctx);
     solve_span.End();
     running_.fetch_sub(1, std::memory_order_relaxed);
     lease->Release();
@@ -667,7 +666,7 @@ class ClusterServer {
     {
       obs::ScopedSpan insert_span(trace.get(), "cache-insert",
                                   request_span_id);
-      cache_.Insert(key, shared, shared->compute_cost_seconds);
+      cache_.Insert(key, shared);
     }
     // Label through the cache so this first threshold is memoized and
     // later identical requests alias the same immutable labeling; the

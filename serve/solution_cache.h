@@ -79,9 +79,8 @@ inline std::string MakeSolutionKey(uint64_t dataset_fingerprint,
   return buf + algorithm + '|' + CanonicalOptionsString(options);
 }
 
-/// The label-tier key within one solution entry. The halo flag is not
-/// part of it: halo derivation happens downstream of labels and never
-/// changes them.
+/// The label-tier key within one solution entry: the two thresholds,
+/// which are all of a ThresholdSpec.
 inline std::string MakeThresholdKey(const ThresholdSpec& spec) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g|%.17g", spec.rho_min, spec.delta_min);
@@ -207,15 +206,15 @@ class SolutionCache {
     return labeling;
   }
 
-  /// Caches the solution under key with the given eviction cost
-  /// (typically DpcSolution::compute_cost_seconds). Writes through to
-  /// the store first (durability does not depend on residency), then
+  /// Caches the solution under key, weighted for eviction by its
+  /// compute_cost_seconds. Writes through to the store first (durability does not depend on residency), then
   /// admits the entry to memory, evicting minimum-credit entries until
   /// its serialized size fits the byte budget. Re-inserting an existing
   /// key refreshes its value, cost, and credit, and drops (and uncharges)
   /// its stale label memo.
   void Insert(const std::string& key,
-              std::shared_ptr<const DpcSolution> solution, double cost) {
+              std::shared_ptr<const DpcSolution> solution) {
+    double cost = solution->compute_cost_seconds;
     if (cost < 0.0) cost = 0.0;
     if (store_ != nullptr && !solution->interrupted()) {
       // Write-through; a store I/O failure degrades durability, never

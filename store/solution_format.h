@@ -3,19 +3,22 @@
 //
 // Layout (little-endian, raw doubles, same idiom as data/io.h SaveBinary):
 //
-//   magic[4] = "DPSN"     | format version u32
-//   points_fingerprint u64
+//   magic[4] = "DPSN"     | format version u32 (= 2)
 //   d_cut f64 | epsilon f64 | compute_cost_seconds f64 | flags u32
 //   algorithm: len u32 + bytes
 //   rho:           count i64 + count f64
 //   delta:         count i64 + count f64
 //   dependency:    count i64 + count i64
 //   density_order: count i64 + count i64   (empty for interrupted solves)
+//   checksum u64 = FNV-1a over every preceding byte
+//
+// The input's identity is not in the record: its store key holds the
+// dataset fingerprint. A version-1 record (which also carried it) is
+// refused like any other unknown version.
 //
 // DecodeSolution refuses a record whose ids leave [-1, n) (dependency)
 // or [0, n) (density_order), or whose density order is not n long (0 for
 // an interrupted solve): a decoded solution is safe to label.
-//   checksum u64 = FNV-1a over every preceding byte
 //
 // The checksum makes a record self-verifying independent of the log's
 // framing checksum, so a payload spliced out of a compacted log is still
@@ -41,7 +44,7 @@
 namespace dpc::store {
 
 inline constexpr char kSolutionMagic[4] = {'D', 'P', 'S', 'N'};
-inline constexpr uint32_t kSolutionFormatVersion = 1;
+inline constexpr uint32_t kSolutionFormatVersion = 2;
 
 namespace internal {
 
@@ -113,7 +116,6 @@ class Reader {
 /// (store_test asserts equality).
 inline size_t SerializedSolutionBytes(const DpcSolution& s) {
   size_t bytes = sizeof(kSolutionMagic) + sizeof(uint32_t);  // magic + version
-  bytes += sizeof(uint64_t);                                 // fingerprint
   bytes += 3 * sizeof(double) + sizeof(uint32_t);  // params, cost, flags
   bytes += sizeof(uint32_t) + s.algorithm.size();  // algorithm
   bytes += 4 * sizeof(int64_t);                    // the four array counts
@@ -128,7 +130,6 @@ inline void EncodeSolution(const DpcSolution& s, std::string* out) {
   out->reserve(SerializedSolutionBytes(s));
   out->append(kSolutionMagic, sizeof(kSolutionMagic));
   internal::AppendRaw(kSolutionFormatVersion, out);
-  internal::AppendRaw(s.points_fingerprint, out);
   internal::AppendRaw(s.compute.d_cut, out);
   internal::AppendRaw(s.compute.epsilon, out);
   internal::AppendRaw(s.compute_cost_seconds, out);
@@ -171,11 +172,11 @@ inline StatusOr<DpcSolution> DecodeSolution(const char* data, size_t size) {
   DpcSolution s;
   uint32_t flags = 0;
   uint32_t algo_len = 0;
-  if (!r.Read(&s.points_fingerprint) || !r.Read(&s.compute.d_cut) ||
-      !r.Read(&s.compute.epsilon) || !r.Read(&s.compute_cost_seconds) ||
-      !r.Read(&flags) || !r.Read(&algo_len) ||
-      !r.ReadBytes(&s.algorithm, algo_len) || !r.ReadArray(&s.rho) ||
-      !r.ReadArray(&s.delta) || !r.ReadArray(&s.dependency) ||
+  if (!r.Read(&s.compute.d_cut) || !r.Read(&s.compute.epsilon) ||
+      !r.Read(&s.compute_cost_seconds) || !r.Read(&flags) ||
+      !r.Read(&algo_len) || !r.ReadBytes(&s.algorithm, algo_len) ||
+      !r.ReadArray(&s.rho) || !r.ReadArray(&s.delta) ||
+      !r.ReadArray(&s.dependency) ||
       !r.ReadArray(&s.density_order) || r.left() != 0) {
     return Status::InvalidArgument("solution record truncated");
   }

@@ -64,12 +64,10 @@ void TestFingerprintAndRegistry() {
 
   // Content-determined: same bytes -> same fingerprint, including via a
   // copy registered under another name; any coordinate change diverges.
-  // (FingerprintPoints lives in core now; the serve alias must resolve.)
-  const uint64_t fp = dpc::serve::FingerprintPoints(points);
-  CHECK_EQ(dpc::FingerprintPoints(points), fp);
+  const uint64_t fp = dpc::FingerprintPoints(points);
   dpc::PointSet perturbed = points;
   perturbed.MutablePoint(0)[0] += 1.0;
-  CHECK(dpc::serve::FingerprintPoints(perturbed) != fp);
+  CHECK(dpc::FingerprintPoints(perturbed) != fp);
   // Same coordinate multiset, different order -> different content.
   dpc::PointSet swapped(points.dim());
   swapped.Add(points[1]);
@@ -77,8 +75,7 @@ void TestFingerprintAndRegistry() {
   dpc::PointSet forward(points.dim());
   forward.Add(points[0]);
   forward.Add(points[1]);
-  CHECK(dpc::serve::FingerprintPoints(swapped) !=
-        dpc::serve::FingerprintPoints(forward));
+  CHECK(dpc::FingerprintPoints(swapped) != dpc::FingerprintPoints(forward));
 
   dpc::serve::DatasetRegistry registry;
   CHECK_EQ(registry.Register("a", points), fp);
@@ -106,9 +103,11 @@ void TestFingerprintAndRegistry() {
 ///   delta = {inf, 10, 2, 1}, dependency = {-1, 0, 1, 2}
 /// (rho_min=2, delta_min=5)  -> labels {0, 1, 1, noise}
 /// (rho_min=2, delta_min=20) -> labels {0, 0, 0, noise}
-std::shared_ptr<const dpc::DpcSolution> TinySolution() {
+/// `cost` is its compute_cost_seconds, the cache's eviction weight.
+std::shared_ptr<const dpc::DpcSolution> TinySolution(double cost = 1.0) {
   auto s = std::make_shared<dpc::DpcSolution>();
   s->algorithm = "test";
+  s->compute_cost_seconds = cost;
   s->rho = {5.0, 4.0, 3.0, 1.0};
   s->delta = {std::numeric_limits<double>::infinity(), 10.0, 2.0, 1.0};
   s->dependency = {-1, 0, 1, 2};
@@ -133,7 +132,7 @@ void TestSolutionCacheTwoTier() {
   CHECK(cache.Lookup("a") == nullptr);
   CHECK(cache.Finalize("a", Spec(2.0, 5.0)) == nullptr);
 
-  cache.Insert("a", TinySolution(), 1.0);
+  cache.Insert("a", TinySolution());
   CHECK(cache.Lookup("a") != nullptr);
 
   // Label tier: first Finalize computes, the second aliases the SAME
@@ -153,7 +152,7 @@ void TestSolutionCacheTwoTier() {
   CHECK_EQ(stats.label_hits, 1u);
 
   // Re-inserting a key drops its stale label memo.
-  cache.Insert("a", TinySolution(), 1.0);
+  cache.Insert("a", TinySolution());
   const auto r4 = cache.Finalize("a", Spec(2.0, 5.0));
   CHECK(r4.get() != r1.get());
   CHECK(r4->label == r1->label);
@@ -163,7 +162,7 @@ void TestSolutionCacheTwoTier() {
   // room for the solution and a full memo.
   constexpr size_t kBound = dpc::serve::SolutionCache::kLabelingsPerSolution;
   dpc::serve::SolutionCache bounded(2 * TinyBytes() + kBound * 64);
-  bounded.Insert("a", TinySolution(), 1.0);
+  bounded.Insert("a", TinySolution());
   for (size_t i = 0; i <= kBound; ++i) {  // the last evicts the 5.0 memo
     (void)bounded.Finalize("a", Spec(2.0, 5.0 + static_cast<double>(i)));
   }
@@ -175,7 +174,7 @@ void TestSolutionCacheTwoTier() {
   // A zero byte budget disables caching entirely.
   dpc::serve::SolutionCache off(0);
   CHECK(!off.enabled());
-  off.Insert("a", TinySolution(), 1.0);
+  off.Insert("a", TinySolution());
   CHECK(off.Lookup("a") == nullptr);
   CHECK_EQ(off.size(), 0u);
 }
@@ -184,37 +183,39 @@ void TestSolutionCacheCostAwareEviction() {
   // GreedyDual-Size (cost-per-byte-scaled LRU): an expensive solution
   // outlives many cheap ones, but inflation eventually ages it out. The
   // entries here are all one TinySolution in size, so credits order
-  // exactly as cost and the whole sequence is deterministic.
+  // exactly as cost and the whole sequence is deterministic. Each cost is
+  // a whole multiple of TinyBytes, so every credit (cost / bytes plus the
+  // inflation level) is an exact integer and the ties below are exact.
+  const double unit = static_cast<double>(TinyBytes());
   dpc::serve::SolutionCache cache(2 * TinyBytes());
-  cache.Insert("expensive", TinySolution(), 10.0);
-  cache.Insert("cheap1", TinySolution(), 1.0);
+  cache.Insert("expensive", TinySolution(10 * unit));
+  cache.Insert("cheap1", TinySolution(unit));
   // Plain LRU would evict "expensive" (least recently used); cost-scaled
   // eviction picks the low-credit "cheap1" instead.
-  cache.Insert("cheap2", TinySolution(), 1.0);
+  cache.Insert("cheap2", TinySolution(unit));
   CHECK(cache.KeysByEvictionOrder() ==
         (std::vector<std::string>{"cheap2", "expensive"}));
-  cache.Insert("cheap3", TinySolution(), 1.0);  // evicts cheap2 (credit 2)
+  cache.Insert("cheap3", TinySolution(unit));  // evicts cheap2 (credit 2)
   CHECK(cache.KeysByEvictionOrder() ==
         (std::vector<std::string>{"cheap3", "expensive"}));
   CHECK_EQ(cache.stats().evictions, 2u);
 
   // Aging: with each eviction the inflation level rises by the victim's
   // credit, so a stream of cheap solutions eventually displaces the
-  // expensive one. In units of cost/TinyBytes the credits go 4, 5, ...,
-  // 10; the tie at 10 breaks toward the older entry — "expensive" — on
-  // the 8th insert.
+  // expensive one. The credits go 4, 5, ..., 10; the tie at 10 breaks
+  // toward the older entry — "expensive" — on the 8th insert.
   for (int i = 0; i < 8; ++i) {
-    cache.Insert("stream" + std::to_string(i), TinySolution(), 1.0);
+    cache.Insert("stream" + std::to_string(i), TinySolution(unit));
   }
   CHECK(cache.Lookup("expensive") == nullptr);
 
   // A hit refreshes the credit: after touching, the expensive entry is
   // again the last to go.
   dpc::serve::SolutionCache touchy(2 * TinyBytes());
-  touchy.Insert("expensive", TinySolution(), 10.0);
-  touchy.Insert("cheap1", TinySolution(), 1.0);
+  touchy.Insert("expensive", TinySolution(10 * unit));
+  touchy.Insert("cheap1", TinySolution(unit));
   CHECK(touchy.Lookup("expensive") != nullptr);
-  touchy.Insert("cheap2", TinySolution(), 1.0);
+  touchy.Insert("cheap2", TinySolution(unit));
   CHECK(touchy.Lookup("expensive") != nullptr);
   CHECK(touchy.Lookup("cheap1") == nullptr);
 }
@@ -227,7 +228,7 @@ void TestSolutionCacheByteBudget() {
   // tier.
   dpc::serve::SolutionCache cache(2 * tiny + tiny / 2);
   for (int i = 0; i < 16; ++i) {
-    cache.Insert("k" + std::to_string(i), TinySolution(), 1.0 + i);
+    cache.Insert("k" + std::to_string(i), TinySolution(1.0 + i));
     CHECK(cache.bytes_in_use() <= cache.memory_budget_bytes());
     CHECK_EQ(cache.bytes_in_use(), cache.size() * tiny);
   }
@@ -241,15 +242,16 @@ void TestSolutionCacheByteBudget() {
   big->delta.assign(4096, 1.0);
   big->dependency.assign(4096, -1);
   big->density_order = dpc::DensityOrder(big->rho);
+  big->compute_cost_seconds = 100.0;
   CHECK(dpc::store::SerializedSolutionBytes(*big) >
         cache.memory_budget_bytes());
-  cache.Insert("big", big, 100.0);
+  cache.Insert("big", big);
   CHECK(cache.Lookup("big") == nullptr);
   CHECK_EQ(cache.size(), 2u);
   CHECK(cache.bytes_in_use() <= cache.memory_budget_bytes());
 
   // Re-inserting an existing key replaces its charge, not doubles it.
-  cache.Insert("k15", TinySolution(), 99.0);
+  cache.Insert("k15", TinySolution(99.0));
   CHECK_EQ(cache.bytes_in_use(), 2 * tiny);
 
   // Memoized labelings are charged to the same budget. An insert storm
@@ -260,7 +262,7 @@ void TestSolutionCacheByteBudget() {
   bool memo_charged = false;
   for (int i = 0; i < 16; ++i) {
     const std::string key = "k" + std::to_string(i);
-    memos.Insert(key, TinySolution(), 1.0 + i);
+    memos.Insert(key, TinySolution(1.0 + i));
     for (int t = 0; t < 8; ++t) {
       CHECK(memos.Finalize(key, Spec(2.0, 1.0 + t)) != nullptr);
       CHECK(memos.bytes_in_use() <= memos.memory_budget_bytes());
@@ -272,14 +274,14 @@ void TestSolutionCacheByteBudget() {
   // Eviction releases each memo's charge with its entry: two expensive
   // newcomers evict every memo-holding entry, leaving exactly their own
   // serialized bytes.
-  memos.Insert("x", TinySolution(), 1000.0);
-  memos.Insert("y", TinySolution(), 1000.0);
+  memos.Insert("x", TinySolution(1000.0));
+  memos.Insert("y", TinySolution(1000.0));
   CHECK_EQ(memos.size(), 2u);
   CHECK_EQ(memos.bytes_in_use(), 2 * tiny);
   // Re-insert releases the replaced entry's memo charge too.
   CHECK(memos.Finalize("x", Spec(2.0, 5.0)) != nullptr);
   CHECK(memos.bytes_in_use() > 2 * tiny);
-  memos.Insert("x", TinySolution(), 1000.0);
+  memos.Insert("x", TinySolution(1000.0));
   CHECK_EQ(memos.bytes_in_use(), 2 * tiny);
 }
 
@@ -296,9 +298,9 @@ void TestCacheStoreDemotePromote() {
   const size_t tiny = TinyBytes();
   {
     dpc::serve::SolutionCache cache(2 * tiny + tiny / 2, store.value().get());
-    cache.Insert("a", TinySolution(), 1.0);
-    cache.Insert("b", TinySolution(), 2.0);
-    cache.Insert("c", TinySolution(), 3.0);  // evicts "a" -> demotion
+    cache.Insert("a", TinySolution());
+    cache.Insert("b", TinySolution(2.0));
+    cache.Insert("c", TinySolution(3.0));  // evicts "a" -> demotion
     auto stats = cache.stats();
     CHECK_EQ(stats.evictions, 1u);
     CHECK_EQ(stats.demotions, 1u);

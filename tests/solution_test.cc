@@ -82,13 +82,16 @@ void TestOneSolutionMatchesFreshSolvesForAllAlgorithms() {
     const dpc::DpcSolution solution =
         algo.value()->Solve(points, compute, dpc::ExecutionContext(2));
 
-    // Artifact metadata: identity, cost, and the precomputed order.
+    // Artifact metadata: identity, cost, and the precomputed order. The
+    // cost is the one sum of the phase laps; the cache weighs exactly it.
     CHECK(solution.algorithm == std::string(algo.value()->name()));
-    CHECK_EQ(solution.points_fingerprint, dpc::FingerprintPoints(points));
     CHECK_EQ(solution.compute.d_cut, d_cut);
     CHECK_EQ(solution.size(), points.size());
     CHECK(!solution.interrupted());
     CHECK(solution.compute_cost_seconds >= 0.0);
+    CHECK_EQ(solution.compute_cost_seconds,
+             solution.stats.build_seconds + solution.stats.rho_seconds +
+                 solution.stats.delta_seconds);
     CHECK(solution.density_order == SortedDensityOrder(solution.rho));
 
     // The acceptance invariant: across a (rho_min, delta_min) grid,

@@ -13,6 +13,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -37,11 +38,10 @@ std::string TmpPath(const std::string& name) {
 }
 
 /// A fully populated synthetic solution with every field class the
-/// format persists: infinities, negative ids, a non-trivial fingerprint.
+/// format persists: infinities and negative ids.
 dpc::DpcSolution MakeSolution(dpc::PointId n, double salt = 0.0) {
   dpc::DpcSolution s;
   s.algorithm = "ex-dpc";
-  s.points_fingerprint = 0xfeedbeefcafe0000ull + static_cast<uint64_t>(n);
   s.compute.d_cut = 2000.0 + salt;
   s.compute.epsilon = 0.125;
   s.compute_cost_seconds = 0.25 + salt;
@@ -62,7 +62,6 @@ dpc::DpcSolution MakeSolution(dpc::PointId n, double salt = 0.0) {
 void CheckSolutionsBitIdentical(const dpc::DpcSolution& a,
                                 const dpc::DpcSolution& b) {
   CHECK(a.algorithm == b.algorithm);
-  CHECK_EQ(a.points_fingerprint, b.points_fingerprint);
   CHECK_EQ(a.compute.d_cut, b.compute.d_cut);
   CHECK_EQ(a.compute.epsilon, b.compute.epsilon);
   CHECK_EQ(a.compute_cost_seconds, b.compute_cost_seconds);
@@ -72,6 +71,25 @@ void CheckSolutionsBitIdentical(const dpc::DpcSolution& a,
   CHECK(a.delta == b.delta);
   CHECK(a.dependency == b.dependency);
   CHECK(a.density_order == b.density_order);
+}
+
+/// `s` encoded as a record of another format version, its checksum
+/// resealed so that the version check itself is what refuses it. Version
+/// 1 is laid out as version 1 was: an input fingerprint u64 right after
+/// the version field.
+std::string EncodeAsVersion(const dpc::DpcSolution& s, uint32_t version) {
+  std::string buf;
+  dpc::store::EncodeSolution(s, &buf);
+  buf.resize(buf.size() - sizeof(uint64_t));  // drop the checksum
+  std::memcpy(&buf[4], &version, sizeof(version));  // after the 4-byte magic
+  if (version == 1) {
+    const uint64_t fingerprint = 0xfeedbeefcafe0000ull;
+    buf.insert(8, reinterpret_cast<const char*>(&fingerprint),
+               sizeof(fingerprint));
+  }
+  const uint64_t checksum = dpc::Fnv1aBytes(buf.data(), buf.size());
+  buf.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return buf;
 }
 
 void TestFormatRoundtrip() {
@@ -113,15 +131,14 @@ void TestFormatRejectsDamage() {
   for (const size_t keep : {size_t{0}, size_t{3}, size_t{40}, buf.size() - 1}) {
     CHECK(!dpc::store::DecodeSolution(buf.data(), keep).ok());
   }
-  // A future format version is refused (with its checksum made valid
-  // again, so the version check itself is what rejects).
-  std::string future = buf.substr(0, buf.size() - sizeof(uint64_t));
-  future[4] = 9;  // version u32 lives right after the 4-byte magic
-  const uint64_t checksum = dpc::Fnv1aBytes(future.data(), future.size());
-  future.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  const auto refused = dpc::store::DecodeSolution(future);
-  CHECK(!refused.ok());
-  CHECK(refused.status().message().find("version") != std::string::npos);
+  // A future format version, and version 1 (which also carried the
+  // input's fingerprint), are refused by the version check.
+  for (const uint32_t version : {9u, 1u}) {
+    const auto refused =
+        dpc::store::DecodeSolution(EncodeAsVersion(MakeSolution(16), version));
+    CHECK(!refused.ok());
+    CHECK(refused.status().message().find("version") != std::string::npos);
+  }
 }
 
 /// Records whose checksum holds but whose ids would send labeling out of
@@ -402,41 +419,39 @@ void TestStoreFailedFlushFailsPut() {
 
 void TestStoreDamagedPayloadGoesCold() {
   const std::string path = TmpPath("damaged.log");
-  std::remove(path.c_str());
-  {
+  // Splice in a record whose LOG framing is valid but whose payload is
+  // another solution-format version: a future one is what a downgrade
+  // after an upgrade would leave behind, version 1 what an upgrade finds
+  // in an old log.
+  for (const uint32_t version : {9u, 1u}) {
+    std::remove(path.c_str());
+    {
+      auto store = dpc::store::SolutionStore::Open(path);
+      CHECK(store.ok());
+      CHECK(store.value()->Put("good", MakeSolution(16)).ok());
+    }
+    {
+      std::vector<dpc::store::LogRecord> replayed;
+      auto log = dpc::store::SolutionLog::Open(path, &replayed);
+      CHECK(log.ok());
+      CHECK(log.value()
+                ->Append(dpc::store::kRecordPut, "other",
+                         EncodeAsVersion(MakeSolution(8), version))
+                .ok());
+    }
     auto store = dpc::store::SolutionStore::Open(path);
     CHECK(store.ok());
-    CHECK(store.value()->Put("good", MakeSolution(16)).ok());
+    CHECK_EQ(store.value()->stats().live_solutions, 2u);
+    // The undecodable key returns null — never crashes — and goes cold (a
+    // second fetch doesn't even try the log again); the good key is
+    // untouched.
+    CHECK(store.value()->Fetch("other") == nullptr);
+    CHECK_EQ(store.value()->stats().decode_failures, 1u);
+    CHECK(!store.value()->Contains("other"));
+    CHECK(store.value()->Fetch("other") == nullptr);
+    CHECK_EQ(store.value()->stats().decode_failures, 1u);
+    CHECK(store.value()->Fetch("good") != nullptr);
   }
-  // Splice in a record whose LOG framing is valid but whose payload is a
-  // future solution-format version — exactly what a downgrade after an
-  // upgrade would leave behind.
-  {
-    std::string payload;
-    dpc::store::EncodeSolution(MakeSolution(8), &payload);
-    payload[4] = 9;  // bump the version field...
-    const uint64_t checksum =  // ...and re-seal the payload checksum
-        dpc::Fnv1aBytes(payload.data(), payload.size() - sizeof(uint64_t));
-    payload.replace(payload.size() - sizeof(uint64_t), sizeof(uint64_t),
-                    reinterpret_cast<const char*>(&checksum),
-                    sizeof(checksum));
-    std::vector<dpc::store::LogRecord> replayed;
-    auto log = dpc::store::SolutionLog::Open(path, &replayed);
-    CHECK(log.ok());
-    CHECK(log.value()->Append(dpc::store::kRecordPut, "vnext", payload).ok());
-  }
-  auto store = dpc::store::SolutionStore::Open(path);
-  CHECK(store.ok());
-  CHECK_EQ(store.value()->stats().live_solutions, 2u);
-  // The undecodable key returns null — never crashes — and goes cold (a
-  // second fetch doesn't even try the log again); the good key is
-  // untouched.
-  CHECK(store.value()->Fetch("vnext") == nullptr);
-  CHECK_EQ(store.value()->stats().decode_failures, 1u);
-  CHECK(!store.value()->Contains("vnext"));
-  CHECK(store.value()->Fetch("vnext") == nullptr);
-  CHECK_EQ(store.value()->stats().decode_failures, 1u);
-  CHECK(store.value()->Fetch("good") != nullptr);
   std::remove(path.c_str());
 }
 
