@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
     // The nearest-denser search every Ex-DPC delta query runs
     // (ExDpc::ExactDeltaFor: NearestAccepted under DenserThan), over the
     // rho a d_cut = 1000 solve gives these points. Informational.
-    std::vector<double> rho;
+    std::vector<double> rho(static_cast<size_t>(ps.size()));
     ExDpc::ComputeExactRho(tree, 1000.0, ExecutionContext(cfg.max_threads),
                            &rho);
     std::vector<double> delta(rho.size());

@@ -44,11 +44,14 @@
 // differences, selected by the protected ApproxDpc(true) constructor:
 // the cell side is epsilon*d_cut/sqrt(dim); each cell runs one RangeCount
 // for its smallest-id member and every member takes that rho (so that
-// member is the cell's peak); and the peaks' nearest-denser search
-// accepts cell peaks only. Approx-DPC ignores epsilon.
+// member is the cell's peak); and the peaks' nearest-denser search runs
+// on a kd-tree over the cell peaks alone (KdTree::Build(points, peaks,
+// exec)), built after the full tree and the grid are released. Approx-DPC
+// ignores epsilon.
 //
 // Phase timers: DpcStats::rho_seconds covers rho and the cell loop's
-// peak election and snap, and delta_seconds is the peaks' search alone.
+// peak election and snap, and delta_seconds is the peaks' search alone
+// (for S-Approx-DPC, the peaks tree's build included).
 #ifndef DPC_CORE_APPROX_DPC_H_
 #define DPC_CORE_APPROX_DPC_H_
 
@@ -194,16 +197,19 @@ class ApproxDpc : public DpcAlgorithm {
     result.stats.rho_seconds = phase.Lap();
     if (internal::Interrupted(exec, &result)) return result;
 
-    // delta: the peaks alone take the nearest-denser search on the rho
-    // tree — over every point, or over the cell peaks for S-Approx-DPC.
+    // delta: the peaks alone take the nearest-denser search — on the rho
+    // tree over every point, or, for S-Approx-DPC, on a tree over the cell
+    // peaks alone. The full tree and the grid are released first, so the
+    // peaks tree never sits beside them; its queries run in its own leaf
+    // order.
     if (s_approx_) {
-      std::vector<uint8_t> is_peak(static_cast<size_t>(n), 0);
-      for (const PointId p : peaks) is_peak[static_cast<size_t>(p)] = 1;
-      result.stats.index_memory_bytes += is_peak.capacity() * sizeof(uint8_t);
-      ExDpc::ComputeExactDeltas(
-          points, tree, result.rho, exec, &result.delta, &result.dependency,
-          &peaks,
-          [&is_peak](PointId j) { return is_peak[static_cast<size_t>(j)] != 0; });
+      tree = KdTree();
+      grid = UniformGrid();
+      KdTree peak_tree;
+      peak_tree.Build(points, peaks, exec);
+      ExDpc::ComputeExactDeltas(points, peak_tree, result.rho, exec,
+                                &result.delta, &result.dependency,
+                                &peak_tree.leaf_order());
     } else {
       ExDpc::ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
                                 &result.dependency, &peaks);

@@ -48,6 +48,7 @@
 #include "core/rng.h"
 #include "core/status.h"
 #include "parallel/execution_context.h"
+#include "parallel/parallel_for.h"
 
 namespace dpc {
 
@@ -207,33 +208,87 @@ inline bool DenserThan(double rho_q, PointId q, double rho_p, PointId p) {
 /// buckets run in descending rho and fill with ids in ascending order,
 /// which is exactly DenserThan's tie-break. Any other density (sampled,
 /// scaled, or beyond the cap) falls back to the comparison sort.
-inline std::vector<PointId> DensityOrder(const std::vector<double>& rho) {
+///
+/// With an `exec` of several threads, n of at least
+/// internal::kMinParallelIterations and no more buckets than ids per
+/// thread, the counting sort runs on exec's pool: one static id chunk per
+/// thread, each with its own histogram. Slots are handed out bucket by
+/// bucket and, within a bucket, chunk by chunk, so each chunk's ids land
+/// where the serial pass puts them and the order is the serial one. It
+/// never polls exec's stop state.
+inline std::vector<PointId> DensityOrder(const std::vector<double>& rho,
+                                         const ExecutionContext* exec = nullptr) {
   const size_t n = rho.size();
-  std::vector<PointId> order(n);
-  size_t max_rho = 0;
-  bool countable = true;
-  for (const double r : rho) {
-    if (!(r >= 0.0 && r < static_cast<double>(n) && r == std::floor(r))) {
-      countable = false;
-      break;
+  const int threads = exec != nullptr && n >= static_cast<size_t>(
+                                              internal::kMinParallelIterations)
+                          ? exec->threads()
+                          : 1;
+  const size_t chunk = (n + static_cast<size_t>(threads) - 1) /
+                       static_cast<size_t>(threads);
+  const auto for_each_chunk = [&](const auto& fn) {
+    if (threads <= 1) {
+      fn(size_t{0}, size_t{0}, n);
+      return;
     }
-    max_rho = std::max(max_rho, static_cast<size_t>(r));
-  }
-  if (!countable) {
+    internal::RunTasks(*exec, static_cast<size_t>(threads), [&](size_t t) {
+      const size_t begin = std::min(t * chunk, n);
+      fn(t, begin, std::min(begin + chunk, n));
+    });
+  };
+  // Per chunk: the largest rho, or n when some rho is not countable.
+  std::vector<size_t> chunk_max(static_cast<size_t>(threads), 0);
+  for_each_chunk([&](size_t t, size_t begin, size_t end) {
+    size_t max_rho = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const double r = rho[i];
+      if (!(r >= 0.0 && r < static_cast<double>(n) && r == std::floor(r))) {
+        max_rho = n;
+        break;
+      }
+      max_rho = std::max(max_rho, static_cast<size_t>(r));
+    }
+    chunk_max[t] = max_rho;
+  });
+  const size_t max_rho = *std::max_element(chunk_max.begin(), chunk_max.end());
+  if (max_rho >= n) {
+    std::vector<PointId> order(n);
     std::iota(order.begin(), order.end(), PointId{0});
     std::sort(order.begin(), order.end(), [&rho](PointId a, PointId b) {
       return DenserThan(rho[static_cast<size_t>(a)], a, rho[static_cast<size_t>(b)], b);
     });
     return order;
   }
-  // Bucket b holds rho == max_rho - b; next[b] is its next free slot.
-  std::vector<PointId> next(max_rho + 2, 0);
-  for (const double r : rho) ++next[max_rho - static_cast<size_t>(r) + 1];
-  for (size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
-  for (size_t i = 0; i < n; ++i) {
-    order[static_cast<size_t>(next[max_rho - static_cast<size_t>(rho[i])]++)] =
-        static_cast<PointId>(i);
+  // Bucket b holds rho == max_rho - b. next[t][b] is chunk t's next free
+  // slot in bucket b: first its count, then its offset.
+  const size_t buckets = max_rho + 1;
+  if (threads > 1 && buckets > chunk) {
+    // Histograms larger than the chunks they count cost more than they
+    // save; the serial pass is the same order.
+    return DensityOrder(rho);
   }
+  std::vector<PointId> order(n);
+  std::vector<std::vector<PointId>> next(static_cast<size_t>(threads));
+  for_each_chunk([&](size_t t, size_t begin, size_t end) {
+    next[t].assign(buckets, 0);
+    for (size_t i = begin; i < end; ++i) {
+      ++next[t][max_rho - static_cast<size_t>(rho[i])];
+    }
+  });
+  PointId offset = 0;
+  for (size_t b = 0; b < buckets; ++b) {
+    for (std::vector<PointId>& counts : next) {
+      const PointId count = counts[b];
+      counts[b] = offset;
+      offset += count;
+    }
+  }
+  for_each_chunk([&](size_t t, size_t begin, size_t end) {
+    PointId* const slots = next[t].data();
+    for (size_t i = begin; i < end; ++i) {
+      order[static_cast<size_t>(slots[max_rho - static_cast<size_t>(rho[i])]++)] =
+          static_cast<PointId>(i);
+    }
+  });
   return order;
 }
 
@@ -396,7 +451,7 @@ class DpcAlgorithm {
                                     solution.stats.rho_seconds +
                                     solution.stats.delta_seconds;
     if (!solution.interrupted()) {
-      solution.density_order = DensityOrder(solution.rho);
+      solution.density_order = DensityOrder(solution.rho, &ctx);
     }
     if (trace != nullptr) {
       internal::RecordSolvePhaseSpans(trace, ctx.span_parent(), solve_start_ns,

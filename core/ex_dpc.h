@@ -26,6 +26,7 @@
 #define DPC_CORE_EX_DPC_H_
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <vector>
 
@@ -34,11 +35,6 @@
 #include "parallel/parallel_for.h"
 
 namespace dpc {
-
-/// The default candidate filter of the exact delta search: every point.
-struct AcceptAll {
-  bool operator()(PointId) const { return true; }
-};
 
 class ExDpc : public DpcAlgorithm {
  public:
@@ -78,13 +74,16 @@ class ExDpc : public DpcAlgorithm {
   /// run of leaf_order() and its stored box. The loop runs over leaf-order
   /// positions, not leaves — a slice counts the leaves that begin inside
   /// it — so it goes to the pool once there are enough points, however
-  /// few leaves they fill. Approx-DPC computes its rho here too.
+  /// few leaves they fill. Approx-DPC computes its rho here too. `tree`
+  /// indexes the whole point set (a subset tree would count neighbors
+  /// within the subset only), and *rho must already hold one slot per
+  /// point: tree.size() == rho->size().
   static void ComputeExactRho(const KdTree& tree, double d_cut,
                               const ExecutionContext& exec,
                               std::vector<double>* rho) {
+    assert(static_cast<size_t>(tree.size()) == rho->size());
     const std::vector<PointId>& order = tree.leaf_order();
     const std::vector<KdTree::Leaf> leaves = tree.Leaves();
-    rho->resize(order.size());
     ParallelFor(exec, tree.size(), [&](PointId begin, PointId end) {
       auto leaf = std::lower_bound(
           leaves.begin(), leaves.end(), begin,
@@ -103,22 +102,18 @@ class ExDpc : public DpcAlgorithm {
   }
 
   /// Exact delta/dependency for one point: the nearest neighbor ranking
-  /// denser under DenserThan, among the candidates `keep` accepts (every
-  /// point by default; S-Approx-DPC passes its is-peak mask, so its cell
-  /// peaks search among cell peaks only).
-  template <typename Keep = AcceptAll>
+  /// denser under DenserThan among the points `tree` indexes (every
+  /// point for Ex-DPC; S-Approx-DPC passes a tree over its cell peaks).
   static void ExactDeltaFor(const PointSet& points, const KdTree& tree,
                             const std::vector<double>& rho, PointId i,
                             std::vector<double>* delta,
-                            std::vector<PointId>* dependency,
-                            const Keep& keep = {}) {
+                            std::vector<PointId>* dependency) {
     const double rho_i = rho[static_cast<size_t>(i)];
     double dist = std::numeric_limits<double>::infinity();
     const PointId nn = tree.NearestAccepted(
         points[i],
-        [&rho, rho_i, i, &keep](PointId j) {
-          return keep(j) &&
-                 DenserThan(rho[static_cast<size_t>(j)], j, rho_i, i);
+        [&rho, rho_i, i](PointId j) {
+          return DenserThan(rho[static_cast<size_t>(j)], j, rho_i, i);
         },
         &dist);
     (*delta)[static_cast<size_t>(i)] = dist;
@@ -126,22 +121,19 @@ class ExDpc : public DpcAlgorithm {
   }
 
   /// Exact delta/dependency for every point (LSH-DDP reuses this for its
-  /// refinement round; pass `only` to restrict the queries to a subset
-  /// and `keep` to restrict the candidates, as in ExactDeltaFor).
-  template <typename Keep = AcceptAll>
+  /// refinement round; pass `only` to restrict the queries to a subset).
   static void ComputeExactDeltas(const PointSet& points, const KdTree& tree,
                                  const std::vector<double>& rho,
                                  const ExecutionContext& exec,
                                  std::vector<double>* delta,
                                  std::vector<PointId>* dependency,
-                                 const std::vector<PointId>* only = nullptr,
-                                 const Keep& keep = {}) {
+                                 const std::vector<PointId>* only = nullptr) {
     const PointId count =
         only != nullptr ? static_cast<PointId>(only->size()) : points.size();
     ParallelFor(exec, count, [&](PointId begin, PointId end) {
       for (PointId k = begin; k < end; ++k) {
         const PointId i = only != nullptr ? (*only)[static_cast<size_t>(k)] : k;
-        ExactDeltaFor(points, tree, rho, i, delta, dependency, keep);
+        ExactDeltaFor(points, tree, rho, i, delta, dependency);
       }
     });
   }

@@ -11,7 +11,9 @@
 //     value: one range count per cell instead of an exact count for
 //     every point;
 //   * only cell peaks run the nearest-denser search, and only cell peaks
-//     are its candidates (an is-peak mask on the rho kd-tree).
+//     are its candidates: it runs on a kd-tree over the peaks alone, built
+//     once the full tree and the grid are released, and queries the peaks
+//     in that tree's leaf order.
 //
 // Every member of a cell shares one rho, so DenserThan's id tie-break
 // makes m the cell's peak, and the other members snap to it as in

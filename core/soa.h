@@ -11,8 +11,9 @@
 //
 // The view is a copy, not an alias: building one costs one O(n * dim)
 // pass and n * dim doubles. Consumers therefore build it once per index
-// (kd-/R-trees build theirs in perm order at Build() so leaf ranges are
-// contiguous).
+// (the R-tree builds its own in perm order at Build(); the kd-tree fills
+// its own in input order and reorders it in place while it splits), so
+// leaf ranges are contiguous.
 //
 // A view built with a permutation remembers it: position j in the view
 // maps back to original id IdAt(j). Kernels return positions; callers
@@ -85,6 +86,13 @@ class PointSetSoA {
 
   /// Coordinate column d: n() contiguous doubles.
   const double* Column(int d) const {
+    return data_.data() + static_cast<size_t>(d) * static_cast<size_t>(n_);
+  }
+
+  /// Writable column d, for an owner that reorders its view in place
+  /// (the kd-tree's build swaps whole points across every column). The
+  /// columns are adjacent: column d starts size() doubles after d - 1.
+  double* MutableColumn(int d) {
     return data_.data() + static_cast<size_t>(d) * static_cast<size_t>(n_);
   }
 

@@ -17,14 +17,25 @@
 //
 // The tree is immutable after Build() and safe for concurrent queries.
 //
-// Hot-path layout: Build() materializes an SoA (dimension-major) copy of
-// the points in leaf order (perm_, exposed read-only as leaf_order()), so
+// Hot-path layout: the tree keeps an SoA (dimension-major) copy of its
+// points in leaf order (perm_, exposed read-only as leaf_order()), so
 // every subtree's points occupy a contiguous run of SoA positions and
 // point scans run on the batched kernels of core/kernels.h instead of
 // per-point scalar distance calls. Results are bit-identical to the
 // scalar loops (see core/kernels.h). The solves also schedule their
 // per-point loops in leaf order, so consecutive queries touch the same
 // nodes and SoA runs.
+//
+// In-place build: Build() fills the SoA columns in input order once, then
+// splits every node on them. A node's box is a per-column min/max over
+// its contiguous run, and its median comes from SelectInPlace on the
+// split column, which swaps whole points (every column and perm_) at
+// once. No pass reads the row-major input after the fill, and the copy
+// the queries read is already in leaf order when the last node splits.
+//
+// Subset trees: Build(points, ids, exec) indexes points[ids] alone;
+// perm_ starts as ids, so every query reports global ids and the nearest
+// search breaks ties to the smallest global id, as a whole-set tree does.
 //
 // Count blocks: the two range counts (RangeCount, JointRangeCount) stop
 // descending at any subtree of <= kCountBlock points and sweep its whole
@@ -48,13 +59,12 @@
 // preorder — node id's left child is id + 1, its right child
 // id + 1 + N(left size), its box sits at boxes_[id * 2 * dim]. Build()
 // therefore sizes nodes_ and boxes_ exactly once, and the pool build
-// (Build(points, exec)) splits the top levels one pool region per level,
-// then builds the remaining subtrees as one region, each writing its own
-// disjoint slots and perm_ range. Each subtree sees the same perm_ range
-// the serial recursion would hand it, so the tree is identical to the
-// serial one, node for node. A last region transposes the SoA view in
-// disjoint position chunks (PointSetSoA::FillRange), the same bytes as
-// the serial build's one Assign.
+// (Build(points, exec)) fills the SoA in position chunks, splits the top
+// levels one pool region per level, then builds the remaining subtrees
+// as one region, each writing its own disjoint slots and SoA/perm_ run.
+// Each subtree sees the same run the serial recursion would hand it and
+// runs the same deterministic select on it, so the tree is identical to
+// the serial one, node for node.
 #ifndef DPC_INDEX_KDTREE_H_
 #define DPC_INDEX_KDTREE_H_
 
@@ -72,6 +82,90 @@
 
 namespace dpc {
 
+namespace internal {
+
+/// Ranges of at most this many positions finish SelectInPlace with an
+/// insertion sort.
+inline constexpr int64_t kSelectInsertionSize = 16;
+
+/// Heap sort of positions [lo, hi) under `less`, moving elements only
+/// through `swap` (see SelectInPlace).
+template <typename Less, typename Swap>
+void HeapSortInPlace(int64_t lo, int64_t hi, const Less& less, const Swap& swap) {
+  const int64_t m = hi - lo;
+  const auto sift = [&](int64_t root, int64_t size) {
+    for (int64_t child; (child = 2 * root + 1) < size; root = child) {
+      if (child + 1 < size && less(lo + child, lo + child + 1)) ++child;
+      if (!less(lo + root, lo + child)) return;
+      swap(lo + root, lo + child);
+    }
+  };
+  for (int64_t root = m / 2; root-- > 0;) sift(root, m);
+  for (int64_t end = m - 1; end > 0; --end) {
+    swap(lo, lo + end);
+    sift(0, end);
+  }
+}
+
+/// Deterministic in-place selection: rearranges positions [lo, hi) so
+/// that position k holds the element a sort by `less` would put there,
+/// nothing before k ranks after it and nothing after k ranks before it.
+/// `less(a, b)` compares the elements at positions a and b, and
+/// `swap(a, b)` exchanges them, so a caller can move several parallel
+/// arrays as one. Each round partitions (Hoare) around the median of the
+/// elements a quarter, half and three quarters into the range — sorted,
+/// reversed and organ-pipe orders all split evenly — and keeps the side
+/// holding k; a range of at most kSelectInsertionSize finishes with an
+/// insertion sort. After 2 * floor(log2(hi - lo)) rounds the rest is heap
+/// sorted, so no input order costs more than O(m log m). Returns true
+/// when the heap sort ran.
+template <typename Less, typename Swap>
+bool SelectInPlace(int64_t lo, int64_t hi, int64_t k, const Less& less,
+                   const Swap& swap) {
+  int rounds = 0;
+  for (int64_t m = hi - lo; m > 1; m >>= 1) rounds += 2;
+  while (hi - lo > kSelectInsertionSize) {
+    if (rounds-- == 0) {
+      HeapSortInPlace(lo, hi, less, swap);
+      return true;
+    }
+    // Median of three to lo. The scans stop at the range's ends, so no
+    // sentinel is needed, whatever the comparison answers (NaN included).
+    const int64_t quarter = (hi - lo) / 4;
+    const int64_t first = lo + quarter;
+    const int64_t mid = lo + (hi - lo) / 2;
+    const int64_t last = hi - 1 - quarter;
+    if (less(mid, first)) swap(mid, first);
+    if (less(last, mid)) {
+      swap(last, mid);
+      if (less(mid, first)) swap(mid, first);
+    }
+    swap(lo, mid);
+    int64_t i = lo;
+    int64_t j = hi;
+    for (;;) {
+      do ++i; while (i < hi - 1 && less(i, lo));
+      do --j; while (j > lo && less(lo, j));
+      if (i >= j) break;
+      swap(i, j);
+    }
+    // [lo, j) ranks at most the pivot, (j, hi) at least it.
+    swap(lo, j);
+    if (k == j) return false;
+    if (k < j) {
+      hi = j;
+    } else {
+      lo = j + 1;
+    }
+  }
+  for (int64_t a = lo + 1; a < hi; ++a) {
+    for (int64_t b = a; b > lo && less(b, b - 1); --b) swap(b, b - 1);
+  }
+  return false;
+}
+
+}  // namespace internal
+
 class KdTree {
  public:
   static constexpr int kLeafSize = 32;
@@ -85,21 +179,29 @@ class KdTree {
   explicit KdTree(const PointSet& points) { Build(points); }
 
   /// Serial bulk load.
-  void Build(const PointSet& points) { BuildOn(points, nullptr); }
+  void Build(const PointSet& points) { BuildOn(points, nullptr, nullptr); }
 
   /// Bulk load on exec's pool (exec.threads() workers): node for node
   /// the tree Build(points) makes. Build never polls exec's stop state,
   /// so a cancelled context still gets a complete tree.
   void Build(const PointSet& points, const ExecutionContext& exec) {
-    BuildOn(points, &exec);
+    BuildOn(points, nullptr, &exec);
+  }
+
+  /// Bulk load of the subset points[ids] on exec's pool; ids must be
+  /// distinct. Queries report global ids, as over the whole set.
+  void Build(const PointSet& points, const std::vector<PointId>& ids,
+             const ExecutionContext& exec) {
+    BuildOn(points, &ids, &exec);
   }
 
   /// Number of indexed points.
   PointId size() const { return static_cast<PointId>(perm_.size()); }
 
-  /// The leaf order, position -> point id: every subtree owns one
-  /// contiguous run of it, so walking it visits the points leaf by leaf —
-  /// the spatial order the solves schedule their per-point loops by.
+  /// The leaf order, position -> point id (a permutation of the indexed
+  /// ids): every subtree owns one contiguous run of it, so walking it
+  /// visits the points leaf by leaf — the spatial order the solves
+  /// schedule their per-point loops by.
   const std::vector<PointId>& leaf_order() const { return perm_; }
 
   /// One leaf: its [begin, end) run of leaf_order() and the bounding box
@@ -223,60 +325,61 @@ class KdTree {
     PointId begin, end;
   };
 
-  void BuildOn(const PointSet& points, const ExecutionContext* exec) {
+  void BuildOn(const PointSet& points, const std::vector<PointId>* ids,
+               const ExecutionContext* exec) {
     points_ = &points;
     dim_ = points.dim();
-    const PointId n = points.size();
-    perm_.resize(static_cast<size_t>(n));
-    for (PointId i = 0; i < n; ++i) perm_[static_cast<size_t>(i)] = i;
+    const PointId n =
+        ids != nullptr ? static_cast<PointId>(ids->size()) : points.size();
     // The preorder layout is fixed by n alone, so both arrays are sized
     // exactly once and every subtree owns disjoint slots.
     const NodeCounts counts(n);
     const size_t num_nodes = n > 0 ? static_cast<size_t>(counts(n)) : 0;
     nodes_ = std::vector<Node>(num_nodes);
     boxes_ = std::vector<double>(num_nodes * 2 * static_cast<size_t>(dim_));
-    const int threads = exec != nullptr ? exec->threads() : 1;
-    const bool pooled = threads > 1 && n >= internal::kMinParallelIterations;
-    const size_t target = 4 * static_cast<size_t>(threads);
-    if (n > 0) {
-      if (!pooled) {
-        BuildNode({0, 0, n}, counts);
-      } else {
-        // Split the top levels one level per pool region until there are
-        // ~4 subtrees per thread, then build those subtrees as one region.
-        std::vector<Pending> frontier{{0, 0, n}};
-        while (!frontier.empty() && frontier.size() < target) {
-          internal::RunTasks(*exec, frontier.size(), [&](size_t k) {
-            SplitNode(frontier[k], counts);
-          });
-          std::vector<Pending> next;
-          for (const Pending& p : frontier) {
-            const Node& node = nodes_[static_cast<size_t>(p.id)];
-            if (node.left < 0) continue;  // a finished leaf
-            const PointId mid = p.begin + (p.end - p.begin) / 2;
-            next.push_back({node.left, p.begin, mid});
-            next.push_back({node.right, mid, p.end});
-          }
-          frontier = std::move(next);
-        }
-        internal::RunTasks(*exec, frontier.size(), [&](size_t k) {
-          BuildNode(frontier[k], counts);
-        });
+    perm_.resize(static_cast<size_t>(n));
+    soa_.Resize(dim_, n);
+    const PointId* order = ids != nullptr ? ids->data() : nullptr;
+    // Position j starts out holding input point j: id order[j] (j for a
+    // whole-set tree) in perm_, its coordinates in the SoA columns.
+    const auto fill = [&](PointId begin, PointId end) {
+      for (PointId j = begin; j < end; ++j) {
+        perm_[static_cast<size_t>(j)] = order != nullptr ? order[j] : j;
       }
-    }
-    // Leaf-contiguous SoA view (perm_ order); perm_ already maps
-    // positions back to ids, so the view needn't store its own copy. The
-    // pool build transposes it in `target` position chunks.
-    if (!pooled) {
-      soa_.Assign(points, perm_.data(), n, /*store_ids=*/false);
+      soa_.FillRange(points, order, begin, end);
+    };
+    const int threads = exec != nullptr ? exec->threads() : 1;
+    if (threads <= 1 || n < internal::kMinParallelIterations) {
+      fill(0, n);
+      if (n > 0) BuildNode({0, 0, n}, counts);
       return;
     }
-    soa_.Resize(dim_, n);
+    const size_t target = 4 * static_cast<size_t>(threads);
     const PointId chunk = (n + static_cast<PointId>(target) - 1) /
                           static_cast<PointId>(target);
     internal::RunTasks(*exec, target, [&](size_t k) {
       const PointId begin = std::min(static_cast<PointId>(k) * chunk, n);
-      soa_.FillRange(points, perm_.data(), begin, std::min(begin + chunk, n));
+      fill(begin, std::min(begin + chunk, n));
+    });
+    // Split the top levels one level per pool region until there are ~4
+    // subtrees per thread, then build those subtrees as one region.
+    std::vector<Pending> frontier{{0, 0, n}};
+    while (!frontier.empty() && frontier.size() < target) {
+      internal::RunTasks(*exec, frontier.size(), [&](size_t k) {
+        SplitNode(frontier[k], counts);
+      });
+      std::vector<Pending> next;
+      for (const Pending& p : frontier) {
+        const Node& node = nodes_[static_cast<size_t>(p.id)];
+        if (node.left < 0) continue;  // a finished leaf
+        const PointId mid = p.begin + (p.end - p.begin) / 2;
+        next.push_back({node.left, p.begin, mid});
+        next.push_back({node.right, mid, p.end});
+      }
+      frontier = std::move(next);
+    }
+    internal::RunTasks(*exec, frontier.size(), [&](size_t k) {
+      BuildNode(frontier[k], counts);
     });
   }
 
@@ -289,7 +392,8 @@ class KdTree {
   }
 
   /// Writes node p.id and its box; splits it at the median of its widest
-  /// dimension when it holds more than kLeafSize points (returns true).
+  /// dimension when it holds more than kLeafSize points (returns true),
+  /// leaving the lower half of its run in the left child's positions.
   /// The left child is node p.id + 1, the right one follows the whole
   /// left subtree.
   bool SplitNode(const Pending& p, const NodeCounts& counts) {
@@ -299,16 +403,27 @@ class KdTree {
     node.box = p.id * 2 * dim_;
     double* lo = boxes_.data() + node.box;
     double* hi = lo + dim_;
+    // Four running min/max pairs per column break the dependency chains;
+    // min and max are exact, so the order they combine in is immaterial.
     for (int d = 0; d < dim_; ++d) {
-      lo[d] = std::numeric_limits<double>::infinity();
-      hi[d] = -std::numeric_limits<double>::infinity();
-    }
-    for (PointId i = p.begin; i < p.end; ++i) {
-      const double* pt = (*points_)[perm_[static_cast<size_t>(i)]];
-      for (int d = 0; d < dim_; ++d) {
-        lo[d] = std::min(lo[d], pt[d]);
-        hi[d] = std::max(hi[d], pt[d]);
+      const double* col = soa_.Column(d);
+      double col_lo[4];
+      double col_hi[4];
+      std::fill(col_lo, col_lo + 4, std::numeric_limits<double>::infinity());
+      std::fill(col_hi, col_hi + 4, -std::numeric_limits<double>::infinity());
+      PointId i = p.begin;
+      for (; i + 4 <= p.end; i += 4) {
+        for (int k = 0; k < 4; ++k) {
+          col_lo[k] = std::min(col_lo[k], col[i + k]);
+          col_hi[k] = std::max(col_hi[k], col[i + k]);
+        }
       }
+      for (; i < p.end; ++i) {
+        col_lo[0] = std::min(col_lo[0], col[i]);
+        col_hi[0] = std::max(col_hi[0], col[i]);
+      }
+      lo[d] = std::min(std::min(col_lo[0], col_lo[1]), std::min(col_lo[2], col_lo[3]));
+      hi[d] = std::max(std::max(col_hi[0], col_hi[1]), std::max(col_hi[2], col_hi[3]));
     }
     if (p.end - p.begin <= kLeafSize) return false;
     int split_dim = 0;
@@ -320,11 +435,21 @@ class KdTree {
         split_dim = d;
       }
     }
+    // Column d of the SoA starts at columns + d * stride.
+    double* const columns = soa_.MutableColumn(0);
+    const auto stride = static_cast<size_t>(soa_.size());
+    const double* const key = columns + static_cast<size_t>(split_dim) * stride;
+    PointId* const perm = perm_.data();
+    const int dim = dim_;
     const PointId mid = p.begin + (p.end - p.begin) / 2;
-    std::nth_element(perm_.begin() + p.begin, perm_.begin() + mid,
-                     perm_.begin() + p.end, [this, split_dim](PointId a, PointId b) {
-                       return (*points_)[a][split_dim] < (*points_)[b][split_dim];
-                     });
+    internal::SelectInPlace(
+        p.begin, p.end, mid,
+        [key](PointId a, PointId b) { return key[a] < key[b]; },
+        [columns, stride, perm, dim](PointId a, PointId b) {
+          double* col = columns;
+          for (int d = 0; d < dim; ++d, col += stride) std::swap(col[a], col[b]);
+          std::swap(perm[a], perm[b]);
+        });
     node.left = p.id + 1;
     node.right = node.left + counts(mid - p.begin);
     return true;

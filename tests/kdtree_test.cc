@@ -4,9 +4,12 @@
 // size and on lattice points lying exactly on the ball boundary; exact
 // rho, one joint count per leaf (ExDpc::ComputeExactRho), for every point
 // at 1 and 4 threads; the nearest search's ties and seeded bounds on the
-// same lattices; the leaves and leaf order the solves schedule by; and
-// the pool build, which must reproduce the serial tree exactly.
+// same lattices; the leaves and leaf order the solves schedule by; the
+// pool build, which must reproduce the serial tree exactly; the in-place
+// median select on adversarial orders (including a quickselect killer
+// that reaches its heap-sort fallback); and trees over an id subset.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
@@ -252,7 +255,7 @@ void CheckExactRho(const dpc::PointSet& points,
     const dpc::ExecutionContext exec(threads,
                                      std::make_shared<dpc::ThreadPool>(threads));
     for (size_t k = 0; k < radii.size(); ++k) {
-      std::vector<double> rho;
+      std::vector<double> rho(static_cast<size_t>(n), -1.0);
       dpc::ExDpc::ComputeExactRho(tree, radii[k], exec, &rho);
       CHECK(rho == brute[k]);
     }
@@ -355,21 +358,28 @@ void TestLatticeNearest() {
   }
 }
 
-/// The leaf order is a permutation of [0, n), and the leaves' runs tile
-/// it: each leaf owns one contiguous [begin, end) of at most kLeafSize
-/// positions, in leaf order, and every position belongs to one leaf.
-/// Each leaf's stored box is the tight box of its points.
-void CheckLeafOrder(const dpc::KdTree& tree, const dpc::PointSet& points) {
+/// The leaf order is a permutation of the indexed ids (`ids`, or [0, n)
+/// when null), and the leaves' runs tile it: each leaf owns one
+/// contiguous [begin, end) of at most kLeafSize positions, in leaf order,
+/// and every position belongs to one leaf. Each leaf's stored box is the
+/// tight box of its points.
+void CheckLeafOrder(const dpc::KdTree& tree, const dpc::PointSet& points,
+                    const std::vector<dpc::PointId>* ids = nullptr) {
   const dpc::PointId n = tree.size();
   const int dim = points.dim();
   const std::vector<dpc::PointId>& order = tree.leaf_order();
   CHECK_EQ(static_cast<dpc::PointId>(order.size()), n);
-  std::vector<int> seen(static_cast<size_t>(n), 0);
-  for (const dpc::PointId id : order) {
-    CHECK(id >= 0 && id < n);
-    ++seen[static_cast<size_t>(id)];
+  std::vector<dpc::PointId> expected(static_cast<size_t>(n));
+  if (ids != nullptr) {
+    CHECK_EQ(static_cast<dpc::PointId>(ids->size()), n);
+    expected = *ids;
+  } else {
+    for (dpc::PointId i = 0; i < n; ++i) expected[static_cast<size_t>(i)] = i;
   }
-  for (const int count : seen) CHECK_EQ(count, 1);
+  std::vector<dpc::PointId> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  std::sort(expected.begin(), expected.end());
+  CHECK(sorted == expected);
   dpc::PointId next = 0;
   for (const dpc::KdTree::Leaf& leaf : tree.Leaves()) {
     CHECK_EQ(leaf.begin, next);
@@ -405,20 +415,29 @@ bool SameLeaves(const dpc::KdTree& a, const dpc::KdTree& b, int dim) {
 
 /// The pool build must be the serial tree node for node: same leaf
 /// order, same leaves, same reports in the same order, same nearest
-/// answers, same memory.
-void CheckSameTree(const dpc::PointSet& points) {
+/// answers, same memory. With `ids`, both trees index points[ids].
+void CheckSameTree(const dpc::PointSet& points,
+                   const std::vector<dpc::PointId>* ids = nullptr) {
   const int dim = points.dim();
   dpc::KdTree serial;
-  serial.Build(points);
-  CheckLeafOrder(serial, points);
+  if (ids != nullptr) {
+    serial.Build(points, *ids, dpc::ExecutionContext(1));
+  } else {
+    serial.Build(points);
+  }
+  CheckLeafOrder(serial, points, ids);
   for (const int threads : {1, 2, 3, 8}) {
     const dpc::ExecutionContext exec(threads,
                                      std::make_shared<dpc::ThreadPool>(threads));
     dpc::KdTree pooled;
-    pooled.Build(points, exec);
+    if (ids != nullptr) {
+      pooled.Build(points, *ids, exec);
+    } else {
+      pooled.Build(points, exec);
+    }
     CHECK_EQ(pooled.size(), serial.size());
     CHECK_EQ(pooled.MemoryBytes(), serial.MemoryBytes());
-    CheckLeafOrder(pooled, points);
+    CheckLeafOrder(pooled, points, ids);
     CHECK(pooled.leaf_order() == serial.leaf_order());
     CHECK(SameLeaves(pooled, serial, dim));
     if (points.size() == 0) continue;
@@ -452,6 +471,254 @@ void TestPoolBuild() {
   }
 }
 
+/// Brute-force RangeCount and NearestAccepted (an id-parity predicate,
+/// self excluded) over the ids `tree` indexes — all of points, or `ids`.
+/// Ties break to the smallest global id.
+void CheckAgainstBruteForce(const dpc::KdTree& tree, const dpc::PointSet& points,
+                            const std::vector<double>& radii, uint64_t seed,
+                            const std::vector<dpc::PointId>* ids = nullptr) {
+  std::vector<dpc::PointId> members;
+  if (ids != nullptr) {
+    members = *ids;
+  } else {
+    for (dpc::PointId i = 0; i < points.size(); ++i) members.push_back(i);
+  }
+  if (members.empty()) return;
+  const int dim = points.dim();
+  dpc::Rng rng(seed);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Queries from the whole set: indexed or not.
+    const dpc::PointId q =
+        static_cast<dpc::PointId>(rng.NextBelow(static_cast<uint64_t>(points.size())));
+    const double r = radii[static_cast<size_t>(trial) % radii.size()];
+    dpc::PointId count = 0;
+    for (const dpc::PointId j : members) {
+      if (dpc::SquaredDistance(points[q], points[j], dim) <= r * r) ++count;
+    }
+    CHECK_EQ(tree.RangeCount(points[q], r), count);
+
+    const dpc::PointId parity = trial % 2;
+    const auto accept = [q, parity](dpc::PointId j) {
+      return j % 2 == parity && j != q;
+    };
+    dpc::PointId best = -1;
+    double best_sq = std::numeric_limits<double>::infinity();
+    for (const dpc::PointId j : members) {
+      if (!accept(j)) continue;
+      const double d_sq = dpc::SquaredDistance(points[q], points[j], dim);
+      if (d_sq < best_sq || (d_sq == best_sq && j < best)) {
+        best_sq = d_sq;
+        best = j;
+      }
+    }
+    double dist = 0.0;
+    CHECK_EQ(tree.NearestAccepted(points[q], accept, &dist), best);
+    if (best >= 0) {
+      CHECK_EQ(dist, std::sqrt(best_sq));
+    } else {
+      CHECK(std::isinf(dist));
+    }
+  }
+}
+
+/// McIlroy's adversary ("A Killer Adversary for Quicksort") run against
+/// SelectInPlace itself: values are fixed lazily, so that every pivot
+/// candidate turns out as small as the answers so far allow. The returned
+/// values, in position order, make the median select on them partition
+/// off a handful of elements per round.
+std::vector<double> MedianOfThreeKiller(int64_t n) {
+  const int64_t gas = n;  // not yet fixed: above every fixed value
+  std::vector<int64_t> value(static_cast<size_t>(n), gas);  // by item
+  std::vector<int64_t> item(static_cast<size_t>(n));       // by position
+  for (int64_t i = 0; i < n; ++i) item[static_cast<size_t>(i)] = i;
+  int64_t fixed = 0;
+  int64_t candidate = -1;
+  const auto less = [&](int64_t a, int64_t b) {
+    const int64_t x = item[static_cast<size_t>(a)];
+    const int64_t y = item[static_cast<size_t>(b)];
+    int64_t& vx = value[static_cast<size_t>(x)];
+    int64_t& vy = value[static_cast<size_t>(y)];
+    if (vx == gas && vy == gas) (x == candidate ? vx : vy) = fixed++;
+    if (vx == gas) {
+      candidate = x;
+    } else if (vy == gas) {
+      candidate = y;
+    }
+    return vx < vy;
+  };
+  const auto swap = [&](int64_t a, int64_t b) {
+    std::swap(item[static_cast<size_t>(a)], item[static_cast<size_t>(b)]);
+  };
+  CHECK(dpc::internal::SelectInPlace(0, n, n / 2, less, swap));
+  return {value.begin(), value.end()};
+}
+
+/// SelectInPlace's contract on one sequence: position k holds the sorted
+/// sequence's k-th value, with nothing larger before it and nothing
+/// smaller after it. Returns whether the heap-sort fallback ran.
+bool CheckSelect(std::vector<double> keys, int64_t k) {
+  std::vector<double> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  const int64_t n = static_cast<int64_t>(keys.size());
+  const bool fell_back = dpc::internal::SelectInPlace(
+      0, n, k,
+      [&keys](int64_t a, int64_t b) {
+        return keys[static_cast<size_t>(a)] < keys[static_cast<size_t>(b)];
+      },
+      [&keys](int64_t a, int64_t b) {
+        std::swap(keys[static_cast<size_t>(a)], keys[static_cast<size_t>(b)]);
+      });
+  const double kth = keys[static_cast<size_t>(k)];
+  CHECK_EQ(kth, sorted[static_cast<size_t>(k)]);
+  for (int64_t i = 0; i < k; ++i) CHECK(keys[static_cast<size_t>(i)] <= kth);
+  for (int64_t i = k; i < n; ++i) CHECK(keys[static_cast<size_t>(i)] >= kth);
+  std::sort(keys.begin(), keys.end());
+  CHECK(keys == sorted);  // a permutation of the input
+  return fell_back;
+}
+
+/// 2-D points whose first coordinate follows `pattern` over i in [0, n)
+/// and whose second is a scrambled value in [0, 1000), so the top splits
+/// run on the pattern's dimension and the lower ones on the other.
+template <typename Pattern>
+dpc::PointSet PatternPoints(dpc::PointId n, const Pattern& pattern) {
+  dpc::PointSet points(2);
+  points.Reserve(n);
+  for (dpc::PointId i = 0; i < n; ++i) {
+    const double p[2] = {pattern(i, n), static_cast<double>((i * 7919) % 1000)};
+    points.Add(p);
+  }
+  return points;
+}
+
+/// The median select on orders that break naive quickselects: all equal,
+/// sorted, reverse sorted, organ pipe, a two-valued split dimension, and
+/// McIlroy's killer, whose >= 10k points drive the select into its heap
+/// sort at the root split. Sizes straddle kLeafSize and kCountBlock, and
+/// 3000 points build on the pool. Each tree is checked against the
+/// serial one, for tight leaves, and against brute force.
+void TestAdversarialSelection() {
+  using Pattern = double (*)(dpc::PointId, dpc::PointId);
+  const Pattern patterns[] = {
+      [](dpc::PointId, dpc::PointId) { return 5.0; },
+      [](dpc::PointId i, dpc::PointId) { return static_cast<double>(i); },
+      [](dpc::PointId i, dpc::PointId n) { return static_cast<double>(n - i); },
+      [](dpc::PointId i, dpc::PointId n) {
+        return static_cast<double>(std::min(i, n - 1 - i));
+      },
+      [](dpc::PointId i, dpc::PointId) { return (i * 31) % 7 < 3 ? 0.0 : 5000.0; },
+  };
+  constexpr dpc::PointId kLeaf = dpc::KdTree::kLeafSize;
+  constexpr dpc::PointId kBlock = dpc::KdTree::kCountBlock;
+  const std::vector<double> radii = {0.5, 3.0, 40.0, 600.0, 8000.0};
+  for (const Pattern pattern : patterns) {
+    for (const dpc::PointId n :
+         {kLeaf - 1, kLeaf, kLeaf + 1, kBlock - 1, kBlock + 1, dpc::PointId{3000}}) {
+      const dpc::PointSet points = PatternPoints(n, pattern);
+      CheckSameTree(points);
+      dpc::KdTree tree;
+      tree.Build(points);
+      CheckCounts(tree, points, radii, static_cast<uint64_t>(n));
+      CheckAgainstBruteForce(tree, points, radii, static_cast<uint64_t>(n) + 1);
+      std::vector<double> keys(static_cast<size_t>(n));
+      for (dpc::PointId i = 0; i < n; ++i) keys[static_cast<size_t>(i)] = pattern(i, n);
+      for (const int64_t k : {int64_t{0}, n / 2, n - 1}) CHECK(!CheckSelect(keys, k));
+    }
+  }
+
+  const int64_t n = 12000;
+  const std::vector<double> killer = MedianOfThreeKiller(n);
+  // The values alone drive the select into the fallback, so the root
+  // split of a tree over them does too (its first column, in input order,
+  // is this sequence, and it is the widest).
+  CHECK(CheckSelect(killer, n / 2));
+  const dpc::PointSet points = PatternPoints(
+      n, [&killer](dpc::PointId i, dpc::PointId) {
+        return killer[static_cast<size_t>(i)];
+      });
+  CheckSameTree(points);
+  dpc::KdTree tree;
+  tree.Build(points);
+  CheckCounts(tree, points, radii, 12);
+  CheckAgainstBruteForce(tree, points, radii, 13);
+  // Random orders never reach the fallback.
+  dpc::Rng rng(8);
+  std::vector<double> random(20000);
+  for (double& v : random) v = rng.Uniform(0, 1);
+  CHECK(!CheckSelect(random, 10000));
+  // Short runs of few distinct values, at every k.
+  for (int64_t m = 1; m <= 100; ++m) {
+    std::vector<double> keys(static_cast<size_t>(m));
+    for (double& v : keys) v = static_cast<double>(rng.NextBelow(4));
+    for (int64_t k = 0; k < m; ++k) CheckSelect(keys, k);
+  }
+}
+
+/// A tree over an unsorted, non-contiguous subset of the ids: its leaf
+/// order is a permutation of the subset with tight leaf boxes, its
+/// answers match brute force over the subset in global ids (including
+/// the joint count per leaf), and the pool build is the serial one. Over
+/// every id in order it is the whole-set tree.
+void TestSubsetBuild() {
+  for (const int dim : {2, 7}) {
+    const dpc::PointSet points =
+        RandomPoints(dim, 20000, 7100 + static_cast<uint64_t>(dim));
+    std::vector<dpc::PointId> ids;
+    for (dpc::PointId i = 0; i < points.size(); ++i) {
+      if ((i * 37) % 5 != 0) ids.push_back(i);
+    }
+    dpc::Rng rng(9 + static_cast<uint64_t>(dim));
+    for (size_t k = ids.size(); k > 1; --k) {
+      std::swap(ids[k - 1], ids[static_cast<size_t>(rng.NextBelow(k))]);
+    }
+    ids.resize(ids.size() / 2);  // drop the tail: gaps everywhere
+    CheckSameTree(points, &ids);
+
+    const dpc::ExecutionContext exec(3, std::make_shared<dpc::ThreadPool>(3));
+    dpc::KdTree tree;
+    tree.Build(points, ids, exec);
+    CHECK_EQ(tree.size(), static_cast<dpc::PointId>(ids.size()));
+    const std::vector<double> radii =
+        dim == 2 ? std::vector<double>{5.0, 40.0, 150.0}
+                 : std::vector<double>{150.0, 400.0, 2000.0};
+    CheckAgainstBruteForce(tree, points, radii, 21, &ids);
+    const double r = radii[1];
+    std::array<dpc::PointId, dpc::KdTree::kLeafSize> counts{};
+    const std::vector<dpc::PointId>& order = tree.leaf_order();
+    for (const dpc::KdTree::Leaf& leaf : tree.Leaves()) {
+      const size_t count = static_cast<size_t>(leaf.end - leaf.begin);
+      tree.JointRangeCount(order.data() + leaf.begin, count, leaf.box, r,
+                           counts.data());
+      for (size_t k = 0; k < count; ++k) {
+        const dpc::PointId q = order[static_cast<size_t>(leaf.begin) + k];
+        dpc::PointId brute = 0;
+        for (const dpc::PointId j : ids) {
+          if (dpc::SquaredDistance(points[q], points[j], dim) <= r * r) ++brute;
+        }
+        CHECK_EQ(counts[k], brute);
+      }
+    }
+
+    std::vector<dpc::PointId> all(static_cast<size_t>(points.size()));
+    for (dpc::PointId i = 0; i < points.size(); ++i) all[static_cast<size_t>(i)] = i;
+    dpc::KdTree whole;
+    whole.Build(points);
+    dpc::KdTree over_all;
+    over_all.Build(points, all, exec);
+    CHECK(over_all.leaf_order() == whole.leaf_order());
+    CHECK(SameLeaves(over_all, whole, dim));
+  }
+  // Empty and single-id subsets.
+  const dpc::PointSet points = RandomPoints(3, 100, 4);
+  for (const std::vector<dpc::PointId>& ids :
+       {std::vector<dpc::PointId>{}, std::vector<dpc::PointId>{57}}) {
+    CheckSameTree(points, &ids);
+    dpc::KdTree tree;
+    tree.Build(points, ids, dpc::ExecutionContext(2));
+    CheckAgainstBruteForce(tree, points, {10.0, 2000.0}, 5, &ids);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -461,6 +728,8 @@ int main() {
   TestExactRho();
   TestLatticeNearest();
   TestPoolBuild();
+  TestAdversarialSelection();
+  TestSubsetBuild();
 
   // Empty and tiny trees must not crash.
   dpc::PointSet empty(2);

@@ -2,17 +2,21 @@
 // ComputeParams + ThresholdSpec, the DpcSolution artifact every registry
 // algorithm produces, and the invariant the serving layer's two-tier
 // cache rests on — finalizing one solution is bit-identical to a fresh
-// solve at each point of a whole (rho_min, delta_min) grid.
+// solve at each point of a whole (rho_min, delta_min) grid; and the
+// density order every solution carries, serial and on the pool.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/decision_graph.h"
 #include "core/registry.h"
 #include "data/generators.h"
+#include "parallel/execution_context.h"
+#include "parallel/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace {
@@ -155,6 +159,40 @@ void TestDensityOrderMatchesComparisonSort() {
   }
 }
 
+/// The pooled counting sort is the serial order at every thread count:
+/// heavy ties (a handful of rho values, so every bucket spans every
+/// chunk), spread-out rho (more buckets than a thread's chunk holds,
+/// which the pooled path hands to the serial one), n on either side of
+/// the pool cutoff, and the comparison-sort fallback (a fractional or a
+/// negative rho anywhere in an otherwise countable input).
+void TestPooledDensityOrder() {
+  const auto cutoff = static_cast<size_t>(dpc::internal::kMinParallelIterations);
+  dpc::Rng rng(404);
+  for (const size_t n : {cutoff - 1, cutoff, cutoff + 1, size_t{50000}}) {
+    std::vector<std::vector<double>> cases;
+    for (const uint64_t distinct : {uint64_t{1}, uint64_t{3}, uint64_t{40}, uint64_t{n}}) {
+      std::vector<double> rho(n);
+      for (double& r : rho) r = static_cast<double>(rng.NextBelow(distinct));
+      cases.push_back(rho);
+    }
+    std::vector<double> fractional = cases[2];
+    fractional[n / 2] = 2.5;
+    cases.push_back(fractional);
+    std::vector<double> negative = cases[2];
+    negative[n - 1] = -1.0;
+    cases.push_back(negative);
+    for (const std::vector<double>& rho : cases) {
+      const std::vector<dpc::PointId> expected = SortedDensityOrder(rho);
+      CHECK(dpc::DensityOrder(rho) == expected);
+      for (const int threads : {1, 2, 3, 4, 8}) {
+        const dpc::ExecutionContext exec(threads,
+                                         std::make_shared<dpc::ThreadPool>(threads));
+        CHECK(dpc::DensityOrder(rho, &exec) == expected);
+      }
+    }
+  }
+}
+
 void TestTopGammaPoints() {
   // gamma = rho * delta with the +inf peak capped just above the largest
   // finite delta: ranking is deterministic and NaN-free even for a
@@ -181,6 +219,7 @@ int main() {
   TestOneSolutionMatchesFreshSolvesForAllAlgorithms();
   TestInterruptedSolve();
   TestDensityOrderMatchesComparisonSort();
+  TestPooledDensityOrder();
   TestTopGammaPoints();
   std::printf("solution_test OK\n");
   return 0;
