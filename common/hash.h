@@ -14,9 +14,8 @@ namespace dpc {
 
 /// FNV-1a over a raw byte range, chainable via the seed parameter; the
 /// same constants as Int64VectorHash below. Its users: the dataset content
-/// fingerprint (serve/dataset_registry.h FingerprintPoints), the solution
-/// record's payload checksum (store/solution_format.h) and the log's
-/// framing checksum (store/solution_log.h).
+/// fingerprint (serve/dataset_registry.h FingerprintPoints) and the
+/// solution log's record checksum (store/solution_log.h).
 inline uint64_t Fnv1aBytes(const void* data, size_t size,
                            uint64_t seed = 1469598103934665603ULL) {
   const unsigned char* bytes = static_cast<const unsigned char*>(data);

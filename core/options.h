@@ -46,12 +46,9 @@ inline StatusOr<OptionsMap> ParseOptionList(
 /// rounding that would merge distinct values above 2^53 — OptionsReader
 /// parses integer options exactly, so the canonical form must too),
 /// other finite numbers through %.17g (so "0.50", "5e-1", and ".5" all
-/// become "0.5"), boolean words collapse to "1"/"0" (mirroring
-/// OptionsReader::Bool's vocabulary), and anything else — paths, names —
-/// is preserved byte-for-byte.
+/// become "0.5"), and anything else — paths, names — is preserved
+/// byte-for-byte.
 inline std::string CanonicalOptionValue(const std::string& value) {
-  if (value == "true" || value == "on" || value == "yes") return "1";
-  if (value == "false" || value == "off" || value == "no") return "0";
   char* end = nullptr;
   errno = 0;
   const long long as_int = std::strtoll(value.c_str(), &end, 10);
@@ -71,17 +68,11 @@ inline std::string CanonicalOptionValue(const std::string& value) {
   return value;
 }
 
-/// The map with every value canonicalized (keys are already sorted — the
-/// OptionsMap is a std::map), so semantically identical `--opt` spellings
-/// compare and hash equal. Used by the serving layer's result-cache key.
-inline OptionsMap CanonicalizeOptions(const OptionsMap& map) {
-  OptionsMap out;
-  for (const auto& [key, value] : map) out[key] = CanonicalOptionValue(value);
-  return out;
-}
-
-/// "k1=v1,k2=v2" over the canonicalized map — a stable, hashable rendering
-/// of the whole option set (empty string for an empty map).
+/// "k1=v1,k2=v2" with every value canonicalized (keys are already sorted
+/// — the OptionsMap is a std::map) — a stable, hashable rendering of the
+/// whole option set (empty string for an empty map), so semantically
+/// identical `--opt` spellings render equal. The serving layer's solution
+/// key uses it.
 inline std::string CanonicalOptionsString(const OptionsMap& map) {
   std::string out;
   for (const auto& [key, value] : map) {
@@ -99,19 +90,6 @@ inline std::string CanonicalOptionsString(const OptionsMap& map) {
 class OptionsReader {
  public:
   explicit OptionsReader(const OptionsMap& map) : map_(map) {}
-
-  OptionsReader& Bool(const std::string& key, bool* out) {
-    if (const std::string* v = Consume(key)) {
-      if (*v == "1" || *v == "true" || *v == "on" || *v == "yes") {
-        *out = true;
-      } else if (*v == "0" || *v == "false" || *v == "off" || *v == "no") {
-        *out = false;
-      } else {
-        Fail(key, *v, "a boolean (true/false/1/0/on/off/yes/no)");
-      }
-    }
-    return *this;
-  }
 
   OptionsReader& Int(const std::string& key, int* out) {
     int64_t wide = 0;

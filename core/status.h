@@ -16,8 +16,6 @@ enum class StatusCode {
   kInvalidArgument,
   kNotFound,
   kIoError,
-  kUnimplemented,
-  kInternal,
   kDeadlineExceeded,
   kCancelled,
 };
@@ -37,12 +35,6 @@ class Status {
   }
   static Status IoError(std::string m) {
     return Status(StatusCode::kIoError, std::move(m));
-  }
-  static Status Unimplemented(std::string m) {
-    return Status(StatusCode::kUnimplemented, std::move(m));
-  }
-  static Status Internal(std::string m) {
-    return Status(StatusCode::kInternal, std::move(m));
   }
   static Status DeadlineExceeded(std::string m) {
     return Status(StatusCode::kDeadlineExceeded, std::move(m));
@@ -70,12 +62,6 @@ class Status {
         break;
       case StatusCode::kIoError:
         name = "IO_ERROR";
-        break;
-      case StatusCode::kUnimplemented:
-        name = "UNIMPLEMENTED";
-        break;
-      case StatusCode::kInternal:
-        name = "INTERNAL";
         break;
       case StatusCode::kDeadlineExceeded:
         name = "DEADLINE_EXCEEDED";

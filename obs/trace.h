@@ -105,11 +105,6 @@ class Trace {
     return spans_.size();
   }
 
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    spans_.clear();
-  }
-
   /// The trace as a Chrome trace-event JSON array of complete ("ph":"X")
   /// events; timestamps are microseconds relative to the earliest span,
   /// span/parent ids ride in "args". Valid JSON even when empty.

@@ -3,27 +3,29 @@
 //
 // Layout (little-endian, raw doubles, same idiom as data/io.h SaveBinary):
 //
-//   magic[4] = "DPSN"     | format version u32 (= 2)
+//   magic[4] = "DPSN"     | format version u32 (= 3)
 //   d_cut f64 | epsilon f64 | compute_cost_seconds f64 | flags u32
 //   algorithm: len u32 + bytes
 //   rho:           count i64 + count f64
 //   delta:         count i64 + count f64
 //   dependency:    count i64 + count i64
 //   density_order: count i64 + count i64   (empty for interrupted solves)
-//   checksum u64 = FNV-1a over every preceding byte
 //
-// The input's identity is not in the record: its store key holds the
-// dataset fingerprint. A version-1 record (which also carried it) is
-// refused like any other unknown version.
+// The record carries no checksum of its own: the log frame's checksum
+// covers it, and every read of a payload (fetch, replay, compaction)
+// verifies that frame first (store/solution_log.h). Version 2 closed the
+// record with an FNV-1a trailer and version 1 also carried the input's
+// fingerprint (its store key holds it); both are refused like any other
+// unknown version, so their keys recompute.
 //
-// DecodeSolution refuses a record whose ids leave [-1, n) (dependency)
-// or [0, n) (density_order), or whose density order is not n long (0 for
-// an interrupted solve): a decoded solution is safe to label.
+// DecodeSolution checks the structure: magic, version, every length
+// against the bytes left, no trailing bytes, ids inside [-1, n)
+// (dependency) and [0, n) (density_order), and a density order n long (0
+// for an interrupted solve). A decoded solution is safe to label, whatever
+// bytes it was given.
 //
-// The checksum makes a record self-verifying independent of the log's
-// framing checksum, so a payload spliced out of a compacted log is still
-// checkable. Doubles round-trip bit-exactly (raw bytes), which is what
-// makes the serve-layer promotion path bit-identical to in-memory.
+// Doubles round-trip bit-exactly (raw bytes), which is what makes the
+// serve-layer promotion path bit-identical to in-memory.
 //
 // SerializedSolutionBytes() computes the encoded size WITHOUT encoding —
 // the serve-layer cache uses it for byte-accurate GreedyDual accounting.
@@ -37,14 +39,13 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/hash.h"
 #include "core/dpc.h"
 #include "core/status.h"
 
 namespace dpc::store {
 
 inline constexpr char kSolutionMagic[4] = {'D', 'P', 'S', 'N'};
-inline constexpr uint32_t kSolutionFormatVersion = 2;
+inline constexpr uint32_t kSolutionFormatVersion = 3;
 
 namespace internal {
 
@@ -85,9 +86,13 @@ class Reader {
   bool ReadArray(std::vector<T>* v) {
     static_assert(std::is_trivially_copyable_v<T>);
     int64_t count = 0;
-    if (!Read(&count) || count < 0) return false;
-    const uint64_t bytes = static_cast<uint64_t>(count) * sizeof(T);
-    if (bytes > left_) return false;
+    // Bound the count before multiplying: count * sizeof(T) wraps for
+    // counts near 2^64 / sizeof(T).
+    if (!Read(&count) || count < 0 ||
+        static_cast<uint64_t>(count) > left_ / sizeof(T)) {
+      return false;
+    }
+    const size_t bytes = static_cast<size_t>(count) * sizeof(T);
     v->resize(static_cast<size_t>(count));
     if (count > 0) std::memcpy(v->data(), p_, bytes);
     p_ += bytes;
@@ -121,7 +126,6 @@ inline size_t SerializedSolutionBytes(const DpcSolution& s) {
   bytes += 4 * sizeof(int64_t);                    // the four array counts
   bytes += (s.rho.size() + s.delta.size()) * sizeof(double);
   bytes += (s.dependency.size() + s.density_order.size()) * sizeof(PointId);
-  bytes += sizeof(uint64_t);  // checksum
   return bytes;
 }
 
@@ -141,21 +145,10 @@ inline void EncodeSolution(const DpcSolution& s, std::string* out) {
   internal::AppendArray(s.delta, out);
   internal::AppendArray(s.dependency, out);
   internal::AppendArray(s.density_order, out);
-  const uint64_t checksum = Fnv1aBytes(out->data(), out->size());
-  internal::AppendRaw(checksum, out);
 }
 
 inline StatusOr<DpcSolution> DecodeSolution(const char* data, size_t size) {
-  if (size < sizeof(kSolutionMagic) + sizeof(uint32_t) + sizeof(uint64_t)) {
-    return Status::InvalidArgument("solution record too short");
-  }
-  // Verify the trailing checksum before trusting any field.
-  uint64_t stored = 0;
-  std::memcpy(&stored, data + size - sizeof(uint64_t), sizeof(uint64_t));
-  if (Fnv1aBytes(data, size - sizeof(uint64_t)) != stored) {
-    return Status::InvalidArgument("solution record checksum mismatch");
-  }
-  internal::Reader r(data, size - sizeof(uint64_t));
+  internal::Reader r(data, size);
   char magic[sizeof(kSolutionMagic)];
   if (!r.Read(&magic) ||
       std::memcmp(magic, kSolutionMagic, sizeof(kSolutionMagic)) != 0) {
@@ -186,9 +179,9 @@ inline StatusOr<DpcSolution> DecodeSolution(const char* data, size_t size) {
       s.density_order.size() != (s.interrupted() ? 0 : n)) {
     return Status::InvalidArgument("solution record arrays disagree on n");
   }
-  // Labeling indexes by these ids, so a record whose checksum holds but
-  // whose ids point outside the solution is refused here, not read out
-  // of bounds later.
+  // Labeling indexes by these ids, so a record whose frame checksum holds
+  // but whose ids point outside the solution is refused here, not read
+  // out of bounds later.
   const auto n_ids = static_cast<PointId>(n);
   for (const PointId dep : s.dependency) {
     if (dep < -1 || dep >= n_ids) {

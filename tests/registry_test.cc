@@ -1,5 +1,5 @@
 // The registry's contract after the full menu landed: every registered
-// name constructs and runs end-to-end (no residual UNIMPLEMENTED slots),
+// name constructs and runs end-to-end (no stub slots),
 // and unknown names still fail with NotFound plus the menu string.
 #include <cstdio>
 #include <string>

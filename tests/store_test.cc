@@ -1,11 +1,12 @@
 // The store/ subsystem: versioned solution serialization (bit-exact
-// roundtrip, size formula, checksum-first rejection of damage, refusal
-// of out-of-range ids), the
-// append-only log (replay, torn-tail truncation, mid-log corruption,
-// header mismatch), the directory's byte accounting, SolutionStore
-// end-to-end (put/fetch/erase/reopen, failed appends failing the put,
-// damaged records going cold, compaction, disk-budget eviction), and the
-// warm-restart test: a server restarted over the same log answers a
+// roundtrip, size formula, refusal of old versions, out-of-range ids and
+// overflowing counts; every truncation and byte flip of a record yields
+// a Status or a labelable solution), the append-only log (replay,
+// torn-tail truncation, mid-log corruption, lengths past the file's end,
+// header mismatch), SolutionStore end-to-end (put/fetch/reopen, byte
+// accounting, failed appends failing the put, damaged and old-version
+// records going cold at fetch and compaction, disk-budget eviction), and
+// the warm-restart test: a server restarted over the same log answers a
 // re-threshold WARM — zero recomputes, bit-identical labels.
 #include <sys/resource.h>
 #include <unistd.h>
@@ -25,7 +26,6 @@
 #include "serve/request.h"
 #include "serve/server.h"
 #include "serve/solution_cache.h"
-#include "store/directory.h"
 #include "store/solution_format.h"
 #include "store/solution_log.h"
 #include "store/solution_store.h"
@@ -73,23 +73,66 @@ void CheckSolutionsBitIdentical(const dpc::DpcSolution& a,
   CHECK(a.density_order == b.density_order);
 }
 
-/// `s` encoded as a record of another format version, its checksum
-/// resealed so that the version check itself is what refuses it. Version
-/// 1 is laid out as version 1 was: an input fingerprint u64 right after
-/// the version field.
+/// `s` encoded as a record of another format version, laid out as that
+/// version was, so that the version check itself is what refuses it.
+/// Version 1 carried an input fingerprint u64 right after the version
+/// field and closed with an FNV-1a checksum; version 2 dropped the
+/// fingerprint and kept the checksum.
 std::string EncodeAsVersion(const dpc::DpcSolution& s, uint32_t version) {
   std::string buf;
   dpc::store::EncodeSolution(s, &buf);
-  buf.resize(buf.size() - sizeof(uint64_t));  // drop the checksum
   std::memcpy(&buf[4], &version, sizeof(version));  // after the 4-byte magic
   if (version == 1) {
     const uint64_t fingerprint = 0xfeedbeefcafe0000ull;
     buf.insert(8, reinterpret_cast<const char*>(&fingerprint),
                sizeof(fingerprint));
   }
-  const uint64_t checksum = dpc::Fnv1aBytes(buf.data(), buf.size());
-  buf.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  if (version <= 2) {
+    const uint64_t checksum = dpc::Fnv1aBytes(buf.data(), buf.size());
+    buf.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  }
   return buf;
+}
+
+/// A well-formed header (current version, algorithm "x") followed by a
+/// rho count of 2^61 + 1 and eight bytes: count * sizeof(double) wraps to
+/// 8, so a bounds check that multiplies first lets it through.
+std::string EncodeOverflowingCount() {
+  std::string buf(dpc::store::kSolutionMagic, 4);
+  const uint32_t version = dpc::store::kSolutionFormatVersion;
+  const double params[3] = {1.0, 0.0, 0.0};  // d_cut, epsilon, cost
+  const uint32_t flags = 0;
+  const uint32_t algo_len = 1;
+  const int64_t count = (int64_t{1} << 61) + 1;
+  const double rho0 = 1.0;
+  buf.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  buf.append(reinterpret_cast<const char*>(params), sizeof(params));
+  buf.append(reinterpret_cast<const char*>(&flags), sizeof(flags));
+  buf.append(reinterpret_cast<const char*>(&algo_len), sizeof(algo_len));
+  buf.append("x");
+  buf.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  buf.append(reinterpret_cast<const char*>(&rho0), sizeof(rho0));
+  return buf;
+}
+
+/// Decodes `buf`: it must be refused with a Status, or come back with
+/// consistent lengths and in-range ids — and then it must label.
+void CheckRefusedOrLabelable(const std::string& buf) {
+  const auto decoded = dpc::store::DecodeSolution(buf);
+  if (!decoded.ok()) {
+    CHECK(decoded.status().code() == dpc::StatusCode::kInvalidArgument);
+    return;
+  }
+  const dpc::DpcSolution& s = decoded.value();
+  const size_t n = s.rho.size();
+  CHECK_EQ(s.delta.size(), n);
+  CHECK_EQ(s.dependency.size(), n);
+  CHECK_EQ(s.density_order.size(), s.interrupted() ? size_t{0} : n);
+  const auto n_ids = static_cast<dpc::PointId>(n);
+  for (const dpc::PointId dep : s.dependency) CHECK(dep >= -1 && dep < n_ids);
+  for (const dpc::PointId id : s.density_order) CHECK(id >= 0 && id < n_ids);
+  CHECK_EQ(dpc::LabelSolution(s, dpc::ThresholdSpec{1.0, 0.5}).label.size(),
+           n);
 }
 
 void TestFormatRoundtrip() {
@@ -120,29 +163,51 @@ void TestFormatRejectsDamage() {
   std::string buf;
   dpc::store::EncodeSolution(MakeSolution(16), &buf);
 
-  // Any flipped byte fails the trailing checksum — corruption is caught
-  // before a single field is trusted.
-  for (const size_t at : {size_t{0}, size_t{5}, buf.size() / 2}) {
+  // A flipped magic or version byte is refused.
+  for (const size_t at : {size_t{0}, size_t{5}}) {
     std::string bad = buf;
     bad[at] = static_cast<char>(bad[at] ^ 0x40);
     CHECK(!dpc::store::DecodeSolution(bad).ok());
   }
-  // Truncation at every boundary class fails cleanly.
-  for (const size_t keep : {size_t{0}, size_t{3}, size_t{40}, buf.size() - 1}) {
+  // Every truncation fails cleanly, and so does a trailing byte.
+  for (size_t keep = 0; keep < buf.size(); ++keep) {
     CHECK(!dpc::store::DecodeSolution(buf.data(), keep).ok());
   }
-  // A future format version, and version 1 (which also carried the
-  // input's fingerprint), are refused by the version check.
-  for (const uint32_t version : {9u, 1u}) {
+  CHECK(!dpc::store::DecodeSolution(buf + '\0').ok());
+  // A future format version, version 1 (which also carried the input's
+  // fingerprint) and version 2 (which closed with its own checksum) are
+  // refused by the version check.
+  for (const uint32_t version : {9u, 1u, 2u}) {
     const auto refused =
         dpc::store::DecodeSolution(EncodeAsVersion(MakeSolution(16), version));
     CHECK(!refused.ok());
     CHECK(refused.status().message().find("version") != std::string::npos);
   }
+  // An array count whose byte size wraps is refused, not allocated.
+  CHECK(!dpc::store::DecodeSolution(EncodeOverflowingCount()).ok());
 }
 
-/// Records whose checksum holds but whose ids would send labeling out of
-/// bounds: each is encoded as-is (the encoder trusts its input) and must
+/// The frame checksum is FNV, not a MAC: bytes that carry a valid one can
+/// still be hostile. Every single-byte change of a small record — all 255
+/// other values at every position — and every truncation of it must
+/// decode to a Status or to a solution that is safe to label.
+void TestFormatSurvivesEveryByteFlip() {
+  dpc::DpcSolution s = MakeSolution(4);
+  std::string buf;
+  dpc::store::EncodeSolution(s, &buf);
+  for (size_t at = 0; at < buf.size(); ++at) {
+    for (int delta = 1; delta < 256; ++delta) {
+      std::string bad = buf;
+      bad[at] = static_cast<char>(static_cast<unsigned char>(bad[at]) + delta);
+      CheckRefusedOrLabelable(bad);
+    }
+  }
+  for (size_t keep = 0; keep <= buf.size(); ++keep) {
+    CheckRefusedOrLabelable(buf.substr(0, keep));
+  }
+}
+
+/// Well-formed records whose ids would send labeling out of bounds: each is encoded as-is (the encoder trusts its input) and must
 /// decode to InvalidArgument.
 void TestFormatRejectsBadIds() {
   const dpc::PointId n = 16;
@@ -190,37 +255,44 @@ void TestLogAppendReplay() {
     auto log = dpc::store::SolutionLog::Open(path, &replayed);
     CHECK(log.ok());
     CHECK(replayed.empty());
-    auto a1 = log.value()->Append(dpc::store::kRecordPut, "k1", p1);
+    auto a1 = log.value()->Append("k1", p1);
     CHECK(a1.ok());
     off1 = a1.value();
-    auto a2 = log.value()->Append(dpc::store::kRecordPut, "k2", p2);
+    auto a2 = log.value()->Append("k2", p2);
     CHECK(a2.ok());
     off2 = a2.value();
-    CHECK(log.value()->Append(dpc::store::kRecordErase, "k1", "").ok());
+    CHECK(log.value()->Append("k3", "").ok());
     // The size accounting matches the static per-record formula.
     CHECK_EQ(log.value()->size_bytes(),
              dpc::store::SolutionLog::kHeaderBytes +
                  dpc::store::SolutionLog::RecordBytes(2, p1.size()) +
                  dpc::store::SolutionLog::RecordBytes(2, p2.size()) +
                  dpc::store::SolutionLog::RecordBytes(2, 0));
-    // Payloads read back through the same handle.
+    // Records read back through the same handle.
+    std::string key;
     std::string out;
-    CHECK(log.value()->ReadPayload(off1, p1.size(), &out).ok());
+    CHECK(log.value()->Read(off1, &key, &out).ok());
+    CHECK(key == "k1");
     CHECK(out == p1);
   }
-  // Reopen: every record replays with the same offsets, types and keys.
+  // Reopen: every record replays with the same offsets, keys and sizes.
   std::vector<dpc::store::LogRecord> replayed;
   auto log = dpc::store::SolutionLog::Open(path, &replayed);
   CHECK(log.ok());
   CHECK_EQ(replayed.size(), 3u);
-  CHECK_EQ(replayed[0].type, dpc::store::kRecordPut);
   CHECK(replayed[0].key == "k1");
-  CHECK_EQ(replayed[0].payload_offset, off1);
-  CHECK_EQ(replayed[1].payload_offset, off2);
-  CHECK_EQ(replayed[2].type, dpc::store::kRecordErase);
+  CHECK_EQ(replayed[0].offset, off1);
+  CHECK_EQ(replayed[1].offset, off2);
+  CHECK_EQ(replayed[1].payload_bytes, p2.size());
+  CHECK(replayed[2].key == "k3");
+  CHECK_EQ(replayed[2].payload_bytes, 0u);
+  std::string key;
   std::string out;
-  CHECK(log.value()->ReadPayload(off2, p2.size(), &out).ok());
+  CHECK(log.value()->Read(off2, &key, &out).ok());
+  CHECK(key == "k2");
   CHECK(out == p2);
+  // An offset that is not a record boundary is refused.
+  CHECK(!log.value()->Read(off2 + 1, &key, &out).ok());
   std::remove(path.c_str());
 }
 
@@ -245,9 +317,9 @@ void TestLogTornTail() {
     std::vector<dpc::store::LogRecord> replayed;
     auto log = dpc::store::SolutionLog::Open(path, &replayed);
     CHECK(log.ok());
-    CHECK(log.value()->Append(dpc::store::kRecordPut, "a", "first").ok());
-    CHECK(log.value()->Append(dpc::store::kRecordPut, "b", "second").ok());
-    CHECK(log.value()->Append(dpc::store::kRecordPut, "c", "third").ok());
+    CHECK(log.value()->Append("a", "first").ok());
+    CHECK(log.value()->Append("b", "second").ok());
+    CHECK(log.value()->Append("c", "third").ok());
   }
   // A crash mid-append leaves a partial final record: replay keeps the
   // two complete ones and truncates the tear away.
@@ -259,7 +331,7 @@ void TestLogTornTail() {
     CHECK_EQ(replayed.size(), 2u);
     CHECK(replayed[1].key == "b");
     // The next append starts on a clean boundary and survives reopen.
-    CHECK(log.value()->Append(dpc::store::kRecordPut, "d", "fourth").ok());
+    CHECK(log.value()->Append("d", "fourth").ok());
   }
   std::vector<dpc::store::LogRecord> replayed;
   auto log = dpc::store::SolutionLog::Open(path, &replayed);
@@ -277,10 +349,10 @@ void TestLogCorruptMiddle() {
     std::vector<dpc::store::LogRecord> replayed;
     auto log = dpc::store::SolutionLog::Open(path, &replayed);
     CHECK(log.ok());
-    CHECK(log.value()->Append(dpc::store::kRecordPut, "a", "first").ok());
+    CHECK(log.value()->Append("a", "first").ok());
     second_start = static_cast<long>(log.value()->size_bytes());
-    CHECK(log.value()->Append(dpc::store::kRecordPut, "b", "second").ok());
-    CHECK(log.value()->Append(dpc::store::kRecordPut, "c", "third").ok());
+    CHECK(log.value()->Append("b", "second").ok());
+    CHECK(log.value()->Append("c", "third").ok());
   }
   // Flip a payload byte inside the middle record: its checksum fails, so
   // replay stops at the last valid record — the corrupt record AND
@@ -302,6 +374,56 @@ void TestLogCorruptMiddle() {
   std::remove(path.c_str());
 }
 
+/// One record frame as the log lays it out, its checksum computed over
+/// whatever `body` holds, so only the field under test is wrong.
+std::string Frame(uint8_t type, uint32_t key_len, uint64_t payload_len,
+                  const std::string& body) {
+  std::string f(reinterpret_cast<const char*>(&dpc::store::kRecordMagic), 4);
+  f.append(reinterpret_cast<const char*>(&type), sizeof(type));
+  f.append(reinterpret_cast<const char*>(&key_len), sizeof(key_len));
+  f.append(reinterpret_cast<const char*>(&payload_len), sizeof(payload_len));
+  f += body;
+  const uint64_t checksum = dpc::Fnv1aBytes(f.data() + 4, f.size() - 4);
+  f.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return f;
+}
+
+/// Hand-written one-record logs. A well-formed put replays. A tombstone
+/// (type 2, which earlier versions wrote) ends the replay like any other
+/// damage. A frame whose lengths claim more bytes than the file holds —
+/// a 4 GiB payload in a 33-byte file, or the largest key — is refused
+/// before anything is allocated for it. Each refused file opens with no
+/// records and is cut back to its header.
+void TestLogHandWrittenFrames() {
+  const std::string path = TmpPath("frames.log");
+  const std::string header(dpc::store::kLogMagic, sizeof(dpc::store::kLogMagic));
+  const std::string put = Frame(dpc::store::kRecordPut, 1, 2, "kpp");
+  const std::vector<std::string> refused = {
+      Frame(2, 1, 0, "k"),
+      Frame(dpc::store::kRecordPut, 0, dpc::store::kMaxPayloadBytes, ""),
+      Frame(dpc::store::kRecordPut, dpc::store::kMaxKeyBytes, 0, ""),
+  };
+  for (size_t i = 0; i <= refused.size(); ++i) {
+    const std::string& frame = i == 0 ? put : refused[i - 1];
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      CHECK(f != nullptr);
+      CHECK_EQ(std::fwrite(header.data(), 1, header.size(), f), header.size());
+      CHECK_EQ(std::fwrite(frame.data(), 1, frame.size(), f), frame.size());
+      std::fclose(f);
+    }
+    std::vector<dpc::store::LogRecord> replayed;
+    auto log = dpc::store::SolutionLog::Open(path, &replayed);
+    CHECK(log.ok());
+    const size_t kept = i == 0 ? 1 : 0;
+    const uint64_t size = header.size() + (i == 0 ? put.size() : 0);
+    CHECK_EQ(replayed.size(), kept);
+    CHECK_EQ(log.value()->size_bytes(), size);
+    CHECK_EQ(FileSize(path), static_cast<long>(size));
+  }
+  std::remove(path.c_str());
+}
+
 void TestLogBadHeader() {
   const std::string path = TmpPath("notalog.bin");
   {
@@ -318,24 +440,6 @@ void TestLogBadHeader() {
   auto store = dpc::store::SolutionStore::Open(path);
   CHECK(!store.ok());
   std::remove(path.c_str());
-}
-
-void TestDirectory() {
-  dpc::store::Directory dir;
-  CHECK(dir.empty());
-  dir.Put("a", {100, 50, 0});
-  dir.Put("b", {200, 30, 1});
-  CHECK_EQ(dir.live_payload_bytes(), 80u);
-  // Supersede: newer offset wins, live bytes track the delta.
-  dir.Put("a", {300, 70, 2});
-  CHECK_EQ(dir.live_payload_bytes(), 100u);
-  CHECK_EQ(dir.Find("a")->offset, 300u);
-  // Oldest = smallest put sequence, which is now "b".
-  CHECK(dir.OldestKey() == "b");
-  CHECK(dir.Erase("b"));
-  CHECK(!dir.Erase("b"));
-  CHECK_EQ(dir.live_payload_bytes(), 70u);
-  CHECK_EQ(dir.size(), 1u);
 }
 
 void TestStoreRoundtripAndReopen() {
@@ -362,19 +466,18 @@ void TestStoreRoundtripAndReopen() {
     const auto stats = store.value()->stats();
     CHECK_EQ(stats.log_reads, 2u);
     CHECK_EQ(stats.live_solutions, 2u);
-
-    CHECK(store.value()->Erase("k2").ok());
-    CHECK(store.value()->Fetch("k2") == nullptr);
   }
-  // Reopen: the directory rebuilds from replay; the erased key stays
-  // gone (its tombstone replays too) and k1 is still bit-identical.
+  // Reopen: the key map rebuilds from replay and both keys are still
+  // bit-identical.
   auto store = dpc::store::SolutionStore::Open(path);
   CHECK(store.ok());
-  CHECK_EQ(store.value()->stats().live_solutions, 1u);
-  CHECK(!store.value()->Contains("k2"));
+  CHECK_EQ(store.value()->stats().live_solutions, 2u);
   const auto fetched = store.value()->Fetch("k1");
   CHECK(fetched != nullptr);
   CheckSolutionsBitIdentical(s1, *fetched);
+  const auto fetched2 = store.value()->Fetch("k2");
+  CHECK(fetched2 != nullptr);
+  CheckSolutionsBitIdentical(s2, *fetched2);
   std::remove(path.c_str());
 }
 
@@ -419,11 +522,15 @@ void TestStoreFailedFlushFailsPut() {
 
 void TestStoreDamagedPayloadGoesCold() {
   const std::string path = TmpPath("damaged.log");
-  // Splice in a record whose LOG framing is valid but whose payload is
-  // another solution-format version: a future one is what a downgrade
-  // after an upgrade would leave behind, version 1 what an upgrade finds
-  // in an old log.
-  for (const uint32_t version : {9u, 1u}) {
+  // Splice in a record whose LOG framing is valid but whose payload does
+  // not decode: a future format version is what a downgrade after an
+  // upgrade would leave behind, versions 1 and 2 what an upgrade finds
+  // in an old log, and the overflowing count hostile bytes under a valid
+  // checksum.
+  const std::vector<std::string> payloads = {
+      EncodeAsVersion(MakeSolution(8), 9), EncodeAsVersion(MakeSolution(8), 1),
+      EncodeAsVersion(MakeSolution(8), 2), EncodeOverflowingCount()};
+  for (const std::string& payload : payloads) {
     std::remove(path.c_str());
     {
       auto store = dpc::store::SolutionStore::Open(path);
@@ -434,10 +541,7 @@ void TestStoreDamagedPayloadGoesCold() {
       std::vector<dpc::store::LogRecord> replayed;
       auto log = dpc::store::SolutionLog::Open(path, &replayed);
       CHECK(log.ok());
-      CHECK(log.value()
-                ->Append(dpc::store::kRecordPut, "other",
-                         EncodeAsVersion(MakeSolution(8), version))
-                .ok());
+      CHECK(log.value()->Append("other", payload).ok());
     }
     auto store = dpc::store::SolutionStore::Open(path);
     CHECK(store.ok());
@@ -451,7 +555,71 @@ void TestStoreDamagedPayloadGoesCold() {
     CHECK(store.value()->Fetch("other") == nullptr);
     CHECK_EQ(store.value()->stats().decode_failures, 1u);
     CHECK(store.value()->Fetch("good") != nullptr);
+    // The cold key recomputes: a new put of it succeeds and survives a
+    // reopen.
+    const dpc::DpcSolution fresh = MakeSolution(8, 3.0);
+    CHECK(store.value()->Put("other", fresh).ok());
+    store = dpc::store::SolutionStore::Open(path);
+    CHECK(store.ok());
+    const auto fetched = store.value()->Fetch("other");
+    CHECK(fetched != nullptr);
+    CheckSolutionsBitIdentical(fresh, *fetched);
   }
+  std::remove(path.c_str());
+}
+
+/// Flips one byte of `path` at `offset` behind the store's back.
+void FlipByte(const std::string& path, long offset) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  CHECK(f != nullptr);
+  CHECK_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  const int c = std::fgetc(f);
+  CHECK(c != EOF);
+  CHECK_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  std::fputc(c ^ 0x01, f);
+  std::fclose(f);
+}
+
+/// A payload byte flipped on disk under a live store fails the frame
+/// checksum wherever the record is read: Fetch returns null, and Compact
+/// leaves the record out instead of re-framing it under a fresh checksum.
+void TestStoreFlippedPayloadByte() {
+  const std::string path = TmpPath("flipped.log");
+  std::remove(path.c_str());
+  const dpc::DpcSolution s = MakeSolution(64);
+  const uint64_t payload = dpc::store::SerializedSolutionBytes(s);
+  const uint64_t record = dpc::store::SolutionLog::RecordBytes(2, payload);
+  auto store = dpc::store::SolutionStore::Open(path);
+  CHECK(store.ok());
+  for (const char* key : {"k0", "k1", "k2"}) {
+    CHECK(store.value()->Put(key, s).ok());
+  }
+  // Record i starts at header + i * record; its payload after the 17-byte
+  // frame head and the 2-byte key. Flip a byte mid-payload in k0 and k1.
+  for (const uint64_t i : {0u, 1u}) {
+    FlipByte(path, static_cast<long>(dpc::store::SolutionLog::kHeaderBytes +
+                                      i * record + 17 + 2 + payload / 2));
+  }
+  CHECK(store.value()->Fetch("k0") == nullptr);
+  CHECK_EQ(store.value()->stats().decode_failures, 1u);
+  CHECK(store.value()->Contains("k1"));  // not read yet
+
+  CHECK(store.value()->Compact().ok());
+  const auto stats = store.value()->stats();
+  CHECK_EQ(stats.decode_failures, 2u);
+  CHECK_EQ(stats.live_solutions, 1u);
+  CHECK(!store.value()->Contains("k1"));
+  CHECK_EQ(stats.log_bytes, dpc::store::SolutionLog::kHeaderBytes + record);
+  const auto kept = store.value()->Fetch("k2");
+  CHECK(kept != nullptr);
+  CheckSolutionsBitIdentical(s, *kept);
+  // The compacted file replays cleanly: nothing is cut off on reopen.
+  store = dpc::store::SolutionStore::Open(path);
+  CHECK(store.ok());
+  CHECK_EQ(store.value()->stats().live_solutions, 1u);
+  CHECK_EQ(FileSize(path),
+           static_cast<long>(dpc::store::SolutionLog::kHeaderBytes + record));
+  CHECK(store.value()->Fetch("k2") != nullptr);
   std::remove(path.c_str());
 }
 
@@ -461,15 +629,16 @@ void TestStoreCompaction() {
   auto store = dpc::store::SolutionStore::Open(path);
   CHECK(store.ok());
   const dpc::DpcSolution v1 = MakeSolution(64, 1.0);
-  const dpc::DpcSolution v2 = MakeSolution(64, 2.0);
+  const dpc::DpcSolution v2 = MakeSolution(80, 2.0);
   CHECK(store.value()->Put("k1", v1).ok());
   CHECK(store.value()->Put("k1", v2).ok());  // supersedes v1
-  CHECK(store.value()->Put("dead", MakeSolution(48)).ok());
-  CHECK(store.value()->Erase("dead").ok());
+  // Only the newest payload of a key counts as live.
+  CHECK_EQ(store.value()->stats().live_payload_bytes,
+           dpc::store::SerializedSolutionBytes(v2));
   const uint64_t before = store.value()->stats().log_bytes;
 
-  // Compaction drops the superseded v1, the tombstoned payload, and the
-  // tombstone itself: the file shrinks to exactly the live set.
+  // Compaction drops the superseded v1: the file shrinks to exactly the
+  // live set.
   CHECK(store.value()->Compact().ok());
   const auto stats = store.value()->stats();
   CHECK(stats.log_bytes < before);
@@ -479,6 +648,7 @@ void TestStoreCompaction() {
                    2, dpc::store::SerializedSolutionBytes(v2)));
   CHECK_EQ(stats.compactions, 1u);
   CHECK_EQ(stats.live_solutions, 1u);
+  CHECK_EQ(stats.live_payload_bytes, dpc::store::SerializedSolutionBytes(v2));
   // The survivor is the NEWEST version, still bit-identical.
   const auto fetched = store.value()->Fetch("k1");
   CHECK(fetched != nullptr);
@@ -514,12 +684,13 @@ void TestStoreDiskBudget() {
   }
   const auto stats = store.value()->stats();
   CHECK_EQ(stats.live_solutions, 3u);
-  CHECK(stats.budget_evictions >= 5u);
+  CHECK_EQ(stats.budget_evictions, 5u);
   CHECK(stats.compactions >= 1u);
-  // The newest keys survive, the oldest are gone.
-  CHECK(store.value()->Contains("k7"));
-  CHECK(store.value()->Contains("k5"));
-  CHECK(!store.value()->Contains("k0"));
+  // Every compaction keeps the age order, so the three newest keys are
+  // the survivors and every older one is gone.
+  for (int i = 0; i < 8; ++i) {
+    CHECK_EQ(store.value()->Contains("k" + std::to_string(i)), i >= 5);
+  }
   std::remove(path.c_str());
 }
 
@@ -593,15 +764,17 @@ void TestServerRestartWarm() {
 int main() {
   TestFormatRoundtrip();
   TestFormatRejectsDamage();
+  TestFormatSurvivesEveryByteFlip();
   TestFormatRejectsBadIds();
   TestLogAppendReplay();
   TestLogTornTail();
   TestLogCorruptMiddle();
+  TestLogHandWrittenFrames();
   TestLogBadHeader();
-  TestDirectory();
   TestStoreRoundtripAndReopen();
   TestStoreFailedFlushFailsPut();
   TestStoreDamagedPayloadGoesCold();
+  TestStoreFlippedPayloadByte();
   TestStoreCompaction();
   TestStoreDiskBudget();
   TestServerRestartWarm();
