@@ -25,8 +25,11 @@
 // block at a time — the poll block doubles as the kernel batch. Counts
 // come from RangeCountBatch (self-hit subtracted arithmetically: the
 // query is always within d_cut of itself); the dependent pass batches
-// the distances and keeps the ascending DenserThan scan on the buffer,
-// so every rho and delta is bit-identical to the scalar loops.
+// the distances and keeps the ascending scan on the buffer, so every rho
+// and delta is bit-identical to the scalar loops. That scan tests the
+// distance first and asks DenserThan only of a candidate closer than the
+// running best: the update needs both, and the distance test is the one
+// that rejects nearly every candidate.
 #ifndef DPC_BASELINES_SCAN_DPC_H_
 #define DPC_BASELINES_SCAN_DPC_H_
 
@@ -60,9 +63,10 @@ inline constexpr int64_t kDistanceEvalsPerPoll = 4096;
 /// `soa` must be an identity-order view of `points`. Each poll block is
 /// one SquaredDistanceBatch over ALL candidates (a denser-only scan
 /// would break the unit-stride streaming for ~2x fewer flops — a loss on
-/// every profile), then the ascending DenserThan scan runs on the
-/// buffer, preserving the scalar loop's update order and tie behavior
-/// exactly.
+/// every profile), then the ascending scan runs on the buffer,
+/// preserving the scalar loop's update order and tie behavior exactly:
+/// a candidate wins only when it is strictly closer than the running
+/// best and DenserThan, whichever is tested first.
 inline void QuadraticDeltas(const PointSet& points, const PointSetSoA& soa,
                             const std::vector<double>& rho,
                             const ExecutionContext& exec,
@@ -82,9 +86,9 @@ inline void QuadraticDeltas(const PointSet& points, const PointSetSoA& soa,
         kernels::SquaredDistanceBatch(soa, j0, j_end - j0, points[i],
                                       buf.data());
         for (PointId j = j0; j < j_end; ++j) {
-          if (!DenserThan(rho[static_cast<size_t>(j)], j, rho_i, i)) continue;
           const double d_sq = buf[static_cast<size_t>(j - j0)];
-          if (d_sq < best_sq) {
+          if (d_sq < best_sq &&
+              DenserThan(rho[static_cast<size_t>(j)], j, rho_i, i)) {
             best_sq = d_sq;
             best = j;
           }

@@ -1,9 +1,10 @@
 // Figure 9 — running time vs number of threads.
 //
 // Reproduces the thread sweep (the paper uses 1..48 on dual 12-core
-// Xeons). One table per dataset: a row per algorithm, its wall time at
-// each thread count up to DPC_BENCH_THREADS, and its delta-phase time at
-// the largest count. Expected shapes on multicore hardware:
+// Xeons) on Household, Sensor and Syn (2-D, d_cut 250). One table per
+// dataset: a row per algorithm, its wall time at each thread count up to
+// DPC_BENCH_THREADS, and its delta-phase time at the largest count.
+// Expected shapes on multicore hardware:
 //   * Approx-DPC and S-Approx-DPC speed up with threads (their cell loop
 //     hands out grains of cells like every other pool loop),
 //   * Ex-DPC plateaus once the sequential dependent phase dominates,
@@ -35,10 +36,18 @@ int main() {
     if (threads.empty()) threads.push_back(1);
   }
 
-  // One representative dataset keeps the sweep affordable; Household-like
-  // is the paper's middle case.
+  // Household-like (the paper's middle case) and Sensor, then the 2-D
+  // Syn random walk at perfbench's solve-syn2d size: 1M points at the
+  // default scale (0.02), 100k at CI's 0.002 smoke run.
+  std::vector<bench::Workload> workloads;
   for (auto& w : bench::RealWorkloads(cfg)) {
-    if (w.name != "Household" && w.name != "Sensor") continue;
+    if (w.name == "Household" || w.name == "Sensor") {
+      workloads.push_back(std::move(w));
+    }
+  }
+  workloads.push_back(bench::SynWorkload(cfg, /*noise_rate=*/0.01,
+                                         /*full_cardinality=*/50000000));
+  for (const auto& w : workloads) {
     std::printf("%s (n=%lld)\n", w.name.c_str(), static_cast<long long>(w.points.size()));
     std::vector<std::string> headers = {"algorithm"};
     for (const int t : threads) headers.push_back(StrFormat("t=%d", t));

@@ -93,12 +93,14 @@ inline std::vector<Workload> RealWorkloads(const eval::BenchConfig& cfg) {
   return out;
 }
 
-/// The Syn workload (2-d random walk, d_cut = 250 as in Figure 6).
-inline Workload SynWorkload(const eval::BenchConfig& cfg, double noise_rate = 0.01) {
+/// The Syn workload (2-d random walk, d_cut = 250 as in Figure 6) at
+/// cfg.Scaled(full_cardinality) points.
+inline Workload SynWorkload(const eval::BenchConfig& cfg, double noise_rate = 0.01,
+                            PointId full_cardinality = 100000) {
   Workload w;
   w.name = "Syn";
   data::RandomWalkParams p;
-  p.num_points = cfg.Scaled(100000);
+  p.num_points = cfg.Scaled(full_cardinality);
   p.noise_rate = noise_rate;
   p.seed = 320;
   w.points = data::RandomWalk(p);

@@ -4,10 +4,12 @@
 // size and on lattice points lying exactly on the ball boundary; exact
 // rho, one joint count per leaf (ExDpc::ComputeExactRho), for every point
 // at 1 and 4 threads; the nearest search's ties and seeded bounds on the
-// same lattices; the leaves and leaf order the solves schedule by; the
-// pool build, which must reproduce the serial tree exactly; the in-place
-// median select on adversarial orders (including a quickselect killer
-// that reaches its heap-sort fallback); and trees over an id subset.
+// same lattices, and that it asks its predicate only about candidates no
+// farther than the best so far; the leaves and leaf order the solves
+// schedule by; the pool build, which must reproduce the serial tree
+// exactly; the in-place median select on adversarial orders (including a
+// quickselect killer that reaches its heap-sort fallback); and trees over
+// an id subset.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -355,6 +357,67 @@ void TestLatticeNearest() {
     // The fixture is only meaningful if many bounds sit exactly on the
     // nearest distance (distance 0 or a perfect-square squared distance).
     CHECK(exact_at_bound > 100);
+  }
+}
+
+/// The nearest search asks its predicate only about candidates that can
+/// still win: a mirror of the delta phase's predicate (DenserThan over a
+/// rho with many ties) recomputes each candidate's distance and counts a
+/// violation whenever it is asked about a point farther than the nearest
+/// it has already accepted (or than the seeded bound). Every lattice
+/// point is queried, and the winners must equal a brute-force scan's.
+void TestPredicateAfterDistance() {
+  for (const int dim : {2, 7}) {
+    const dpc::PointSet points = LatticePoints(dim);
+    const dpc::PointId n = points.size();
+    std::vector<double> rho(static_cast<size_t>(n));
+    for (dpc::PointId j = 0; j < n; ++j) {
+      rho[static_cast<size_t>(j)] = static_cast<double>((j * 37) % 11);
+    }
+    dpc::KdTree tree;
+    tree.Build(points);
+    int64_t calls = 0;
+    int64_t violations = 0;
+    int seeded = 0;
+    for (dpc::PointId i = 0; i < n; ++i) {
+      const double* q = points[i];
+      const double rho_i = rho[static_cast<size_t>(i)];
+      const auto denser = [&](dpc::PointId j) {
+        return dpc::DenserThan(rho[static_cast<size_t>(j)], j, rho_i, i);
+      };
+      double true_sq = 0.0;
+      const dpc::PointId true_nn =
+          BruteNearest(points, q, denser,
+                       std::numeric_limits<double>::infinity(), &true_sq);
+      // Every third query also runs with a bound just above its answer.
+      const bool seed = i % 3 == 0 && true_nn >= 0;
+      const double max_dist = seed ? std::sqrt(true_sq) + 0.5
+                                   : std::numeric_limits<double>::infinity();
+      double accepted_sq = seed ? max_dist * max_dist
+                                : std::numeric_limits<double>::infinity();
+      const auto mirror = [&](dpc::PointId j) {
+        ++calls;
+        const double d_sq = dpc::SquaredDistance(q, points[j], dim);
+        if (d_sq > accepted_sq) ++violations;
+        const bool accept = denser(j);
+        if (accept) accepted_sq = std::min(accepted_sq, d_sq);
+        return accept;
+      };
+      double dist = 0.0;
+      CHECK_EQ(tree.NearestAccepted(q, mirror, &dist, max_dist), true_nn);
+      if (true_nn >= 0) {
+        CHECK_EQ(dist, std::sqrt(true_sq));
+      } else {
+        CHECK(std::isinf(dist));
+      }
+      seeded += seed ? 1 : 0;
+    }
+    std::printf("predicate-after-distance dim=%d: %lld violations / %lld calls\n",
+                dim, static_cast<long long>(violations),
+                static_cast<long long>(calls));
+    CHECK(calls > 0);
+    CHECK(seeded > 0);
+    CHECK_EQ(violations, int64_t{0});
   }
 }
 
@@ -727,6 +790,7 @@ int main() {
   TestLatticeBoundary();
   TestExactRho();
   TestLatticeNearest();
+  TestPredicateAfterDistance();
   TestPoolBuild();
   TestAdversarialSelection();
   TestSubsetBuild();
