@@ -21,38 +21,20 @@
 #include "baselines/scan_dpc.h"
 #include "core/dpc.h"
 #include "core/kernels.h"
-#include "core/options.h"
 #include "core/rng.h"
 #include "core/soa.h"
 #include "parallel/parallel_for.h"
 
 namespace dpc {
 
-struct CfsfdpAOptions {
-  /// Fraction of points the density estimate counts against (the paper's
-  /// fixed 25% unless overridden).
-  double sample_rate = 0.25;
-  /// Seed of the Bernoulli sampling coins; fixed so labels are
-  /// reproducible run to run.
-  int64_t sample_seed = 0xcf5fd9a5;
-
-  static StatusOr<CfsfdpAOptions> FromOptions(const OptionsMap& map) {
-    CfsfdpAOptions options;
-    OptionsReader reader(map);
-    reader.Double("sample_rate", &options.sample_rate);
-    reader.Int64("sample_seed", &options.sample_seed);
-    if (Status s = reader.status(); !s.ok()) return s;
-    if (!(options.sample_rate > 0.0) || options.sample_rate > 1.0) {
-      return Status::InvalidArgument("sample_rate must be in (0, 1]");
-    }
-    return options;
-  }
-};
-
 class CfsfdpA : public DpcAlgorithm {
  public:
-  CfsfdpA() = default;
-  explicit CfsfdpA(CfsfdpAOptions options) : options_(options) {}
+  /// Fraction of points the density estimate counts against (the paper's
+  /// fixed 25%).
+  static constexpr double kSampleRate = 0.25;
+  /// Seed of the Bernoulli sampling coins; fixed so labels are
+  /// reproducible run to run.
+  static constexpr uint64_t kSampleSeed = 0xcf5fd9a5;
 
   std::string_view name() const override { return "CFSFDP-A"; }
 
@@ -67,13 +49,11 @@ class CfsfdpA : public DpcAlgorithm {
     result.dependency.assign(static_cast<size_t>(n), PointId{-1});
 
     internal::WallTimer phase;
-    const double sample_rate = options_.sample_rate;
-    const uint64_t seed = static_cast<uint64_t>(options_.sample_seed);
     std::vector<PointId> sample;
     sample.reserve(
-        static_cast<size_t>(static_cast<double>(n) * sample_rate) + 16);
+        static_cast<size_t>(static_cast<double>(n) * kSampleRate) + 16);
     for (PointId j = 0; j < n; ++j) {
-      if (HashToUnit(seed, static_cast<uint64_t>(j)) < sample_rate) {
+      if (HashToUnit(kSampleSeed, static_cast<uint64_t>(j)) < kSampleRate) {
         sample.push_back(j);
       }
     }
@@ -106,10 +86,10 @@ class CfsfdpA : public DpcAlgorithm {
                                             points[i], r_sq);
         }
         const bool self_sampled =
-            HashToUnit(seed, static_cast<uint64_t>(i)) < sample_rate;
+            HashToUnit(kSampleSeed, static_cast<uint64_t>(i)) < kSampleRate;
         if (self_sampled) --count;
         result.rho[static_cast<size_t>(i)] =
-            static_cast<double>(count) / sample_rate;
+            static_cast<double>(count) / kSampleRate;
       }
     });
     result.stats.rho_seconds = phase.Lap();
@@ -121,9 +101,6 @@ class CfsfdpA : public DpcAlgorithm {
     internal::Interrupted(exec, &result);
     return result;
   }
-
- private:
-  CfsfdpAOptions options_;
 };
 
 }  // namespace dpc

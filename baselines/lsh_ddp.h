@@ -14,8 +14,8 @@
 //
 // Hash directions are seeded (index/lsh.h) and all per-point phases write
 // disjoint slots, so labels are bit-identical across runs and threads.
-// The table/bit counts are the classic LSH quality/speed dials, exposed
-// through LshDdpOptions for the paper's sensitivity experiments.
+// The table/bit counts are the classic LSH quality/speed dials; every
+// experiment runs the baseline at the one setting fixed below.
 #ifndef DPC_BASELINES_LSH_DDP_H_
 #define DPC_BASELINES_LSH_DDP_H_
 
@@ -25,40 +25,20 @@
 #include "core/dpc.h"
 #include "core/ex_dpc.h"
 #include "core/kernels.h"
-#include "core/options.h"
 #include "index/kdtree.h"
 #include "index/lsh.h"
 #include "parallel/parallel_for.h"
 
 namespace dpc {
 
-struct LshDdpOptions {
-  int num_tables = 4;  ///< hash tables; more = better recall, more work
-  int num_bits = 4;    ///< projections per table (code width)
-  /// Bucket width as a multiple of d_cut.
-  double bucket_width_factor = 4.0;
-
-  static StatusOr<LshDdpOptions> FromOptions(const OptionsMap& map) {
-    LshDdpOptions options;
-    OptionsReader reader(map);
-    reader.Int("num_tables", &options.num_tables);
-    reader.Int("num_bits", &options.num_bits);
-    reader.Double("bucket_width_factor", &options.bucket_width_factor);
-    if (Status s = reader.status(); !s.ok()) return s;
-    if (options.num_tables < 1 || options.num_bits < 1) {
-      return Status::InvalidArgument("num_tables and num_bits must be >= 1");
-    }
-    if (!(options.bucket_width_factor > 0.0)) {
-      return Status::InvalidArgument("bucket_width_factor must be positive");
-    }
-    return options;
-  }
-};
-
 class LshDdp : public DpcAlgorithm {
  public:
-  LshDdp() = default;
-  explicit LshDdp(LshDdpOptions options) : options_(options) {}
+  /// Hash tables; more = better recall, more work.
+  static constexpr int kNumTables = 4;
+  /// Projections per table (code width).
+  static constexpr int kNumBits = 4;
+  /// Bucket width as a multiple of d_cut.
+  static constexpr double kBucketWidthFactor = 4.0;
 
   std::string_view name() const override { return "LSH-DDP"; }
 
@@ -74,9 +54,9 @@ class LshDdp : public DpcAlgorithm {
 
     internal::WallTimer phase;
     LshParams lsh_params;
-    lsh_params.num_tables = options_.num_tables;
-    lsh_params.num_projections = options_.num_bits;
-    lsh_params.bucket_width = options_.bucket_width_factor * compute.d_cut;
+    lsh_params.num_tables = kNumTables;
+    lsh_params.num_projections = kNumBits;
+    lsh_params.bucket_width = kBucketWidthFactor * compute.d_cut;
     const LshPartitioner lsh(points, lsh_params);
     KdTree tree;  // refinement index for local density maxima
     tree.Build(points, exec);
@@ -174,9 +154,6 @@ class LshDdp : public DpcAlgorithm {
     internal::Interrupted(exec, &result);
     return result;
   }
-
- private:
-  LshDdpOptions options_;
 };
 
 }  // namespace dpc

@@ -26,19 +26,12 @@ int main() {
     eval::Table table({"algorithm", "build", "rho comp.", "delta comp.", "total"});
     for (const auto id : bench::AllAlgoIds()) {
       const auto run = bench::RunTimed(id, w, cfg, cfg.max_threads);
-      const double ratio = run.extrapolated
-                               ? (static_cast<double>(w.points.size()) /
-                                  static_cast<double>(run.n_used)) *
-                                     (static_cast<double>(w.points.size()) /
-                                      static_cast<double>(run.n_used))
-                               : 1.0;
-      table.AddRow({bench::AlgoName(id),
-                    bench::FmtSeconds(run.solution.stats.build_seconds * ratio,
-                                      run.extrapolated),
-                    bench::FmtSeconds(run.solution.stats.rho_seconds * ratio,
-                                      run.extrapolated),
-                    bench::FmtSeconds(run.solution.stats.delta_seconds * ratio,
-                                      run.extrapolated),
+      auto full_n = [&](double phase_seconds) {
+        return bench::FmtSeconds(phase_seconds * run.time_scale, run.extrapolated);
+      };
+      table.AddRow({bench::AlgoName(id), full_n(run.solution.stats.build_seconds),
+                    full_n(run.solution.stats.rho_seconds),
+                    full_n(run.solution.stats.delta_seconds),
                     bench::FmtSeconds(run.seconds, run.extrapolated)});
     }
     table.Print();

@@ -21,10 +21,10 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/rng.h"
 #include "common/string_util.h"
 #include "core/ex_dpc.h"
 #include "core/kernels.h"
+#include "core/rng.h"
 #include "core/soa.h"
 #include "data/real_like.h"
 #include "eval/bench_json.h"

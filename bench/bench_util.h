@@ -199,6 +199,9 @@ struct TimedRun {
   double seconds = 0.0;
   bool extrapolated = false;
   PointId n_used = 0;
+  /// (n / n_used)^2 for an extrapolated run, else 1: multiply any of the
+  /// solution's phase times by it to put them on the full-n scale.
+  double time_scale = 1.0;
 };
 
 inline TimedRun RunTimed(AlgoId id, const Workload& w, const eval::BenchConfig& cfg,
@@ -220,10 +223,9 @@ inline TimedRun RunTimed(AlgoId id, const Workload& w, const eval::BenchConfig& 
   out.solution = MakeAlgo(id)->Solve(input, params.compute(), ctx);
   out.labeling = LabelSolution(out.solution, params.threshold());
   out.n_used = input.size();
-  const double ratio =
-      out.extrapolated ? static_cast<double>(n) / static_cast<double>(out.n_used)
-                       : 1.0;
-  out.seconds = out.solution.compute_cost_seconds * ratio * ratio;
+  const double ratio = static_cast<double>(n) / static_cast<double>(out.n_used);
+  out.time_scale = out.extrapolated ? ratio * ratio : 1.0;
+  out.seconds = out.solution.compute_cost_seconds * out.time_scale;
   return out;
 }
 

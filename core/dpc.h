@@ -125,8 +125,8 @@ inline double Distance(const double* a, const double* b, int dim) {
 }
 
 /// Knobs of the expensive compute phase. Everything rho/delta/dependency
-/// depend on (besides the points and the per-algorithm options) lives
-/// here; two runs sharing ComputeParams share their DpcSolution.
+/// depend on besides the points and the algorithm lives here; two runs
+/// of one algorithm sharing ComputeParams share their DpcSolution.
 struct ComputeParams {
   double d_cut = 0.0;    ///< density ball radius (> 0)
   double epsilon = 1.0;  ///< S-Approx-DPC approximation knob (ignored elsewhere)

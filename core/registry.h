@@ -1,19 +1,13 @@
 // Name-based algorithm factory for CLIs and config-driven pipelines.
 // Names mirror the paper's algorithm menu; every entry is implemented.
 // Adding an algorithm means adding one table slot here (and a registry
-// test run picks it up automatically).
-//
-// API v2: every factory takes an OptionsMap (core/options.h) so callers
-// like `dpc_cli --opt k=v` can drive per-algorithm knobs — LSH-DDP's
-// table and bit counts, CFSFDP-A's sample rate and seed — without
-// recompiling. The paper's three algorithms and the Scan baselines have
-// no keys. Unknown keys and malformed values fail with InvalidArgument.
+// test run picks it up automatically). Every algorithm runs at fixed
+// settings: a name is all it takes to construct one.
 #ifndef DPC_CORE_REGISTRY_H_
 #define DPC_CORE_REGISTRY_H_
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "baselines/cfsfdp_a.h"
@@ -22,7 +16,6 @@
 #include "core/approx_dpc.h"
 #include "core/dpc.h"
 #include "core/ex_dpc.h"
-#include "core/options.h"
 #include "core/s_approx_dpc.h"
 #include "core/status.h"
 
@@ -32,37 +25,25 @@ namespace internal {
 
 struct AlgorithmEntry {
   const char* name;
-  StatusOr<std::unique_ptr<DpcAlgorithm>> (*factory)(const OptionsMap&);
+  std::unique_ptr<DpcAlgorithm> (*factory)();
 };
 
-/// Wraps Algo(AlgoOptions::FromOptions(map)) into the registry's factory
-/// signature.
-template <typename Algo, typename Options>
-StatusOr<std::unique_ptr<DpcAlgorithm>> MakeWithOptions(const OptionsMap& map) {
-  StatusOr<Options> options = Options::FromOptions(map);
-  if (!options.ok()) return options.status();
-  return std::unique_ptr<DpcAlgorithm>(
-      std::make_unique<Algo>(std::move(options).value()));
-}
-
-/// The factory of an algorithm without options: every key is unknown.
 template <typename Algo>
-StatusOr<std::unique_ptr<DpcAlgorithm>> MakeWithoutOptions(const OptionsMap& map) {
-  if (Status s = OptionsReader(map).status(); !s.ok()) return s;
-  return std::unique_ptr<DpcAlgorithm>(std::make_unique<Algo>());
+std::unique_ptr<DpcAlgorithm> Make() {
+  return std::make_unique<Algo>();
 }
 
 /// Single source of truth: landing an algorithm means adding one slot
 /// here.
 inline const std::vector<AlgorithmEntry>& AlgorithmTable() {
   static const std::vector<AlgorithmEntry> kTable = {
-      {"ex-dpc", &MakeWithoutOptions<ExDpc>},
-      {"approx-dpc", &MakeWithoutOptions<ApproxDpc>},
-      {"s-approx-dpc", &MakeWithoutOptions<SApproxDpc>},
-      {"scan", &MakeWithoutOptions<ScanDpc>},
-      {"rtree-scan", &MakeWithoutOptions<RtreeScanDpc>},
-      {"lsh-ddp", &MakeWithOptions<LshDdp, LshDdpOptions>},
-      {"cfsfdp-a", &MakeWithOptions<CfsfdpA, CfsfdpAOptions>},
+      {"ex-dpc", &Make<ExDpc>},
+      {"approx-dpc", &Make<ApproxDpc>},
+      {"s-approx-dpc", &Make<SApproxDpc>},
+      {"scan", &Make<ScanDpc>},
+      {"rtree-scan", &Make<RtreeScanDpc>},
+      {"lsh-ddp", &Make<LshDdp>},
+      {"cfsfdp-a", &Make<CfsfdpA>},
   };
   return kTable;
 }
@@ -76,12 +57,12 @@ inline std::vector<std::string> RegisteredAlgorithmNames() {
   return names;
 }
 
-/// Constructs a registered algorithm, wiring the options map into its
-/// per-algorithm options struct (see each algorithm header for the keys).
+/// Constructs a registered algorithm; an unknown name fails NotFound
+/// with the menu.
 inline StatusOr<std::unique_ptr<DpcAlgorithm>> MakeAlgorithmByName(
-    const std::string& name, const OptionsMap& options) {
+    const std::string& name) {
   for (const auto& entry : internal::AlgorithmTable()) {
-    if (name == entry.name) return entry.factory(options);
+    if (name == entry.name) return entry.factory();
   }
   std::string menu;
   for (const auto& entry : internal::AlgorithmTable()) {
@@ -90,11 +71,6 @@ inline StatusOr<std::unique_ptr<DpcAlgorithm>> MakeAlgorithmByName(
   }
   return Status::NotFound("unknown algorithm '" + name + "'; expected one of: " +
                           menu);
-}
-
-inline StatusOr<std::unique_ptr<DpcAlgorithm>> MakeAlgorithmByName(
-    const std::string& name) {
-  return MakeAlgorithmByName(name, OptionsMap{});
 }
 
 }  // namespace dpc

@@ -26,38 +26,9 @@
 #include <utility>
 #include <vector>
 
-namespace dpc::eval {
+#include "common/string_util.h"
 
-/// Escapes a string for use inside a JSON string literal.
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
+namespace dpc::eval {
 
 class BenchJsonWriter {
  public:

@@ -14,12 +14,6 @@
 //   --epsilon X         S-Approx-DPC approximation parameter (default 1.0)
 //   --threads N         worker threads (default 0 = all hardware threads;
 //                       runs execute on one persistent shared pool)
-//   --opt KEY=VALUE     per-algorithm option, repeatable. Examples:
-//                         lsh-ddp:    num_tables=6, num_bits=5
-//                         cfsfdp-a:   sample_rate=0.5
-//                       ex-dpc, approx-dpc, s-approx-dpc, scan and
-//                       rtree-scan take no keys. Unknown keys fail with
-//                       the recognized-key menu.
 //   --k N               instead of --delta-min: pick exactly N centers
 //   --sweep KEY=a,b,c   threshold sweep mode: KEY is delta_min or rho_min.
 //                       Runs the expensive compute phase ONCE (Solve),
@@ -42,7 +36,6 @@
 #include "core/decision_graph.h"
 #include "core/halo.h"
 #include "core/kernels.h"
-#include "core/options.h"
 #include "core/registry.h"
 #include "data/generators.h"
 #include "data/io.h"
@@ -60,8 +53,7 @@ struct CliArgs {
   double epsilon = 1.0;
   int threads = 0;
   int k = 0;
-  std::vector<std::string> opts;  // raw key=value strings
-  std::string sweep;              // "delta_min=a,b,c" / "rho_min=a,b,c"
+  std::string sweep;  // "delta_min=a,b,c" / "rho_min=a,b,c"
   std::string output;
   std::string decision_graph;
   bool halo = false;
@@ -71,13 +63,11 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --input points.csv --d-cut X [--algorithm NAME] "
                "[--rho-min X] [--delta-min X | --k N] [--epsilon X] "
-               "[--threads N] [--opt key=value ...] "
+               "[--threads N] "
                "[--sweep delta_min=a,b,c | --sweep rho_min=a,b,c] "
                "[--output out.csv] "
                "[--decision-graph dg.csv] [--halo] [--demo]\n"
                "  --threads N   parallelism degree (0 = all hardware threads)\n"
-               "  --opt k=v     per-algorithm option, repeatable — e.g.\n"
-               "                num_tables=6, num_bits=5, sample_rate=0.5\n"
                "  --sweep KEY=a,b,c  compute once, finalize per threshold\n",
                argv0);
   return 2;
@@ -107,8 +97,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!next(&args->epsilon)) return false;
     } else if (a == "--threads" && i + 1 < argc) {
       args->threads = std::atoi(argv[++i]);
-    } else if (a == "--opt" && i + 1 < argc) {
-      args->opts.emplace_back(argv[++i]);
     } else if (a == "--sweep" && i + 1 < argc) {
       args->sweep = argv[++i];
     } else if (a == "--k" && i + 1 < argc) {
@@ -274,12 +262,7 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  auto options = dpc::ParseOptionList(args.opts);
-  if (!options.ok()) {
-    std::fprintf(stderr, "error: %s\n", options.status().ToString().c_str());
-    return Usage(argv[0]);
-  }
-  auto algo = dpc::MakeAlgorithmByName(args.algorithm, options.value());
+  auto algo = dpc::MakeAlgorithmByName(args.algorithm);
   if (!algo.ok()) {
     std::fprintf(stderr, "error: %s\n", algo.status().ToString().c_str());
     return 1;

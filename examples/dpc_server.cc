@@ -24,7 +24,8 @@
 //   drop NAME                 unregister a dataset handle
 //   run NAME ALGO k=v ...     submit a clustering request. Keys:
 //                               d_cut= rho_min= delta_min= epsilon=
-//                               deadline_ms= priority= opt.KEY=VALUE
+//                               deadline_ms= priority=
+//                             Any other key is an error.
 //                             delta_min defaults to 2*d_cut, rho_min to 10.
 //   rethreshold NAME ALGO k=v ...
 //                             threshold-only request against the cached
@@ -68,10 +69,8 @@
 
 #include "common/string_util.h"
 #include "core/kernels.h"
-#include "core/options.h"
 #include "data/generators.h"
 #include "data/io.h"
-#include "eval/bench_json.h"
 #include "eval/cluster_stats.h"
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -215,7 +214,7 @@ std::string StoreJson(const dpc::store::SolutionStore& store) {
       "\"live_payload_bytes\":%llu,\"puts\":%llu,\"fetches\":%llu,"
       "\"log_reads\":%llu,\"decode_failures\":%llu,"
       "\"compactions\":%llu,\"budget_evictions\":%llu}",
-      dpc::eval::JsonEscape(store.path()).c_str(),
+      dpc::JsonEscape(store.path()).c_str(),
       static_cast<unsigned long long>(t.log_bytes),
       static_cast<unsigned long long>(t.live_solutions),
       static_cast<unsigned long long>(t.live_payload_bytes),
@@ -380,12 +379,10 @@ int main(int argc, char** argv) {
         } else if (key == "top_k" &&
                    request.kind == dpc::serve::RequestKind::kGraph) {
           request.graph_top_k = std::atoi(value.c_str());
-        } else if (key.rfind("opt.", 0) == 0 && key.size() > 4) {
-          request.options[key.substr(4)] = value;
         } else {
           bad = "unknown key '" + key +
                 "' (expected d_cut, rho_min, delta_min, epsilon, "
-                "deadline_ms, priority, top_k (graph), or opt.KEY)";
+                "deadline_ms, priority, or top_k (graph))";
           break;
         }
       }

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "obs/metrics.h"
 
 namespace dpc::obs {
@@ -42,16 +43,6 @@ inline std::string FormatJsonNumber(double value) {
     return "null";
   }
   return s;
-}
-
-/// Sample names may embed a Prometheus label block (e.g.
-/// dpc_kernel_tier_info{tier="avx2"}); used as a JSON object key, the
-/// quotes inside it must be escaped.
-inline void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') *out += '\\';
-    *out += c;
-  }
 }
 
 /// The metric family name for `# TYPE` lines: the name minus any
@@ -147,8 +138,10 @@ inline std::string ToJson(const std::vector<MetricSample>& samples) {
   for (const MetricSample& sample : samples) {
     out += first ? "" : ",";
     first = false;
+    // Sample names may embed a Prometheus label block (e.g.
+    // dpc_kernel_tier_info{tier="avx2"}), whose quotes a JSON key escapes.
     out += '"';
-    internal::AppendJsonEscaped(sample.name, &out);
+    out += JsonEscape(sample.name);
     out += "\":";
     if (sample.kind == MetricKind::kHistogram) {
       const HistogramSnapshot& h = sample.histogram;

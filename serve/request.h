@@ -1,9 +1,9 @@
 // Request/response vocabulary of the serving layer. A ClusterRequest is
 // the serve/ subsystem's unit of work — where core/'s unit is one
 // Solve invocation, a request names a *registered* dataset by handle
-// (serve/dataset_registry.h), an algorithm from the core registry,
-// per-algorithm key=value options, and per-request service policy: a
-// deadline budget and an admission priority.
+// (serve/dataset_registry.h), an algorithm from the core registry (each
+// runs at fixed settings), and per-request service policy: a deadline
+// budget and an admission priority.
 //
 // Request kinds mirror the library's compute/threshold split:
 //
@@ -39,7 +39,6 @@
 
 #include "core/decision_graph.h"
 #include "core/dpc.h"
-#include "core/options.h"
 #include "core/status.h"
 
 namespace dpc::serve {
@@ -70,8 +69,6 @@ struct ClusterRequest {
   /// A core registry name (ex-dpc, approx-dpc, ...); resolved at
   /// execution via MakeAlgorithmByName.
   std::string algorithm = "approx-dpc";
-  /// Per-algorithm knobs, same grammar as `dpc_cli --opt` (core/options.h).
-  OptionsMap options;
   /// Clustering knobs (d_cut, rho_min, delta_min, epsilon). Split by the
   /// server into params.compute() — the solution-cache key — and
   /// params.threshold() — the label phase. Execution policy belongs to

@@ -35,7 +35,7 @@
 //                       (the ExecutionContext stopped the algorithm)
 //   kNotFound           unknown dataset handle or algorithm name, or a
 //                       kRethreshold/kGraph request against a cold cache
-//   kInvalidArgument    bad params or per-algorithm options
+//   kInvalidArgument    bad params
 //   kCancelled          server shut down before the request was admitted
 #ifndef DPC_SERVE_SERVER_H_
 #define DPC_SERVE_SERVER_H_
@@ -394,11 +394,7 @@ class ClusterServer {
   }
 
   /// Resolves the dataset and algorithm for a request, or returns the
-  /// error status through *failure. Resolving (and thereby validating)
-  /// the algorithm happens BEFORE any cache access: canonicalization is
-  /// type-blind ("1e1" renders like "10"), so an invalid spelling could
-  /// otherwise hit a valid config's cache entry and succeed iff the
-  /// cache happens to be warm.
+  /// error status through *failure.
   std::shared_ptr<const NamedDataset> ResolveRequest(
       const ClusterRequest& request,
       StatusOr<std::unique_ptr<DpcAlgorithm>>* algo, Status* failure) {
@@ -409,7 +405,7 @@ class ClusterServer {
                                   request.dataset + "'");
       return nullptr;
     }
-    *algo = MakeAlgorithmByName(request.algorithm, request.options);
+    *algo = MakeAlgorithmByName(request.algorithm);
     if (!algo->ok()) {
       *failure = algo->status();
       return nullptr;
@@ -430,7 +426,7 @@ class ClusterServer {
     }
     const std::string key =
         MakeSolutionKey(dataset->fingerprint, request.algorithm,
-                        request.options, request.params.compute());
+                        request.params.compute());
     if (request.kind == RequestKind::kGraph) {
       const std::shared_ptr<const DpcSolution> solution = cache_.Lookup(key);
       if (solution == nullptr) return ColdCache(request, &response);
@@ -534,7 +530,7 @@ class ClusterServer {
     const ThresholdSpec threshold = s.request.params.threshold();
     const std::string key =
         MakeSolutionKey(dataset->fingerprint, s.request.algorithm,
-                        s.request.options, s.request.params.compute());
+                        s.request.params.compute());
     // Solution-tier hit: ANY threshold is a finalize-only answer — the
     // re-threshold fast path that makes decision-graph exploration a
     // memory-speed workload.

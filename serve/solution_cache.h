@@ -2,10 +2,10 @@
 // compute/threshold split:
 //
 //   solution tier — DpcSolutions keyed by everything the EXPENSIVE phase
-//       depends on: dataset content fingerprint, algorithm name,
-//       canonicalized per-algorithm options, and ComputeParams (d_cut,
-//       epsilon). Threshold knobs are deliberately NOT in the key — one
-//       cached solution answers every (rho_min, delta_min).
+//       depends on: dataset content fingerprint, ComputeParams (d_cut,
+//       epsilon) and algorithm name. Threshold knobs are deliberately NOT
+//       in the key — one cached solution answers every (rho_min,
+//       delta_min).
 //   label tier — per-solution memo of Labelings (labels + centers, no
 //       copy of the solution) keyed by ThresholdSpec, so repeated
 //       thresholds alias one immutable labeling and even a fresh
@@ -57,26 +57,23 @@
 #include <vector>
 
 #include "core/dpc.h"
-#include "core/options.h"
 #include "store/solution_format.h"
 #include "store/solution_store.h"
 
 namespace dpc::serve {
 
-/// The solution-tier key. Numeric params render with %.17g (the same
-/// normalization CanonicalOptionValue applies to option values), so any
-/// two requests whose compute configurations are semantically identical —
-/// however they were spelled — map to one key. rho_min and delta_min are
-/// excluded (threshold-tier concerns).
+/// The solution-tier key, `fingerprint|d_cut|epsilon|algorithm`. Numeric
+/// params render with %.17g (round-trip exact), so any two requests whose
+/// compute configurations are equal map to one key. rho_min and delta_min
+/// are excluded (threshold-tier concerns).
 inline std::string MakeSolutionKey(uint64_t dataset_fingerprint,
                                    const std::string& algorithm,
-                                   const OptionsMap& options,
                                    const ComputeParams& compute) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "%016llx|%.17g|%.17g|",
                 static_cast<unsigned long long>(dataset_fingerprint),
                 compute.d_cut, compute.epsilon);
-  return buf + algorithm + '|' + CanonicalOptionsString(options);
+  return buf + algorithm;
 }
 
 /// The label-tier key within one solution entry: the two thresholds,

@@ -3,7 +3,6 @@
 // and unknown names still fail with NotFound plus the menu string.
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -50,54 +49,6 @@ int main() {
     std::printf("%-12s -> %s, %lld clusters\n", name.c_str(),
                 std::string(algo.value()->name()).c_str(),
                 static_cast<long long>(labeling.num_clusters()));
-  }
-
-  // Options-map construction: typed keys wire through; unknown
-  // keys and malformed values fail with InvalidArgument naming the key.
-  {
-    auto tuned = dpc::MakeAlgorithmByName(
-        "lsh-ddp", {{"num_tables", "6"}, {"num_bits", "5"}});
-    CHECK(tuned.ok());
-    const dpc::Labeling r = cluster(*tuned.value()).labeling;
-    CHECK_EQ(r.label.size(), static_cast<size_t>(points.size()));
-    CHECK(r.num_clusters() >= 1);
-
-    auto bad_key = dpc::MakeAlgorithmByName("ex-dpc", {{"nope", "1"}});
-    CHECK(!bad_key.ok());
-    CHECK(bad_key.status().code() == dpc::StatusCode::kInvalidArgument);
-    CHECK(bad_key.status().message().find("nope") != std::string::npos);
-
-    // Deleted keys fail like any unknown key: the grid solvers' old
-    // toggles, and the loop-schedule override on every algorithm.
-    std::vector<std::pair<std::string, dpc::OptionsMap>> deleted = {
-        {"ex-dpc", {{"sharding", "region"}}},
-        {"approx-dpc", {{"sharding", "region"}}},
-        {"approx-dpc", {{"joint_range_search", "false"}}},
-        {"s-approx-dpc", {{"sample_seed", "7"}}},
-    };
-    for (const std::string& name : dpc::RegisteredAlgorithmNames()) {
-      deleted.push_back({name, {{"scheduler", "static"}}});
-    }
-    for (const auto& [name, options] : deleted) {
-      auto rejected = dpc::MakeAlgorithmByName(name, options);
-      CHECK(!rejected.ok());
-      CHECK(rejected.status().code() == dpc::StatusCode::kInvalidArgument);
-      CHECK(rejected.status().message().find(options.begin()->first) !=
-            std::string::npos);
-    }
-
-    auto bad_value = dpc::MakeAlgorithmByName("lsh-ddp", {{"num_tables", "six"}});
-    CHECK(!bad_value.ok());
-    CHECK(bad_value.status().code() == dpc::StatusCode::kInvalidArgument);
-
-    auto bad_range = dpc::MakeAlgorithmByName("cfsfdp-a", {{"sample_rate", "2"}});
-    CHECK(!bad_range.ok());
-
-    // The CLI's --opt grammar.
-    auto parsed = dpc::ParseOptionList({"num_tables=6", "num_bits=5"});
-    CHECK(parsed.ok());
-    CHECK_EQ(parsed.value().size(), 2u);
-    CHECK(!dpc::ParseOptionList({"no-equals-sign"}).ok());
   }
 
   // Unknown names: NotFound, and the message lists the menu.

@@ -3,7 +3,7 @@
 // byte-budget accounting, label memoization, demotion/promotion against
 // a backing store), scalar shard width planning,
 // admission-queue priority order, end-to-end serving (responses
-// bit-identical to direct solve), the re-threshold / decision-graph fast
+// bit-identical to direct solve, for every registered algorithm), the re-threshold / decision-graph fast
 // path (zero recompute, asserted via server stats), mixed deadlines,
 // priority pick-up behind a busy lane, error paths, and concurrent
 // submissions (the TSan CI job runs this binary).
@@ -345,32 +345,27 @@ void TestPlanShardWidth() {
 
 void TestSolutionKey() {
   const dpc::ComputeParams compute = TestParams().compute();
-  // Differently spelled but semantically identical options -> one key.
-  dpc::OptionsMap spelled_a{{"num_tables", "08"}, {"bucket_width_factor", "0.50"}};
-  dpc::OptionsMap spelled_b{{"bucket_width_factor", "5e-1"}, {"num_tables", "8"}};
-  CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", spelled_a, compute) ==
-        dpc::serve::MakeSolutionKey(1, "lsh-ddp", spelled_b, compute));
+  // The key is fingerprint|d_cut|epsilon|algorithm, numbers at %.17g.
+  const std::string base = dpc::serve::MakeSolutionKey(1, "lsh-ddp", compute);
+  CHECK(base == std::string("0000000000000001|2000|1|lsh-ddp"));
 
   // Every key component discriminates.
-  const std::string base =
-      dpc::serve::MakeSolutionKey(1, "lsh-ddp", spelled_a, compute);
-  CHECK(dpc::serve::MakeSolutionKey(2, "lsh-ddp", spelled_a, compute) != base);
-  CHECK(dpc::serve::MakeSolutionKey(1, "ex-dpc", spelled_a, compute) != base);
-  CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", {}, compute) != base);
+  CHECK(dpc::serve::MakeSolutionKey(2, "lsh-ddp", compute) != base);
+  CHECK(dpc::serve::MakeSolutionKey(1, "ex-dpc", compute) != base);
   dpc::ComputeParams other = compute;
   other.d_cut *= 2.0;
-  CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", spelled_a, other) != base);
+  CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", other) != base);
   dpc::ComputeParams eps = compute;
   eps.epsilon *= 2.0;
-  CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", spelled_a, eps) != base);
+  CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", eps) != base);
 
   // Threshold knobs are NOT part of the solution key — that is the whole
   // point of the two-tier split: one solution answers every threshold.
   dpc::DpcParams rethresholded = TestParams();
   rethresholded.rho_min = 99.0;
   rethresholded.delta_min = 9000.0;
-  CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", spelled_a,
-                                    rethresholded.compute()) == base);
+  CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", rethresholded.compute()) ==
+        base);
 
   // Execution policy is NOT part of the key: MakeSolutionKey takes no
   // thread count (labels are thread-count independent by the
@@ -456,7 +451,7 @@ void TestServerEndToEnd() {
   CHECK(dpc::test::BitIdenticalLabels(first.result->label, direct.labeling.label));
   CHECK(first.result->centers == direct.labeling.centers);
   const std::string key = dpc::serve::MakeSolutionKey(
-      dpc::FingerprintPoints(points), "ex-dpc", {}, params.compute());
+      dpc::FingerprintPoints(points), "ex-dpc", params.compute());
   CHECK(server.cache().Lookup(key)->dependency == direct.solution.dependency);
 
   // THE TWO-TIER PAYOFF: same compute configuration, new thresholds ->
@@ -691,27 +686,6 @@ void TestErrorPaths() {
   unknown_algo.algorithm = "nope";
   CHECK(server.Submit(unknown_algo).get().status.code() ==
         dpc::StatusCode::kNotFound);
-  dpc::serve::ClusterRequest bad_option = request;
-  bad_option.options["no_such_knob"] = "1";
-  CHECK(server.Submit(bad_option).get().status.code() ==
-        dpc::StatusCode::kInvalidArgument);
-
-  // Options validate before the cache is consulted: a spelling the
-  // reader rejects ("1e1" for an int) must fail even when a valid
-  // spelling of the same canonical config already warmed the cache —
-  // on the queued path AND the submit-time rethreshold path.
-  dpc::serve::ClusterRequest lsh = request;
-  lsh.algorithm = "lsh-ddp";
-  lsh.options["num_tables"] = "10";
-  CHECK(server.Submit(lsh).get().status.ok());
-  dpc::serve::ClusterRequest lsh_bad = lsh;
-  lsh_bad.options["num_tables"] = "1e1";
-  CHECK(server.Submit(lsh_bad).get().status.code() ==
-        dpc::StatusCode::kInvalidArgument);
-  dpc::serve::ClusterRequest lsh_bad_re = lsh_bad;
-  lsh_bad_re.kind = dpc::serve::RequestKind::kRethreshold;
-  CHECK(server.Submit(lsh_bad_re).get().status.code() ==
-        dpc::StatusCode::kInvalidArgument);
 
   // Requests already admitted still complete across Shutdown; later
   // submissions are rejected as cancelled.
@@ -922,32 +896,42 @@ void TestServerStoreStats() {
   std::remove(store_path.c_str());
 }
 
-/// `sharding=region` is not an option of any algorithm: a request that
-/// sets it fails InvalidArgument (naming the key) before anything is
-/// solved or cached, on the queued path and the rethreshold path alike.
-void TestShardingOptionRejected() {
+/// Every registered algorithm serves: one kCluster request per name,
+/// each labeling bit-identical to a direct Solve + LabelSolution, and
+/// each cached solution equal to the direct one.
+void TestEveryAlgorithmServed() {
+  const dpc::PointSet points = TestPoints(23, 400);
+  const dpc::DpcParams params = TestParams();
   dpc::serve::ServerOptions options;
   options.pool_threads = 2;
   dpc::serve::ClusterServer server(options);
-  server.datasets().Register("pts", TestPoints(31, 1200));
+  server.datasets().Register("pts", points);
 
-  for (const char* algorithm : {"ex-dpc", "approx-dpc"}) {
+  for (const std::string& name : dpc::RegisteredAlgorithmNames()) {
     dpc::serve::ClusterRequest request;
     request.dataset = "pts";
-    request.algorithm = algorithm;
-    request.params = TestParams();
-    request.options = {{"sharding", "region"}};
+    request.algorithm = name;
+    request.params = params;
     const auto response = server.Submit(request).get();
-    CHECK(response.status.code() == dpc::StatusCode::kInvalidArgument);
-    CHECK(response.status.message().find("sharding") != std::string::npos);
-    CHECK(response.result == nullptr);
-    request.kind = dpc::serve::RequestKind::kRethreshold;
-    CHECK(server.Submit(request).get().status.code() ==
-          dpc::StatusCode::kInvalidArgument);
+    CHECK(response.status.ok());
+    CHECK(!response.cache_hit);
+
+    auto algo = dpc::MakeAlgorithmByName(name);
+    CHECK(algo.ok());
+    const dpc::test::Clustering direct = Cluster(*algo.value(), points, params);
+    CHECK(dpc::test::BitIdenticalLabels(response.result->label,
+                                        direct.labeling.label));
+    CHECK(response.result->centers == direct.labeling.centers);
+    const std::shared_ptr<const dpc::DpcSolution> cached =
+        server.cache().Lookup(dpc::serve::MakeSolutionKey(
+            dpc::FingerprintPoints(points), name, params.compute()));
+    CHECK(cached != nullptr);
+    CHECK(cached->rho == direct.solution.rho);
+    CHECK(cached->delta == direct.solution.delta);
+    CHECK(cached->dependency == direct.solution.dependency);
   }
-  const auto stats = server.stats();
-  CHECK_EQ(stats.recomputes, 0u);
-  CHECK_EQ(stats.cache.entries, 0u);
+  CHECK_EQ(server.stats().recomputes,
+           static_cast<uint64_t>(dpc::RegisteredAlgorithmNames().size()));
 }
 
 void TestCoherentStatsSnapshot() {
@@ -1136,7 +1120,7 @@ int main() {
   TestErrorPaths();
   TestConcurrentSubmissions();
   TestConcurrentExecutionOverlap();
-  TestShardingOptionRejected();
+  TestEveryAlgorithmServed();
   TestServerStoreStats();
   TestCoherentStatsSnapshot();
   TestServerMetricsSurface();
