@@ -11,7 +11,7 @@
 //      with a microscopic budget expires (kDeadlineExceeded) while the
 //      others complete with labels bit-identical to a direct
 //      DpcAlgorithm::Solve.
-//   3. Shard-parallel dispatch: 4-request waves served by
+//   3. Lane-parallel dispatch: 4-request waves served by
 //      concurrent executor lanes vs classic serial dispatch. The bar:
 //      >= 1.8x aggregate throughput when at least two lanes can overlap,
 //      with every response bit-identical to a direct solve.
@@ -320,13 +320,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- shard-parallel dispatch: serial vs concurrent lanes -------------
-  // Four distinct small datasets, below the parallel threshold: every
-  // request plans a WIDTH-1 shard (serve/shard_pool.h), so this measures
+  // --- lane-parallel dispatch: serial vs concurrent lanes --------------
+  // Four distinct small datasets, below the parallel threshold: their
+  // loops run inline whatever the lane's pool width, so this measures
   // request-level OVERLAP, not intra-run parallelism — serial dispatch
-  // cannot make the comparison up with wider pools. Cache off: every
-  // wave really computes. Best-of-3 per mode.
-  std::printf("\n=== shard-parallel dispatch: serial vs concurrent lanes\n");
+  // cannot make the comparison up with its one full-width pool. Cache
+  // off: every wave really computes. Best-of-3 per mode.
+  std::printf("\n=== lane-parallel dispatch: serial vs concurrent lanes\n");
   {
     const int budget = ResolveThreads(cfg.max_threads);
     std::vector<PointSet> sets;

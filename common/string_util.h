@@ -4,9 +4,12 @@
 #ifndef DPC_COMMON_STRING_UTIL_H_
 #define DPC_COMMON_STRING_UTIL_H_
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace dpc {
@@ -49,6 +52,23 @@ inline std::vector<std::string> StrSplit(const std::string& s, char sep) {
     }
   }
   return out;
+}
+
+/// Parses all of `s` as a number of type T: a base-10 integer that fits
+/// T, or a decimal floating-point value in T's range (std::from_chars
+/// syntax: no leading whitespace or '+'; a '-' never parses into an
+/// unsigned T). False, with *out untouched, on an empty string, trailing
+/// characters, or an out-of-range value — input from outside the program
+/// goes through here, never through atoi/atof.
+template <typename T>
+bool ParseNumber(std::string_view s, T* out) {
+  T v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (s.empty() || ec != std::errc() || end != s.data() + s.size()) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 /// Escapes a string for use inside a JSON string literal.

@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -76,10 +75,13 @@ int Usage(const char* argv0) {
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](double* out) {
+    // A flag's value must parse whole: "--threads 4x" is an error, not 4.
+    auto next = [&](auto* out) {
       if (i + 1 >= argc) return false;
-      *out = std::atof(argv[++i]);
-      return true;
+      const char* value = argv[++i];
+      if (dpc::ParseNumber(value, out)) return true;
+      std::fprintf(stderr, "bad value for %s: '%s'\n", a.c_str(), value);
+      return false;
     };
     if (a == "--input" && i + 1 < argc) {
       args->input = argv[++i];
@@ -95,12 +97,12 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!next(&args->delta_min)) return false;
     } else if (a == "--epsilon") {
       if (!next(&args->epsilon)) return false;
-    } else if (a == "--threads" && i + 1 < argc) {
-      args->threads = std::atoi(argv[++i]);
+    } else if (a == "--threads") {
+      if (!next(&args->threads)) return false;
     } else if (a == "--sweep" && i + 1 < argc) {
       args->sweep = argv[++i];
-    } else if (a == "--k" && i + 1 < argc) {
-      args->k = std::atoi(argv[++i]);
+    } else if (a == "--k") {
+      if (!next(&args->k)) return false;
     } else if (a == "--output" && i + 1 < argc) {
       args->output = argv[++i];
     } else if (a == "--decision-graph" && i + 1 < argc) {
@@ -128,9 +130,8 @@ int RunSweep(dpc::DpcAlgorithm& algo, const dpc::PointSet& points,
   }
   std::vector<double> values;
   for (const std::string& item : dpc::StrSplit(args.sweep.substr(eq + 1), ',')) {
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    if (item.empty() || end != item.c_str() + item.size()) {
+    double v = 0.0;
+    if (!dpc::ParseNumber(item, &v)) {
       std::fprintf(stderr, "error: --sweep value '%s' is not a number\n",
                    item.c_str());
       return 2;

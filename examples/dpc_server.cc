@@ -6,6 +6,11 @@
 //   dpc_server [--batch FILE] [--threads N] [--cache-mb N] [--store PATH]
 //              [--store-mb N]
 //
+// --threads is the worker-thread budget (0 = all hardware threads); each
+// executor lane runs its solves on its own pool of an even share of it.
+// Every number, flag value or request key, must parse whole and fit its
+// type: `priority=abc` and `d_cut=5km` are errors, not 0 and 5.
+//
 // --store points at a persistent solution log (store/solution_store.h):
 // computed solutions write through to it, cache evictions demote to it
 // instead of discarding, and a RESTARTED server replays it so
@@ -49,9 +54,9 @@
 //                             `json`
 //   trace on|off|dump FILE    per-request span tracing: `on` attaches a
 //                             fresh trace (queue-wait, cache-probe,
-//                             lease-wait, solve with per-phase children,
-//                             finalize), `off` detaches it, `dump`
-//                             writes everything collected so far as
+//                             solve with per-phase children, finalize),
+//                             `off` detaches it, `dump` writes
+//                             everything collected so far as
 //                             Chrome trace-event JSON (chrome://tracing)
 //   quit                      drain, shut down, exit
 //
@@ -60,7 +65,6 @@
 // the in-flight map or the cache). EOF implies `wait` + `quit`.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
@@ -99,6 +103,11 @@ int Usage(const char* argv0) {
                "          metrics [json] | trace on|off|dump FILE | quit\n",
                argv0);
   return 2;
+}
+
+int BadFlag(const char* argv0, const std::string& flag, const char* value) {
+  std::fprintf(stderr, "bad value for %s: '%s'\n", flag.c_str(), value);
+  return Usage(argv0);
 }
 
 /// Splits a command line on whitespace runs.
@@ -237,15 +246,22 @@ int main(int argc, char** argv) {
     if (a == "--batch" && i + 1 < argc) {
       batch_path = argv[++i];
     } else if (a == "--threads" && i + 1 < argc) {
-      options.pool_threads = std::atoi(argv[++i]);
-    } else if (a == "--cache-mb" && i + 1 < argc) {
-      options.memory_budget_bytes =
-          static_cast<size_t>(std::atoll(argv[++i])) << 20;
+      if (!dpc::ParseNumber(argv[++i], &options.pool_threads)) {
+        return BadFlag(argv[0], a, argv[i]);
+      }
+    } else if ((a == "--cache-mb" || a == "--store-mb") && i + 1 < argc) {
+      // Megabytes as a uint32: no negative sizes, and the shift to bytes
+      // cannot overflow.
+      uint32_t mb = 0;
+      if (!dpc::ParseNumber(argv[++i], &mb)) return BadFlag(argv[0], a, argv[i]);
+      const uint64_t bytes = uint64_t{mb} << 20;
+      if (a == "--cache-mb") {
+        options.memory_budget_bytes = bytes;
+      } else {
+        options.disk_budget_bytes = bytes;
+      }
     } else if (a == "--store" && i + 1 < argc) {
       options.store_path = argv[++i];
-    } else if (a == "--store-mb" && i + 1 < argc) {
-      options.disk_budget_bytes =
-          static_cast<uint64_t>(std::atoll(argv[++i])) << 20;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());
       return Usage(argv[0]);
@@ -327,13 +343,16 @@ int main(int argc, char** argv) {
                   name.c_str(), n, dim, static_cast<unsigned long long>(fp));
     } else if (cmd == "gen" && (tokens.size() >= 3 && tokens.size() <= 5)) {
       dpc::data::GaussianBenchmarkParams gen;
-      gen.num_points = std::atoll(tokens[2].c_str());
-      gen.num_clusters = tokens.size() > 3 ? std::atoi(tokens[3].c_str()) : 15;
-      gen.seed = tokens.size() > 4
-                     ? static_cast<uint64_t>(std::atoll(tokens[4].c_str()))
-                     : 42;
-      if (gen.num_points <= 0 || gen.num_clusters <= 0) {
-        if (fail("gen needs positive N and CLUSTERS")) break;
+      gen.num_clusters = 15;
+      gen.seed = 42;
+      if (!dpc::ParseNumber(tokens[2], &gen.num_points) ||
+          (tokens.size() > 3 && !dpc::ParseNumber(tokens[3], &gen.num_clusters)) ||
+          (tokens.size() > 4 && !dpc::ParseNumber(tokens[4], &gen.seed)) ||
+          gen.num_points <= 0 || gen.num_clusters <= 0) {
+        if (fail("gen needs positive integer N and CLUSTERS and an unsigned "
+                 "integer SEED")) {
+          break;
+        }
         continue;
       }
       const uint64_t fp = server.datasets().Register(
@@ -364,25 +383,34 @@ int main(int argc, char** argv) {
         }
         const std::string key = tokens[t].substr(0, eq);
         const std::string value = tokens[t].substr(eq + 1);
+        bool parsed = true;
         if (key == "d_cut") {
-          request.params.d_cut = std::atof(value.c_str());
+          parsed = dpc::ParseNumber(value, &request.params.d_cut);
         } else if (key == "rho_min") {
-          request.params.rho_min = std::atof(value.c_str());
+          parsed = dpc::ParseNumber(value, &request.params.rho_min);
         } else if (key == "delta_min") {
-          request.params.delta_min = std::atof(value.c_str());
+          parsed = dpc::ParseNumber(value, &request.params.delta_min);
         } else if (key == "epsilon") {
-          request.params.epsilon = std::atof(value.c_str());
+          parsed = dpc::ParseNumber(value, &request.params.epsilon);
         } else if (key == "deadline_ms") {
-          request.deadline = std::chrono::milliseconds(std::atoll(value.c_str()));
+          // An int of milliseconds: the steady_clock conversion cannot
+          // overflow.
+          int ms = 0;
+          parsed = dpc::ParseNumber(value, &ms);
+          request.deadline = std::chrono::milliseconds(ms);
         } else if (key == "priority") {
-          request.priority = std::atoi(value.c_str());
+          parsed = dpc::ParseNumber(value, &request.priority);
         } else if (key == "top_k" &&
                    request.kind == dpc::serve::RequestKind::kGraph) {
-          request.graph_top_k = std::atoi(value.c_str());
+          parsed = dpc::ParseNumber(value, &request.graph_top_k);
         } else {
           bad = "unknown key '" + key +
                 "' (expected d_cut, rho_min, delta_min, epsilon, "
                 "deadline_ms, priority, or top_k (graph))";
+          break;
+        }
+        if (!parsed) {
+          bad = "bad value for " + key + ": '" + value + "'";
           break;
         }
       }

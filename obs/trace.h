@@ -4,9 +4,9 @@
 // A Trace is an append-only log of SpanRecords — named [start, end)
 // intervals with explicit parent ids, recorded from any thread. The
 // serve layer opens one root "request" span per submission, and every
-// layer below it (queue wait, cache probe, shard-lease wait, the solve
-// and its per-phase children, cache insert, finalize) attaches child
-// spans, including spans recorded from ShardPool worker threads — the
+// layer below it (queue wait, cache probe, the solve and its per-phase
+// children, cache insert, finalize) attaches child spans, including
+// spans recorded from a lane pool's worker threads — the
 // parent id travels with the ExecutionContext, so cross-thread
 // parenting needs no thread-local state.
 //

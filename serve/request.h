@@ -23,9 +23,8 @@
 // Lifecycle (kCluster): ClusterServer::Submit validates and enqueues the
 // request with an admission timestamp on the one AdmissionQueue
 // (serve/scheduler.h); an executor lane pops it and either answers from
-// the solution cache or leases a shard of the thread budget, builds a
-// new ExecutionContext on the leased pool (deadline armed) and runs the
-// algorithm's compute phase. The response carries a Status —
+// the solution cache or builds a new ExecutionContext on the lane's own
+// ThreadPool (deadline armed) and runs the algorithm's compute phase. The response carries a Status —
 // kDeadlineExceeded both for requests that expired in the queue and for
 // runs interrupted mid-phase — and, on success, a shared immutable
 // Labeling.

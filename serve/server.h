@@ -1,12 +1,12 @@
 // ClusterServer — the serving layer's engine, a concurrent scheduler: a
 // fixed set of EXECUTOR LANES pops the AdmissionQueue directly, highest
-// priority first; each lane leases a shard of the thread budget
-// (serve/shard_pool.h) sized from the request's point count and
-// priority, so several independent requests run side by side instead
-// of one-at-a-time at full width. With one lane (max_concurrent = 1) the
-// behavior degenerates to classic serial dispatch: every request gets
-// the whole budget, and identical requests run one after another, the
-// later ones hitting the cache.
+// priority first. Each lane owns one ThreadPool of width
+// max(1, budget / lanes), created when the lane starts, and runs every
+// solve it pops on that pool, so several independent requests run side
+// by side and lanes x width never exceeds the thread budget. With one
+// lane (max_concurrent = 1) the behavior degenerates to classic serial
+// dispatch: every request gets the whole budget, and identical requests
+// run one after another, the later ones hitting the cache.
 //
 // Concurrent lanes can pick up identical requests at once, so an
 // in-flight map (keyed by the same canonical solution key as the cache)
@@ -26,13 +26,13 @@
 //
 // Threading note: the executor lanes are the serve/ layer's only
 // std::threads; all clustering parallelism still comes from
-// parallel/thread_pool.h instances owned by the ShardPool.
+// parallel/thread_pool.h, one instance per lane.
 //
 // Per-request outcomes (ClusterResponse::status):
 //   OK                  labels computed (or served from cache/coalesced)
 //   kDeadlineExceeded   budget expired in the queue (never ran), waiting
-//                       for a shard or an in-flight twin, or mid-run
-//                       (the ExecutionContext stopped the algorithm)
+//                       for an in-flight twin, or mid-run (the
+//                       ExecutionContext stopped the algorithm)
 //   kNotFound           unknown dataset handle or algorithm name, or a
 //                       kRethreshold/kGraph request against a cold cache
 //   kInvalidArgument    bad params
@@ -63,11 +63,11 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/execution_context.h"
+#include "parallel/omp_utils.h"
 #include "parallel/thread_pool.h"
 #include "serve/dataset_registry.h"
 #include "serve/request.h"
 #include "serve/scheduler.h"
-#include "serve/shard_pool.h"
 #include "serve/solution_cache.h"
 #include "store/solution_store.h"
 
@@ -75,12 +75,13 @@ namespace dpc::serve {
 
 struct ServerOptions {
   /// Total worker-thread budget across all concurrently executing
-  /// requests (0 = all hardware threads). The ShardPool leases slices of
-  /// it per request.
+  /// requests (0 = all hardware threads). Each lane's pool gets an even
+  /// share of it: max(1, budget / lanes) threads.
   int pool_threads = 0;
   /// Executor lanes = the most requests executing at once. 0 = auto:
   /// half the thread budget, clamped to [1, 4] — small servers stay
-  /// serial, big ones overlap. 1 = classic serial dispatch.
+  /// serial, big ones overlap. 1 = classic serial dispatch. Clamped to
+  /// the budget, so every lane's pool has at least one thread of it.
   int max_concurrent = 0;
   /// Byte budget for the in-memory solution tier (entries are charged
   /// their exact serialized size); 0 disables caching (which also makes
@@ -112,8 +113,8 @@ struct ServerStats {
   uint64_t deadline_exceeded = 0;   ///< expired in queue or mid-run
   uint64_t errors = 0;              ///< NotFound / InvalidArgument / Cancelled
   uint64_t peak_concurrency = 0;    ///< most requests mid-Solve at once
-  uint64_t leases_granted = 0;      ///< shard leases taken from the pool
-  uint64_t lease_width_total = 0;   ///< sum of granted widths (occupancy)
+  uint64_t leases_granted = 0;      ///< solves run on a lane's pool
+  uint64_t lease_width_total = 0;   ///< sum of those solves' pool widths
   uint64_t warm_misses = 0;   ///< memory misses served from the store
   uint64_t promotions = 0;    ///< store solutions re-admitted to memory
   uint64_t demotions = 0;     ///< evictions that kept their store copy
@@ -127,10 +128,11 @@ class ClusterServer {
  public:
   explicit ClusterServer(ServerOptions options = {})
       : options_(std::move(options)),
-        shard_pool_(options_.pool_threads),
-        lanes_(options_.max_concurrent > 0
-                   ? options_.max_concurrent
-                   : std::clamp(shard_pool_.total() / 2, 1, 4)),
+        budget_(ResolveThreads(options_.pool_threads)),
+        lanes_(std::min(budget_, options_.max_concurrent > 0
+                                     ? options_.max_concurrent
+                                     : std::clamp(budget_ / 2, 1, 4))),
+        lane_width_(std::max(1, budget_ / lanes_)),
         store_(OpenStore(options_)),
         cache_(options_.memory_budget_bytes, store_.get()) {
     // The server's own registry: tests and side-by-side servers never
@@ -157,10 +159,7 @@ class ClusterServer {
           "dpc_admission_queue_depth",
           static_cast<double>(queue_.pending())));
       out->push_back(obs::MetricSample::FromGauge(
-          "dpc_pool_threads_in_use",
-          static_cast<double>(shard_pool_.in_use())));
-      out->push_back(obs::MetricSample::FromGauge(
-          "dpc_pool_threads_total", static_cast<double>(shard_pool_.total())));
+          "dpc_pool_threads_total", static_cast<double>(budget_)));
       out->push_back(obs::MetricSample::FromGauge(
           "dpc_requests_running",
           static_cast<double>(running_.load(std::memory_order_relaxed))));
@@ -237,7 +236,10 @@ class ClusterServer {
     executors_.reserve(static_cast<size_t>(lanes_));
     for (int i = 0; i < lanes_; ++i) {
       executors_.emplace_back([this] {
-        while (std::optional<Submission> s = queue_.Pop()) Execute(*s);
+        // The lane's pool lives as long as the lane: steady-state serving
+        // spawns no threads.
+        const auto pool = std::make_shared<ThreadPool>(lane_width_);
+        while (std::optional<Submission> s = queue_.Pop()) Execute(*s, pool);
       });
     }
   }
@@ -263,9 +265,9 @@ class ClusterServer {
 
   /// Attaches (or detaches, with null) a trace: every subsequently
   /// executed request emits a "request" span tree — queue wait, cache
-  /// probe, lease wait, solve with per-phase children, cache insert,
-  /// finalize. Requests already in flight keep the trace they started
-  /// with; tracing off is the default and costs nothing.
+  /// probe, solve with per-phase children, cache insert, finalize.
+  /// Requests already in flight keep the trace they started with;
+  /// tracing off is the default and costs nothing.
   void set_trace(std::shared_ptr<obs::Trace> trace) {
     std::lock_guard<std::mutex> lock(trace_mu_);
     trace_ = std::move(trace);
@@ -493,7 +495,7 @@ class ClusterServer {
     s.promise.set_value(std::move(response));
   }
 
-  void Execute(Submission& s) {
+  void Execute(Submission& s, const std::shared_ptr<ThreadPool>& pool) {
     // Requests executing when a trace is attached emit a span tree under
     // one root "request" span; the trace shared_ptr is pinned for the
     // whole execution so a mid-request set_trace(nullptr) cannot pull it
@@ -586,44 +588,29 @@ class ClusterServer {
       // The twin failed or the cache is disabled: compute ourselves,
       // without re-registering (a second failure must not cascade waits).
       return Compute(s, std::move(response), *dataset, *algo.value(), key,
-                     threshold, trace, request_span.id());
+                     threshold, pool, trace, request_span.id());
     }
     // Wakes twins on every path out of Compute, after its cache insert.
     InflightSettle settle(this, &key, &inflight_done);
     Compute(s, std::move(response), *dataset, *algo.value(), key, threshold,
-            trace, request_span.id());
+            pool, trace, request_span.id());
   }
 
-  /// The actual solve: lease a shard of the budget sized from the
-  /// request's point count and priority, run with a per-request
-  /// deadline context on the leased pool, insert into the cache, then
-  /// respond.
+  /// The actual solve: run with a per-request deadline context on the
+  /// lane's pool, insert into the cache, then respond.
   void Compute(Submission& s, ClusterResponse response,
                const NamedDataset& dataset, DpcAlgorithm& algo,
                const std::string& key, const ThresholdSpec& threshold,
+               const std::shared_ptr<ThreadPool>& pool,
                const std::shared_ptr<obs::Trace>& trace,
                uint64_t request_span_id) {
-    const int width =
-        PlanShardWidth(shard_pool_.total(), lanes_,
-                       static_cast<int64_t>(dataset.points.size()),
-                       s.request.priority);
-    obs::ScopedSpan lease_span(trace.get(), "lease-wait", request_span_id);
-    std::optional<ShardPool::Lease> lease =
-        shard_pool_.Acquire(width, s.deadline_at);
-    lease_span.End();
-    if (!lease.has_value()) {
-      deadline_exceeded_->Inc();
-      response.status = Status::DeadlineExceeded(
-          "deadline expired waiting for a pool shard");
-      return Respond(s, std::move(response));
-    }
     leases_granted_->Inc();
-    lease_width_total_->Inc(static_cast<uint64_t>(lease->width()));
+    lease_width_total_->Inc(static_cast<uint64_t>(lane_width_));
 
-    // Per-request context on the leased pool: deadline and cancellation
+    // Per-request context on the lane's pool: deadline and cancellation
     // are this request's alone. Solve takes its whole execution policy
     // from this context.
-    ExecutionContext ctx(lease->width(), lease->pool());
+    ExecutionContext ctx(lane_width_, pool);
     if (s.deadline_at != std::chrono::steady_clock::time_point::max()) {
       ctx.set_deadline(s.deadline_at);
     }
@@ -634,7 +621,7 @@ class ClusterServer {
                                  peak, running, std::memory_order_relaxed)) {
     }
     // The solve span parents the per-phase children (solve/build, /rho,
-    // /delta, /stamp — emitted by DpcAlgorithm::Solve) and any per-shard
+    // /delta, /stamp — emitted by DpcAlgorithm::Solve) and any pool
     // worker spans; the context carries the trace + parent id down.
     obs::ScopedSpan solve_span(trace.get(), "solve", request_span_id);
     if (trace != nullptr) ctx = ctx.WithTrace(trace, solve_span.id());
@@ -643,7 +630,6 @@ class ClusterServer {
         algo.Solve(dataset.points, s.request.params.compute(), ctx);
     solve_span.End();
     running_.fetch_sub(1, std::memory_order_relaxed);
-    lease->Release();
     recomputes_->Inc();
     response.run_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -679,8 +665,9 @@ class ClusterServer {
   }
 
   const ServerOptions options_;
-  ShardPool shard_pool_;
-  const int lanes_;
+  const int budget_;      ///< resolved pool_threads
+  const int lanes_;       ///< executor lanes, at most budget_
+  const int lane_width_;  ///< threads in each lane's pool
   DatasetRegistry datasets_;
   /// Declared before cache_ (which holds a raw pointer into it) so the
   /// cache dies first on teardown.

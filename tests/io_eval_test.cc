@@ -1,10 +1,13 @@
-// data/io.h round-trips (CSV and binary) and eval/ metric sanity
-// (Rand index, ARI, cluster summaries).
+// data/io.h round-trips (CSV and binary), eval/ metric sanity (Rand
+// index, ARI, cluster summaries), and the checked number parsers the
+// command-line tools read their flags and request keys with.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/dpc.h"
 #include "data/generators.h"
 #include "data/io.h"
@@ -143,12 +146,48 @@ void TestMetrics() {
   CHECK(!dpc::eval::ToString(summary).empty());
 }
 
+/// The whole token must parse, and an integer must fit its type; a
+/// failed parse leaves the output untouched.
+void TestNumberParsing() {
+  double d = -7.0;
+  CHECK(dpc::ParseNumber("12", &d) && d == 12.0);
+  CHECK(dpc::ParseNumber("-3", &d) && d == -3.0);
+  CHECK(dpc::ParseNumber("1e3", &d) && d == 1000.0);
+  CHECK(dpc::ParseNumber("99999999999999999999", &d) && d == 1e20);
+  d = -7.0;
+  for (const char* bad : {"", "abc", "3x", "5km", "1e999", " 1"}) {
+    CHECK(!dpc::ParseNumber(bad, &d));
+    CHECK_EQ(d, -7.0);
+  }
+
+  int i = -7;
+  CHECK(dpc::ParseNumber("12", &i) && i == 12);
+  CHECK(dpc::ParseNumber("-3", &i) && i == -3);
+  CHECK(dpc::ParseNumber("2147483647", &i) && i == 2147483647);
+  i = -7;
+  for (const char* bad :
+       {"1e3", "", "abc", "3x", "99999999999999999999", "2147483648"}) {
+    CHECK(!dpc::ParseNumber(bad, &i));
+    CHECK_EQ(i, -7);
+  }
+
+  int64_t wide = 0;
+  CHECK(!dpc::ParseNumber("99999999999999999999", &wide));
+  CHECK(dpc::ParseNumber("9999999999", &wide) && wide == 9999999999);
+  uint64_t seed = 5;
+  CHECK(dpc::ParseNumber("18446744073709551615", &seed) &&
+        seed == 18446744073709551615u);
+  CHECK(!dpc::ParseNumber("-3", &seed));
+  CHECK_EQ(seed, 18446744073709551615u);
+}
+
 }  // namespace
 
 int main() {
   TestIoRoundTrip();
   TestCsvHeader();
   TestMetrics();
+  TestNumberParsing();
   std::printf("io_eval_test OK\n");
   return 0;
 }

@@ -1,8 +1,8 @@
 // The serve/ subsystem: dataset fingerprint stability, the two-tier
 // SolutionCache (solution-tier keying, cost-scaled eviction determinism,
 // byte-budget accounting, label memoization, demotion/promotion against
-// a backing store), scalar shard width planning,
-// admission-queue priority order, end-to-end serving (responses
+// a backing store), admission-queue priority order, executor lanes
+// held within the thread budget, end-to-end serving (responses
 // bit-identical to direct solve, for every registered algorithm), the re-threshold / decision-graph fast
 // path (zero recompute, asserted via server stats), mixed deadlines,
 // priority pick-up behind a busy lane, error paths, and concurrent
@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <future>
@@ -31,7 +32,6 @@
 #include "serve/request.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
-#include "serve/shard_pool.h"
 #include "serve/solution_cache.h"
 #include "store/solution_format.h"
 #include "store/solution_store.h"
@@ -326,21 +326,6 @@ void TestCacheStoreDemotePromote() {
     CHECK_EQ(cache.stats().solution_misses, 1u);
   }
   std::remove(path.c_str());
-}
-
-/// PlanShardWidth's flat |P| model: an even split of the budget across
-/// lanes, 1 below the parallel threshold, plus one thread per priority
-/// level, clamped to the budget.
-void TestPlanShardWidth() {
-  // 8 threads over 4 lanes -> width 2 above the parallel threshold, 1
-  // below it.
-  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, int64_t{100000}, 0), 2);
-  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, int64_t{10}, 0), 1);
-
-  // Priority boosts ride on top, clamped to the budget.
-  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, int64_t{100000}, 3), 5);
-  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, int64_t{10}, 3), 4);
-  CHECK_EQ(dpc::serve::PlanShardWidth(8, 4, int64_t{100000}, 7), 8);
 }
 
 void TestSolutionKey() {
@@ -832,10 +817,73 @@ void TestConcurrentExecutionOverlap() {
   const auto stats = server.stats();
   // The overlap proof: at least two requests were mid-Solve at once
   // (with 3 lanes and 6 multi-millisecond solves, serial execution
-  // cannot produce this), and every compute held a shard lease.
+  // cannot produce this), and every compute ran on its lane's pool.
   CHECK(stats.peak_concurrency >= 2u);
   CHECK_EQ(stats.leases_granted, 6u);
-  CHECK(stats.lease_width_total >= stats.leases_granted);
+  CHECK_EQ(stats.lease_width_total, 6u);  // width max(1, 4 / 3) = 1
+  CHECK_EQ(stats.errors, 0u);
+  CHECK_EQ(stats.deadline_exceeded, 0u);
+}
+
+/// More lanes requested than the budget has threads: the server clamps
+/// the lanes to the budget, so each lane's pool holds one thread and at
+/// most two solves overlap. Priorities at the int extremes are plain
+/// queue order and are served like any other request.
+void TestLanesWithinBudget() {
+  const dpc::PointSet points = TestPoints(31, 2500);
+
+  dpc::serve::ServerOptions options;
+  options.pool_threads = 2;
+  options.max_concurrent = 4;
+  options.memory_budget_bytes = 8u << 20;
+  dpc::serve::ClusterServer server(options);
+  CHECK_EQ(server.lanes(), 2);
+  server.datasets().Register("pts", points);
+
+  auto algo = dpc::MakeAlgorithmByName("ex-dpc");
+  CHECK(algo.ok());
+  auto submit = [&](const dpc::DpcParams& params, int priority) {
+    dpc::serve::ClusterRequest request;
+    request.dataset = "pts";
+    request.algorithm = "ex-dpc";
+    request.params = params;
+    request.priority = priority;
+    return server.Submit(std::move(request));
+  };
+
+  // Four distinct compute configurations: four real solves.
+  std::vector<dpc::DpcParams> configs;
+  for (int i = 0; i < 4; ++i) configs.push_back(TestParams(1500.0 + 250.0 * i));
+  std::vector<std::future<dpc::serve::ClusterResponse>> futures;
+  for (const dpc::DpcParams& params : configs) {
+    futures.push_back(submit(params, 0));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const auto response = futures[i].get();
+    CHECK(response.status.ok());
+    CHECK(dpc::test::BitIdenticalLabels(
+        response.result->label,
+        Cluster(*algo.value(), points, configs[i]).labeling.label));
+  }
+  dpc::serve::ServerStats stats = server.stats();
+  CHECK(stats.peak_concurrency <= 2u);
+  CHECK_EQ(stats.recomputes, 4u);
+  CHECK_EQ(stats.leases_granted, 4u);
+  CHECK_EQ(stats.lease_width_total, 4u);
+
+  for (const int priority : {INT_MAX, INT_MIN}) {
+    const dpc::DpcParams params =
+        TestParams(priority == INT_MAX ? 3000.0 : 3500.0);
+    const auto response = submit(params, priority).get();
+    CHECK(response.status.ok());
+    CHECK(!response.cache_hit);
+    CHECK(dpc::test::BitIdenticalLabels(
+        response.result->label,
+        Cluster(*algo.value(), points, params).labeling.label));
+  }
+  stats = server.stats();
+  CHECK_EQ(stats.recomputes, 6u);
+  CHECK_EQ(stats.lease_width_total, 6u);
   CHECK_EQ(stats.errors, 0u);
   CHECK_EQ(stats.deadline_exceeded, 0u);
 }
@@ -1110,7 +1158,6 @@ int main() {
   TestSolutionCacheCostAwareEviction();
   TestSolutionCacheByteBudget();
   TestCacheStoreDemotePromote();
-  TestPlanShardWidth();
   TestSolutionKey();
   TestAdmissionQueuePriority();
   TestServerEndToEnd();
@@ -1120,6 +1167,7 @@ int main() {
   TestErrorPaths();
   TestConcurrentSubmissions();
   TestConcurrentExecutionOverlap();
+  TestLanesWithinBudget();
   TestEveryAlgorithmServed();
   TestServerStoreStats();
   TestCoherentStatsSnapshot();
