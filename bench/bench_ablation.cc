@@ -10,14 +10,20 @@
 //   C. The peaks' exact dependent search: one query on the rho kd-tree
 //      (what Approx-DPC runs) vs the paper's density-ordered subset scheme
 //      at Equation (2)'s s and under/over-partitioned s.
+//   D. S-Approx-DPC's rho at epsilon = 1: one RangeCount per grid cell's
+//      smallest-id member (the representative) vs the masked per-leaf
+//      joint count over the representatives (ExDpc::ComputeExactRho with
+//      a selection, what S-Approx-DPC runs). Each row times finding the
+//      representatives and counting them.
 //
 // There is no B: the cell loop claims grains like every pool loop, so
 // there is no cell partition to ablate. A and C keep the letters that
 // ROADMAP and code comments cite.
 //
-// A and C print "results identical"; the bench checks it and exits 1 on
-// any rho (A, each row against the per-leaf rho) or delta/dependency (C)
-// difference, so its smoke run is a correctness gate too.
+// A, C and D print "results identical"; the bench checks it and exits 1
+// on any rho (A, each row against the per-leaf rho; D, the
+// representatives' rho) or delta/dependency (C) difference, so its smoke
+// run is a correctness gate too.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -26,6 +32,7 @@
 
 #include "bench_util.h"
 #include "common/string_util.h"
+#include "core/s_approx_dpc.h"
 #include "index/grid.h"
 
 int main() {
@@ -151,6 +158,67 @@ int main() {
       table.AddRow({StrFormat("subsets s=%d", s), StrFormat("%.3f", seconds),
                     StrFormat("%s%s", s == solved ? "Equation (2) solution" : "",
                               same())});
+    }
+    table.Print();
+  }
+
+  // --- D: S-Approx-DPC's representative rho at epsilon = 1. ---
+  std::printf("\nD. S-Approx-DPC rho at epsilon = 1 (representatives' rho "
+              "time [s]; results identical)\n");
+  {
+    eval::Table table({"dataset", "cells", "counting", "rho [s]", "vs per leaf"});
+    for (const auto& w : workloads) {
+      const ExecutionContext ctx(cfg.max_threads);
+      const PointSet& points = w.points;
+      const double d_cut = w.params.d_cut;
+      DpcParams params = w.params;
+      params.epsilon = 1.0;
+      KdTree tree;
+      tree.Build(points, ctx);
+      UniformGrid grid;
+      grid.Build(points, SApproxDpc().CellSide(params.compute(), points.dim()),
+                 ctx, tree.leaf_order());
+      const auto representative = [&grid](CellId cell) {
+        const std::vector<PointId>& members = grid.members(cell);
+        return *std::min_element(members.begin(), members.end());
+      };
+
+      // As in A: both vectors are allocated up front and one untimed
+      // masked pass warms the tree and the pool.
+      const size_t n = static_cast<size_t>(points.size());
+      std::vector<double> leaf_rho(n), cell_rho(n);
+      std::vector<uint8_t> selected(n, 0);
+      const auto masked = [&] {
+        ParallelFor(ctx, grid.num_cells(), [&](int64_t begin, int64_t end) {
+          for (CellId cell = begin; cell < end; ++cell) {
+            selected[static_cast<size_t>(representative(cell))] = 1;
+          }
+        });
+        ExDpc::ComputeExactRho(tree, d_cut, ctx, &leaf_rho, &selected);
+      };
+      masked();
+      internal::WallTimer timer;
+      masked();
+      const double leaf_s = timer.Lap();
+
+      ParallelFor(ctx, grid.num_cells(), [&](int64_t begin, int64_t end) {
+        for (CellId cell = begin; cell < end; ++cell) {
+          const PointId m = representative(cell);
+          cell_rho[static_cast<size_t>(m)] =
+              static_cast<double>(tree.RangeCount(points[m], d_cut) - 1);
+        }
+      });
+      const double cell_s = timer.Lap();
+
+      const bool same = cell_rho == leaf_rho;
+      identical = identical && same;
+      const std::string cells =
+          StrFormat("%lld", static_cast<long long>(grid.num_cells()));
+      table.AddRow({w.name, cells, "RangeCount per cell", StrFormat("%.4f", cell_s),
+                    StrFormat("%.2fx%s", cell_s / std::max(leaf_s, 1e-9),
+                              same ? "" : " MISMATCH")});
+      table.AddRow({w.name, cells, "masked per leaf (S-Approx-DPC)",
+                    StrFormat("%.4f", leaf_s), "1.00x"});
     }
     table.Print();
   }

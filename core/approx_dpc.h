@@ -16,7 +16,8 @@
 // kd-tree leaf that Ex-DPC runs. Approx-DPC no longer runs the paper's
 // per-cell §4.2 joint range search; the counts are exact integers, so
 // its outputs are unchanged (ablation A of bench_ablation times per-point,
-// per-cell and per-leaf counting and checks they agree).
+// per-cell and per-leaf counting and checks they agree). S-Approx-DPC
+// counts its cell representatives on the same path (below).
 //
 // One spatial order per solve: the kd-tree is built on the solve's pool
 // first, and the grid is then built on the pool in the tree's leaf order
@@ -42,16 +43,25 @@
 //
 // S-Approx-DPC (core/s_approx_dpc.h) runs this same solve with three
 // differences, selected by the protected ApproxDpc(true) constructor:
-// the cell side is epsilon*d_cut/sqrt(dim); each cell runs one RangeCount
-// for its smallest-id member and every member takes that rho (so that
-// member is the cell's peak); and the peaks' nearest-denser search runs
-// on a kd-tree over the cell peaks alone (KdTree::Build(points, peaks,
-// exec)), built after the full tree and the grid are released. Approx-DPC
-// ignores epsilon.
+//   * the cell side is epsilon*d_cut/sqrt(dim);
+//   * rho is counted for each cell's smallest-id member only: one pool
+//     pass over the cells marks those representatives, one
+//     ExDpc::ComputeExactRho call counts the marked points (a joint count
+//     per kd leaf over its marked points and their tight box), and the
+//     cell loop hands each representative's rho to the cell's other
+//     members before the peak election (so the representative is the
+//     cell's peak). The counts are exact integers, so this gives the rho
+//     one RangeCount per representative gives (ablation D of
+//     bench_ablation times both and checks they agree);
+//   * the peaks' nearest-denser search runs on a kd-tree over the cell
+//     peaks alone (KdTree::Build(points, peaks, exec)), built after the
+//     full tree and the grid are released.
+// Approx-DPC ignores epsilon.
 //
-// Phase timers: DpcStats::rho_seconds covers rho and the cell loop's
-// peak election and snap, and delta_seconds is the peaks' search alone
-// (for S-Approx-DPC, the peaks tree's build included).
+// Phase timers: DpcStats::rho_seconds covers rho (with S-Approx-DPC's
+// representative pass) and the cell loop's peak election and snap, and
+// delta_seconds is the peaks' search alone (for S-Approx-DPC, the peaks
+// tree's build included).
 #ifndef DPC_CORE_APPROX_DPC_H_
 #define DPC_CORE_APPROX_DPC_H_
 
@@ -175,17 +185,30 @@ class ApproxDpc : public DpcAlgorithm {
     result.stats.index_memory_bytes = tree.MemoryBytes() + grid.MemoryBytes();
     result.stats.build_seconds = phase.Lap();
 
-    // rho — exact for Approx-DPC, counted once per cell for S-Approx-DPC
-    // inside the cell loop — then each cell's peak election and snap.
-    if (!s_approx_) ExDpc::ComputeExactRho(tree, compute.d_cut, exec, &result.rho);
+    // rho — exact for every point for Approx-DPC; for S-Approx-DPC exact
+    // for each cell's smallest-id member, whose count the cell loop fans
+    // out to the other members — then each cell's peak election and snap.
+    const auto representative = [&grid](CellId cell) {
+      const std::vector<PointId>& members = grid.members(cell);
+      return *std::min_element(members.begin(), members.end());
+    };
+    if (s_approx_) {
+      std::vector<uint8_t> selected(static_cast<size_t>(n), 0);
+      ParallelFor(exec, grid.num_cells(), [&](int64_t begin, int64_t end) {
+        for (CellId cell = begin; cell < end; ++cell) {
+          selected[static_cast<size_t>(representative(cell))] = 1;
+        }
+      });
+      ExDpc::ComputeExactRho(tree, compute.d_cut, exec, &result.rho, &selected);
+    } else {
+      ExDpc::ComputeExactRho(tree, compute.d_cut, exec, &result.rho);
+    }
     std::vector<PointId> peaks(static_cast<size_t>(grid.num_cells()), PointId{-1});
     ParallelFor(exec, grid.num_cells(), [&](int64_t begin, int64_t end) {
       for (CellId cell = begin; cell < end; ++cell) {
         const std::vector<PointId>& members = grid.members(cell);
         if (s_approx_) {
-          const PointId m = *std::min_element(members.begin(), members.end());
-          const double rho_m = static_cast<double>(
-              tree.RangeCount(points[m], compute.d_cut) - 1);
+          const double rho_m = result.rho[static_cast<size_t>(representative(cell))];
           for (const PointId i : members) {
             result.rho[static_cast<size_t>(i)] = rho_m;
           }

@@ -6,7 +6,11 @@
 //           tree stores for the leaf. The paper counts per point (§3);
 //           the counts are exact integers, so both give the same rho.
 //           Each traversal sweeps whole count blocks (index/kdtree.h)
-//           instead of descending to leaves.
+//           instead of descending to leaves; at the usual d_cut nearly
+//           every tested pair is such a fringe sweep, not a wholesale
+//           subtree count. All three paper algorithms count rho here:
+//           Approx-DPC for every point, S-Approx-DPC for a selection of
+//           one representative per grid cell.
 //   delta — exact nearest-denser-neighbor search: a kd-tree NN query that
 //           only accepts candidates ranking denser under DenserThan().
 //           The globally densest point gets delta = +inf.
@@ -27,6 +31,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -69,19 +74,26 @@ class ExDpc : public DpcAlgorithm {
   }
 
  public:
-  /// Exact rho for every indexed point: its range count within d_cut,
-  /// itself excluded. One KdTree::JointRangeCount per leaf, on the leaf's
-  /// run of leaf_order() and its stored box. The loop runs over leaf-order
-  /// positions, not leaves — a slice counts the leaves that begin inside
-  /// it — so it goes to the pool once there are enough points, however
-  /// few leaves they fill. Approx-DPC computes its rho here too. `tree`
-  /// indexes the whole point set (a subset tree would count neighbors
-  /// within the subset only), and *rho must already hold one slot per
-  /// point: tree.size() == rho->size().
+  /// Exact rho for every indexed point, or for the points `selected`
+  /// marks (nonzero at their id) when it is given: the range count within
+  /// d_cut, itself excluded. Unselected slots are left as they are. One
+  /// KdTree::JointRangeCount per leaf over the leaf's selected points —
+  /// its whole run of leaf_order() and stored box when every point is
+  /// selected, otherwise the selected ones and their tight box
+  /// (KdTree::PositionsBox); a leaf with none is skipped. The loop runs
+  /// over leaf-order positions, not leaves — a slice counts the leaves
+  /// that begin inside it — so it goes to the pool once there are enough
+  /// points, however few leaves they fill. All three paper algorithms
+  /// count rho here; S-Approx-DPC selects its cell representatives.
+  /// `tree` indexes the whole point set (a subset tree would count
+  /// neighbors within the subset only), and *rho (and *selected) must
+  /// already hold one slot per point: tree.size() == rho->size().
   static void ComputeExactRho(const KdTree& tree, double d_cut,
                               const ExecutionContext& exec,
-                              std::vector<double>* rho) {
+                              std::vector<double>* rho,
+                              const std::vector<uint8_t>* selected = nullptr) {
     assert(static_cast<size_t>(tree.size()) == rho->size());
+    assert(selected == nullptr || selected->size() == rho->size());
     const std::vector<PointId>& order = tree.leaf_order();
     const std::vector<KdTree::Leaf> leaves = tree.Leaves();
     ParallelFor(exec, tree.size(), [&](PointId begin, PointId end) {
@@ -89,10 +101,31 @@ class ExDpc : public DpcAlgorithm {
           leaves.begin(), leaves.end(), begin,
           [](const KdTree::Leaf& l, PointId pos) { return l.begin < pos; });
       PointId counts[KdTree::kLeafSize];
+      PointId picked_ids[KdTree::kLeafSize];
+      PointId picked_positions[KdTree::kLeafSize];
+      std::vector<double> picked_box(
+          selected != nullptr ? 2 * static_cast<size_t>(tree.dim()) : 0);
       for (; leaf != leaves.end() && leaf->begin < end; ++leaf) {
         const PointId* queries = order.data() + leaf->begin;
-        const size_t count = static_cast<size_t>(leaf->end - leaf->begin);
-        tree.JointRangeCount(queries, count, leaf->box, d_cut, counts);
+        size_t count = static_cast<size_t>(leaf->end - leaf->begin);
+        const double* box = leaf->box;
+        if (selected != nullptr) {
+          size_t picked = 0;
+          for (PointId pos = leaf->begin; pos < leaf->end; ++pos) {
+            const PointId i = order[static_cast<size_t>(pos)];
+            if ((*selected)[static_cast<size_t>(i)] == 0) continue;
+            picked_ids[picked] = i;
+            picked_positions[picked++] = pos;
+          }
+          if (picked == 0) continue;
+          if (picked < count) {
+            tree.PositionsBox(picked_positions, picked, picked_box.data());
+            queries = picked_ids;
+            count = picked;
+            box = picked_box.data();
+          }
+        }
+        tree.JointRangeCount(queries, count, box, d_cut, counts);
         for (size_t k = 0; k < count; ++k) {
           (*rho)[static_cast<size_t>(queries[k])] =
               static_cast<double>(counts[k] - 1);  // self excluded

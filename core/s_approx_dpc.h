@@ -6,10 +6,13 @@
 //   * the grid's cell side is epsilon * d_cut / sqrt(dim), so the cell
 //     diameter is epsilon * d_cut and a larger epsilon makes fewer,
 //     fuller cells;
-//   * rho is counted once per cell: the cell's smallest-id member m runs
-//     one kd-tree RangeCount(m, d_cut) - 1 and every member takes that
-//     value: one range count per cell instead of an exact count for
-//     every point;
+//   * rho is counted once per cell: the cell's smallest-id member m gets
+//     its exact count |ball(m, d_cut)| - 1 and every member takes that
+//     value: one range count per cell instead of one for every point.
+//     The representatives are counted on the path Ex-DPC and
+//     Approx-DPC count every point on (ExDpc::ComputeExactRho, given a
+//     selection): one joint count per kd-tree leaf over the leaf's
+//     representatives and their tight box;
 //   * only cell peaks run the nearest-denser search, and only cell peaks
 //     are its candidates: it runs on a kd-tree over the peaks alone, built
 //     once the full tree and the grid are released, and queries the peaks

@@ -3,13 +3,14 @@
 //
 //   * RangeCount   — |ball(q, r)|, with whole-subtree accounting: a node
 //                    whose bounding box lies entirely inside the ball
-//                    contributes its subtree size without visiting points
-//                    (this is what makes the rho phase subquadratic).
+//                    contributes its subtree size without visiting points.
 //   * JointRangeCount — the paper's §4.2 joint range search: RangeCount
 //                    for a group of indexed points in one shared
 //                    traversal, tested against the group's bounding box.
 //                    Exact rho (ExDpc::ComputeExactRho) runs it once per
-//                    leaf, on the leaf's run and stored box (Leaves()).
+//                    leaf, on the leaf's run and stored box (Leaves()),
+//                    or on the leaf's selected points and their tight box
+//                    (PositionsBox).
 //   * RangeReport  — ids inside ball(q, r).
 //   * NearestAccepted — nearest neighbor among points satisfying a caller
 //                    predicate; used for the delta phase, where the
@@ -45,6 +46,17 @@
 // sweep counts exactly what the leaf-by-leaf descent would. Nearest
 // search and RangeReport still descend to kLeafSize leaves: bigger
 // leaves slow the delta search down.
+//
+// Where rho's work goes: at the solves' usual d_cut a ball rarely covers
+// a whole subtree, so the rho phase is almost all fringe sweeps, not
+// wholesale counts; what keeps it fast is the prune, the shared
+// traversal per leaf and the vectorized block sweep. Counted on
+// perfbench's inputs (seed 1): on the 100k-point 7-D Household stand-in
+// (d_cut 1000), none of the 4.39e8
+// (query, point) tests of an exact-rho pass was wholesale, and the
+// sweeps tested 12x the 3.7e7 true neighbour pairs; on the 1M-point 2-D
+// random walk (d_cut 250), 1.4e6 of 1.57e9 were, at 4.3x the 3.6e8
+// neighbour pairs.
 //
 // Bound pass-down: the nearest search (NearestAccepted) needs both
 // children's box distances to descend the nearer one first, so it hands
@@ -209,6 +221,9 @@ class KdTree {
   /// Number of indexed points.
   PointId size() const { return static_cast<PointId>(perm_.size()); }
 
+  /// Dimensionality of the indexed points.
+  int dim() const { return dim_; }
+
   /// The leaf order, position -> point id (a permutation of the indexed
   /// ids): every subtree owns one contiguous run of it, so walking it
   /// visits the points leaf by leaf — the spatial order the solves
@@ -232,6 +247,24 @@ class KdTree {
       }
     }
     return leaves;
+  }
+
+  /// Writes to `box` (lo then hi, dim() doubles each) the tight bounding
+  /// box of the points at the `count` leaf_order() positions at
+  /// `positions`, read from the tree's SoA copy. Over a whole leaf run it
+  /// is the leaf's stored box: both are per-column min/max.
+  void PositionsBox(const PointId* positions, size_t count, double* box) const {
+    double* lo = box;
+    double* hi = box + dim_;
+    for (int d = 0; d < dim_; ++d) {
+      const double* col = soa_.Column(d);
+      lo[d] = std::numeric_limits<double>::infinity();
+      hi[d] = -std::numeric_limits<double>::infinity();
+      for (size_t k = 0; k < count; ++k) {
+        lo[d] = std::min(lo[d], col[positions[k]]);
+        hi[d] = std::max(hi[d], col[positions[k]]);
+      }
+    }
   }
 
   /// Number of points within distance r of q (q itself included when it

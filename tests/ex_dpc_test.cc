@@ -1,12 +1,18 @@
 // Ex-DPC correctness: rho/delta/dependency match an O(n^2) brute-force
-// reference on a small input, and the algorithm recovers k planted,
-// well-separated Gaussian clusters on a larger one.
+// reference on a small input, the masked exact-rho count
+// (ExDpc::ComputeExactRho with a selection) matches it for the selected
+// points and leaves the others alone, and the algorithm recovers k
+// planted, well-separated Gaussian clusters on a larger one.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/ex_dpc.h"
+#include "core/rng.h"
 #include "data/generators.h"
 #include "eval/cluster_stats.h"
 #include "eval/rand_index.h"
@@ -68,6 +74,84 @@ void TestAgainstBruteForce() {
   }
 }
 
+/// ExDpc::ComputeExactRho with a selection, against brute force, on a
+/// 2-D and a 7-D input at 1 and 4 threads. The masks: every point, none,
+/// one point per leaf, a random 10%, and each leaf's corner points (for
+/// every dimension, the members on the leaf box's low and high face), so
+/// the query box taken from the selected points (KdTree::PositionsBox)
+/// must reach every face of the leaf's box. Every selected slot must
+/// read its count - 1, and every other slot keeps its sentinel.
+void TestMaskedExactRho() {
+  constexpr double kSentinel = -7.0;
+  for (const int dim : {2, 7}) {
+    dpc::data::GaussianBenchmarkParams gen;
+    gen.num_points = 3000;
+    gen.num_clusters = 4;
+    gen.dim = dim;
+    gen.overlap = 0.03;
+    gen.noise_rate = 0.05;
+    gen.seed = 90 + static_cast<uint64_t>(dim);
+    const dpc::PointSet points = dpc::data::GaussianBenchmark(gen);
+    const dpc::PointId n = points.size();
+    const double d_cut = dim == 2 ? 4000.0 : 9000.0;
+    dpc::KdTree tree;
+    tree.Build(points);
+    // Enough points for ParallelFor to use the pool at 4 threads.
+    CHECK(n >= dpc::internal::kMinParallelIterations);
+
+    std::vector<double> brute(static_cast<size_t>(n), 0.0);
+    for (dpc::PointId i = 0; i < n; ++i) {
+      for (dpc::PointId j = 0; j < n; ++j) {
+        if (j != i && dpc::SquaredDistance(points[i], points[j], dim) <=
+                          d_cut * d_cut) {
+          ++brute[static_cast<size_t>(i)];
+        }
+      }
+    }
+
+    const std::vector<dpc::PointId>& order = tree.leaf_order();
+    const std::vector<dpc::KdTree::Leaf> leaves = tree.Leaves();
+    std::vector<std::vector<uint8_t>> masks(
+        5, std::vector<uint8_t>(static_cast<size_t>(n), 0));
+    std::fill(masks[0].begin(), masks[0].end(), uint8_t{1});  // every point
+    // masks[1] selects none.
+    dpc::Rng rng(7 + static_cast<uint64_t>(dim));
+    for (size_t l = 0; l < leaves.size(); ++l) {
+      const dpc::KdTree::Leaf& leaf = leaves[l];
+      const dpc::PointId len = leaf.end - leaf.begin;
+      // One point per leaf, at a varying position in its run.
+      const dpc::PointId one = leaf.begin + static_cast<dpc::PointId>(l) % len;
+      masks[2][static_cast<size_t>(order[static_cast<size_t>(one)])] = 1;
+      for (dpc::PointId pos = leaf.begin; pos < leaf.end; ++pos) {
+        const dpc::PointId i = order[static_cast<size_t>(pos)];
+        if (rng.NextBelow(10) == 0) masks[3][static_cast<size_t>(i)] = 1;
+        for (int d = 0; d < dim; ++d) {
+          if (points[i][d] == leaf.box[d] || points[i][d] == leaf.box[dim + d]) {
+            masks[4][static_cast<size_t>(i)] = 1;
+          }
+        }
+      }
+    }
+    size_t corners = 0;
+    for (const uint8_t s : masks[4]) corners += s;
+    // The corner mask leaves points out of most leaves, so its boxes are
+    // taken from the selected points rather than the stored ones.
+    CHECK(corners > leaves.size() && corners < static_cast<size_t>(n));
+
+    for (const int threads : {1, 4}) {
+      const dpc::ExecutionContext exec(
+          threads, std::make_shared<dpc::ThreadPool>(threads));
+      for (const std::vector<uint8_t>& mask : masks) {
+        std::vector<double> rho(static_cast<size_t>(n), kSentinel);
+        dpc::ExDpc::ComputeExactRho(tree, d_cut, exec, &rho, &mask);
+        for (size_t i = 0; i < rho.size(); ++i) {
+          CHECK_EQ(rho[i], mask[i] != 0 ? brute[i] : kSentinel);
+        }
+      }
+    }
+  }
+}
+
 void TestRecoversPlantedClusters() {
   dpc::data::GaussianBenchmarkParams gen;
   gen.num_points = 6000;
@@ -102,6 +186,7 @@ void TestRecoversPlantedClusters() {
 
 int main() {
   TestAgainstBruteForce();
+  TestMaskedExactRho();
   TestRecoversPlantedClusters();
   std::printf("ex_dpc_test OK\n");
   return 0;
